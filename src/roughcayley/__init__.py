@@ -66,7 +66,6 @@ from .spaces import (
     SpaceModel,
     TOL,
     ZdModel,
-    bfs_word_length,
     word_ball,
 )
 

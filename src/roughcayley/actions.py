@@ -42,7 +42,7 @@ class NearestIndex:
     def __init__(self, lattice: QuasiLattice):
         self.lattice = lattice
         self.space = lattice.space
-        self._memo = {}
+        self._answers = {}
         self._grid = None
         self._cell = None
         if isinstance(self.space, (ZdModel, EuclideanModel)) and lattice.points:
@@ -59,14 +59,14 @@ class NearestIndex:
     def __call__(self, q):
         if not self.space.window_contains(self.lattice.window, q):
             raise OutOfWindowError(f"{q!r} is outside the lattice window")
-        hit = self._memo.get(q)
+        hit = self._answers.get(q)
         if hit is not None:
             return hit
         if self.lattice.contains_point(q):
-            self._memo[q] = q
+            self._answers[q] = q
             return q
         p = self._grid_query(q) if self._grid is not None else self._scan_query(q)
-        self._memo[q] = p
+        self._answers[q] = p
         return p
 
     def _scan_query(self, q):

@@ -72,6 +72,15 @@ class GrowthSeries:
 
 @dataclass(frozen=True)
 class GrowthVerdict:
+    """Growth type of a series with its estimated degree or rate.
+
+    ``ci`` is 1.96 times the least-squares standard error of the fit.  On a
+    deterministic ball-count series that measures only the scatter of the
+    points about the fitted line, not the bias left in the estimate, so the
+    true value can lie outside estimate +- ci: for Z^3 balls up to m = 15
+    the degree reads 2.960 with ci 0.0084, an error of 0.040.
+    """
+
     kind: str                # polynomial | exponential | inconclusive
     estimate: float | None   # degree or rate
     ci: float | None         # 1.96 * standard error of the fit

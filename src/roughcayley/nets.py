@@ -29,11 +29,11 @@ from .spaces import (
     BoxWindow,
     EuclideanModel,
     H2Window,
+    HeisenbergModel,
     HyperbolicPlaneModel,
     SpaceModel,
     TOL,
     ZdModel,
-    hyperbolic_distance_arrays,
 )
 
 # minimal pairwise separation of the horocyclic lattice: the distance between
@@ -164,21 +164,28 @@ def _cells_around(key, reach):
 
 
 class _ArrayNear:
-    """Vectorised scan over all accepted points (hyperbolic plane)."""
+    """Vectorised scan with ``distances_from`` over the accepted points,
+    kept in a coordinate array that doubles when full (int64 for discrete
+    models, so Heisenberg coordinates stay exact)."""
 
     def __init__(self, space):
         self.space = space
-        self.us = []
-        self.as_ = []
+        self.n = 0
+        self.buf = None
 
     def add(self, p):
-        self.us.append(p[0])
-        self.as_.append(p[1])
+        if self.buf is None:
+            dtype = np.int64 if self.space.is_discrete else float
+            self.buf = np.empty((16, len(p)), dtype=dtype)
+        elif self.n == len(self.buf):
+            self.buf = np.concatenate([self.buf, np.empty_like(self.buf)])
+        self.buf[self.n] = p
+        self.n += 1
 
     def has_within(self, p, radius):
-        if not self.us:
+        if not self.n:
             return False
-        d = hyperbolic_distance_arrays(p[0], p[1], np.array(self.us), np.array(self.as_))
+        d = self.space.distances_from(p, self.buf[:self.n])
         return bool((d < radius - TOL).any())
 
 
@@ -199,7 +206,7 @@ class _ListNear:
 def _near_index(space, delta):
     if isinstance(space, (ZdModel, EuclideanModel)):
         return _GridNear(space, delta)
-    if isinstance(space, HyperbolicPlaneModel):
+    if isinstance(space, (HyperbolicPlaneModel, HeisenbergModel)):
         return _ArrayNear(space)
     return _ListNear(space)
 

@@ -8,22 +8,20 @@ Five concrete models are provided:
                            stored as tuples of nonzero ints (letter i, inverse -i).
 * ``HeisenbergModel()`` -- discrete Heisenberg group on integer coordinates
                            (a, b, c) with generators x=(1,0,0), y=(0,1,0);
-                           word distances come from bidirectional BFS.
+                           word distances come from Blachere's exact closed
+                           form (Colloq. Math. 95 (2003)), O(1) per pair.
 * ``EuclideanModel(d)`` -- R^d with the L2 metric; optional additive group.
 * ``HyperbolicPlaneModel()`` -- upper half-plane points (u, a), a > 0, with
                            the hyperbolic metric; carries the affine group law
                            (u,a)(v,b) = (av+u, ab), which acts by isometries.
 
-Models are immutable after construction and safe to share between threads;
-the Heisenberg distance memo is append-only so concurrent reads stay
-consistent.
+Models are immutable after construction and safe to share between threads.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -369,16 +367,69 @@ class FreeGroupModel(SpaceModel):
 # ---------------------------------------------------------------------------
 # discrete Heisenberg group
 
-_HEIS_SEARCH_LIMIT = 26  # bidirectional BFS cap; practical radius limit ~10 per side
+
+def _heis_length(a, b, c):
+    """Exact word length of (a, b, c) over x, y and their inverses, by the
+    closed form stated in ``HeisenbergModel``; exact at any size."""
+    if a < 0:
+        a, c = -a, -c
+    if b < 0:
+        b, c = -b, -c
+    ab = a * b
+    cc = max(c, ab - c)
+    if cc <= ab:
+        return a + b
+    big = max(a, b)
+    excess = cc - ab
+    if excess <= (big - min(a, b)) * big:
+        return a + b + 2 * (-(-excess // big))
+    # least s with floor(s^2 / 4) >= cc, i.e. s^2 >= 4 cc
+    return 2 * (1 + math.isqrt(4 * cc - 1)) - a - b
+
+
+def _heis_lengths(a, b, c):
+    """``_heis_length`` on int64 arrays, elementwise.
+
+    Exact while 4 * max(|c|, |ab - c|) fits in int64.
+    """
+    c = np.where(a < 0, -c, c)
+    a = np.abs(a)
+    c = np.where(b < 0, -c, c)
+    b = np.abs(b)
+    ab = a * b
+    cc = np.maximum(c, ab - c)
+    big = np.maximum(a, b)
+    excess = cc - ab
+    box = a + b + 2 * (-(-excess // np.maximum(big, 1)))
+    # ceil(sqrt(4 cc)): past 2^53 the float root can fall one short of it,
+    # never past it, since an integer root below 2^32 survives the rounding
+    four = 4 * cc
+    s = np.ceil(np.sqrt(four.astype(float))).astype(np.int64)
+    s += s * s < four
+    return np.where(excess <= 0, a + b,
+                    np.where(excess <= (big - np.minimum(a, b)) * big,
+                             box, 2 * s - a - b))
 
 
 class HeisenbergModel(SpaceModel):
     """Integer Heisenberg group, coordinates (a, b, c).
 
     Group law (a,b,c)(a',b',c') = (a+a', b+b', c+c'+a b'), generated by
-    x = (1,0,0) and y = (0,1,0) plus inverses.  There is no closed form for
-    the word metric; distances are computed by bidirectional BFS with a memo
-    on canonical difference tuples, capped at combined depth 26.
+    x = (1,0,0) and y = (0,1,0) plus inverses.  A word is a lattice path in
+    Z^2 from 0 to (a, b) whose integral of a db is c, so word lengths have
+    an exact closed form (S. Blachere, "Word distance on the discrete
+    Heisenberg group", Colloq. Math. 95 (2003) 21-36).  Fold signs with the
+    automorphisms x -> x^-1 and y -> y^-1, which send (a, b, c) to (-a, b, -c)
+    and (a, -b, -c), so that a, b >= 0; the inverse gives the same length
+    for (a, b, ab - c).  With cc = max(c, ab - c) and M = max(a, b), the
+    length is
+
+    * a + b                          if cc <= ab,
+    * a + b + 2 ceil((cc - ab) / M)  if cc - ab <= (M - min(a, b)) M,
+    * 2 s - a - b                    otherwise, s = ceil(2 sqrt(cc)).
+
+    The values of c reached by paths of length a + b + 2k form an interval
+    whose top is reached by a box-shaped path.
     """
 
     is_discrete = True
@@ -387,7 +438,6 @@ class HeisenbergModel(SpaceModel):
 
     def __init__(self):
         self.model_id = "heisenberg"
-        self._memo = {(0, 0, 0): 0}
 
     def check_point(self, x):
         if not (isinstance(x, tuple) and len(x) == 3
@@ -413,97 +463,31 @@ class HeisenbergModel(SpaceModel):
     def generators(self):
         return [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0)]
 
-    def _succ(self, p):
-        a, b, c = p
-        return ((a + 1, b, c), (a - 1, b, c), (a, b + 1, c + a), (a, b - 1, c - a))
-
     def _dist(self, x, y):
-        w = self.multiply(self.inverse(x), y)
-        cached = self._memo.get(w)
-        if cached is not None:
-            return float(cached)
-        n = self._word_length(w)
-        self._memo[w] = n
-        return float(n)
+        # length of x^-1 y
+        b = y[1] - x[1]
+        return float(_heis_length(y[0] - x[0], b, y[2] - x[2] - x[0] * b))
 
-    def _word_length(self, w):
-        # Bidirectional BFS; a detected meet is optimal once the completed
-        # level depths satisfy df + db >= best (any undetected path is longer).
-        if w == (0, 0, 0):
-            return 0
-        fwd = {(0, 0, 0): 0}
-        bwd = {w: 0}
-        f_frontier, b_frontier = [(0, 0, 0)], [w]
-        df = db = 0
-        best = None
-        while df + db < _HEIS_SEARCH_LIMIT:
-            if best is not None and best <= df + db:
-                return best
-            if len(f_frontier) <= len(b_frontier):
-                frontier, seen, other = f_frontier, fwd, bwd
-            else:
-                frontier, seen, other = b_frontier, bwd, fwd
-            depth = (df if seen is fwd else db) + 1
-            nxt = []
-            for p in frontier:
-                for q in self._succ(p):
-                    if q in seen:
-                        continue
-                    seen[q] = depth
-                    nxt.append(q)
-                    if q in other:
-                        total = depth + other[q]
-                        if best is None or total < best:
-                            best = total
-            if seen is fwd:
-                f_frontier, df = nxt, depth
-            else:
-                b_frontier, db = nxt, depth
-            if not nxt:
-                if best is not None:
-                    return best
-                break
-        if best is not None and best <= df + db:
-            return best
-        raise DomainError(
-            f"heisenberg word distance search exceeded depth {_HEIS_SEARCH_LIMIT}"
-        )
+    def distances_from(self, x, points):
+        arr = np.asarray(points, dtype=np.int64).reshape(len(points), 3)
+        b = arr[:, 1] - x[1]
+        return _heis_lengths(arr[:, 0] - x[0], b,
+                                  arr[:, 2] - x[2] - x[0] * b).astype(float)
 
     def coarse_geodesic(self, x, y):
         _check_same_model(self, x, y)
-        w = self.multiply(self.inverse(x), y)
-        word = self._geodesic_word(w)
+        # greedy descent: some generator always takes the exact distance to
+        # y down by one; take the first in ``generators()`` order
         pts = [x]
-        cur = x
-        for g in word:
-            cur = self.multiply(cur, g)
-            pts.append(cur)
+        left = self._dist(x, y)
+        while left:
+            left -= 1
+            for g in self.generators():
+                q = self.multiply(pts[-1], g)
+                if self._dist(q, y) == left:
+                    pts.append(q)
+                    break
         return [float(t) for t in range(len(pts))], pts
-
-    def _geodesic_word(self, w):
-        # BFS with parent tracking from e to w; fine at practical radii
-        if w == (0, 0, 0):
-            return []
-        gens = self.generators()
-        parent = {(0, 0, 0): None}
-        frontier = [(0, 0, 0)]
-        for _ in range(_HEIS_SEARCH_LIMIT):
-            nxt = []
-            for p in frontier:
-                for g in gens:
-                    q = self.multiply(p, g)
-                    if q in parent:
-                        continue
-                    parent[q] = (p, g)
-                    if q == w:
-                        word = []
-                        while parent[q] is not None:
-                            q, g = parent[q]
-                            word.append(g)
-                        return list(reversed(word))
-                    nxt.append(q)
-            frontier = nxt
-        raise DomainError("heisenberg geodesic search exceeded practical radius")
 
     def enumerate_window(self, window):
         if not isinstance(window, BallWindow):
@@ -535,29 +519,6 @@ def word_ball(space, radius):
                     nxt.append(q)
         frontier = nxt
     return dist
-
-
-def bfs_word_length(space, w, limit=64):
-    """Word length of w by plain BFS over generators (test oracle)."""
-    e = space.identity()
-    if w == e:
-        return 0
-    seen = {e}
-    frontier = [e]
-    gens = space.generators()
-    for depth in range(1, limit + 1):
-        nxt = []
-        for p in frontier:
-            for g in gens:
-                q = space.multiply(p, g)
-                if q in seen:
-                    continue
-                if q == w:
-                    return depth
-                seen.add(q)
-                nxt.append(q)
-        frontier = nxt
-    raise DomainError(f"BFS word length exceeded limit {limit}")
 
 
 # ---------------------------------------------------------------------------

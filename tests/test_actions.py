@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from roughcayley import (
     BallWindow,
     FreeGroupModel,
+    HeisenbergModel,
     NearestIndex,
     ZdModel,
     certify_axioms,
@@ -50,6 +53,31 @@ def test_nearest_matches_naive_oracle():
     phi_h = NearestIndex(horo)
     assert phi_h((0.4, 1.1)) == naive_nearest(horo.space, horo.points, (0.4, 1.1))
     assert phi_h((0.4, 1.1)) == (0.0, 1.0)
+
+
+_NEAREST_CASES = {}
+
+
+def _nearest_case(name):
+    # lattice, its index and the window's points, built once per model
+    if name not in _NEAREST_CASES:
+        space, window, delta = {
+            "zd2": (ZdModel(2), BallWindow(20), 3.0),
+            "heisenberg": (HeisenbergModel(), BallWindow(5), 2.0),
+        }[name]
+        net = greedy_net(space, window, delta)
+        _NEAREST_CASES[name] = (net, NearestIndex(net),
+                                space.enumerate_window(window))
+    return _NEAREST_CASES[name]
+
+
+@pytest.mark.parametrize("name", ["zd2", "heisenberg"])
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_nearest_index_matches_naive_property(name, pick):
+    net, phi, pool = _nearest_case(name)
+    q = pool[pick % len(pool)]
+    assert phi(q) == naive_nearest(net.space, net.points, q)
 
 
 def test_act_examples(even_action):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from roughcayley import (
     BallWindow,
@@ -14,6 +16,7 @@ from roughcayley import (
     c_boundary,
     folner_ratio,
     folner_scan,
+    greedy_net,
     group_ball_lattice,
 )
 from roughcayley.errors import (
@@ -22,10 +25,10 @@ from roughcayley.errors import (
     UndefinedRatioError,
     WindowTooSmallError,
 )
-from roughcayley.folner import FolnerReport, _implicit_boundary
+from roughcayley.folner import FolnerReport, _implicit_boundary, _uniq
 
 from conftest import make_even_lattice
-from oracles import literal_c_boundary
+from oracles import bfs_ball_depths, literal_c_boundary
 
 
 @pytest.fixture(scope="module")
@@ -99,6 +102,43 @@ def test_matches_literal_double_loop():
         A = sorted(int(v) for v in rng.choice(deep, size=size, replace=False))
         assert c_boundary(g, A, c) == literal_c_boundary(g, A, c)
         checked += 1
+
+
+@pytest.fixture(scope="module")
+def z2_net_graph():
+    # 213 vertices; 33 lie deeper than 1 from the border, one deeper than 2
+    return build_graph(greedy_net(ZdModel(2), BallWindow(24), 3.0))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.integers(1, 2), st.sets(st.integers(0, 10 ** 6), min_size=1,
+                                  max_size=40))
+def test_c_boundary_matches_literal_on_net_graph(z2_net_graph, c, picks):
+    g = z2_net_graph
+    depths = g.border_depths()
+    deep = [i for i in range(g.n) if depths[i] > c]
+    A = sorted({deep[k % len(deep)] for k in picks})
+    assert c_boundary(g, A, c) == literal_c_boundary(g, A, c)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.lists(st.integers(-2 ** 62, 2 ** 62), max_size=60),
+       st.integers(0, 3))
+def test_uniq_matches_np_unique(values, repeat):
+    arr = np.asarray(values * (repeat + 1), dtype=np.int64)
+    assert np.array_equal(_uniq(arr), np.unique(arr))
+
+
+@pytest.mark.parametrize("radius", [1, 2, 3, 4])
+@pytest.mark.parametrize("c", [1, 2])
+def test_packed_heisenberg_ball_boundary_matches_sets(radius, c):
+    heis = HeisenbergModel()
+    cay = CayleyGraph(heis)
+    ball = set(bfs_ball_depths(heis, radius))
+    (_, size, boundary, _), = folner_scan(cay, c, "metric_balls", 1e-9,
+                                          [radius]).entries
+    assert size == len(ball)
+    assert boundary == len(_implicit_boundary(cay, ball, c))
 
 
 def test_translation_invariance_on_implicit_lattice():

@@ -10,6 +10,7 @@ from roughcayley import (
     EuclideanModel,
     H2Window,
     HOROCYCLIC_SEPARATION,
+    HeisenbergModel,
     HyperbolicPlaneModel,
     MultiplicityProfile,
     QuasiLattice,
@@ -52,6 +53,20 @@ def test_greedy_hyperbolic_separated_and_dense():
     for p in h2.enumerate_window(window):
         d = h2.distances_from(p, net.points).min()
         assert d <= 0.5 + 1e-9
+
+
+@pytest.mark.parametrize("space,window,delta", [
+    (HeisenbergModel(), BallWindow(5), 2.0),
+    (HeisenbergModel(), BallWindow(6), 3.0),
+    (HyperbolicPlaneModel(), H2Window(-5.0, 5.0, -2.0, 2.0, 0.25), 0.5),
+])
+def test_greedy_matches_plain_scalar_scan(space, window, delta):
+    # the vectorised index keeps exactly the points a scalar scan keeps
+    chosen = []
+    for p in space.enumerate_window(window):
+        if all(space.distance(p, q) >= delta - 1e-9 for q in chosen):
+            chosen.append(p)
+    assert greedy_net(space, window, delta).points == chosen
 
 
 def test_greedy_is_deterministic():

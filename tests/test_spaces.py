@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from roughcayley import (
     BallWindow,
@@ -11,12 +13,15 @@ from roughcayley import (
     H2Window,
     HeisenbergModel,
     HyperbolicPlaneModel,
+    NearestIndex,
     QiConstants,
     ZdModel,
+    greedy_net,
 )
 from roughcayley.errors import (
     DomainError,
     ModelMismatchError,
+    OutOfWindowError,
     UnsupportedOperationError,
 )
 from roughcayley.serialize import point_from_json, point_to_json
@@ -87,6 +92,84 @@ def test_word_metric_matches_bfs_on_radius6_ball(space):
     e = space.identity()
     for w, d in depth.items():
         assert space.distance(e, w) == d
+
+
+def test_heisenberg_distance_matches_bfs_around_radius12_ball():
+    # every element of N_12(e) has its BFS depth, and every other point of a
+    # box around the ball is farther than 12, in both distance paths
+    depth = bfs_ball_depths(HEIS, 12)
+    e = HEIS.identity()
+    box = [(a, b, c) for a in range(-14, 15) for b in range(-14, 15)
+           for c in range(-40, 41)]
+    assert set(depth) <= set(box)
+    scalar = [HEIS.distance(e, p) for p in box]
+    assert HEIS.distances_from(e, box).tolist() == scalar
+    for p, d in zip(box, scalar):
+        assert d == depth[p] if p in depth else d > 12
+
+
+def test_heisenberg_far_points():
+    w = BallWindow(5)
+    assert HEIS.window_contains(w, (40, 0, 0)) is False
+    assert HEIS.window_contains(w, (0, 0, 60)) is False
+    assert HEIS.boundary_slack(w, (40, 0, 0)) == -35.0
+    assert HEIS.distance((0, 0, 0), (0, 0, 10 ** 6)) == 4000
+
+
+def test_heisenberg_nearest_outside_window_is_out_of_window():
+    phi = NearestIndex(greedy_net(HEIS, BallWindow(4), 2.0))
+    with pytest.raises(OutOfWindowError):
+        phi((40, 0, 0))
+
+
+def test_heisenberg_vectorised_distance_near_large_squares():
+    # 4c = (2m)^2 + 4 rounds down to a square past 2^53, so the float root
+    # alone is one short
+    e = HEIS.identity()
+    pts = [(0, 0, m * m + k) for m in range(4 * 10 ** 8 - 20, 4 * 10 ** 8 + 20)
+           for k in (-1, 0, 1)]
+    assert HEIS.distances_from(e, pts).tolist() == \
+        [HEIS.distance(e, p) for p in pts]
+    assert HEIS.distance(e, (0, 0, 16 * 10 ** 16 + 1)) == 4 * 4 * 10 ** 8 + 2
+
+
+# far points whose int64 arithmetic in distances_from stays exact, with
+# 4 * area past 2^53 so the float square root needs its correction
+_far = st.tuples(st.integers(-10 ** 8, 10 ** 8), st.integers(-10 ** 8, 10 ** 8),
+                 st.integers(-10 ** 16, 10 ** 16))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_far, st.lists(_far, min_size=1, max_size=20))
+def test_heisenberg_vectorised_distance_matches_scalar(x, points):
+    assert HEIS.distances_from(x, points).tolist() == \
+        [HEIS.distance(x, p) for p in points]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_far, _far, _far)
+def test_heisenberg_left_invariance_far(g, x, y):
+    d = HEIS.distance(x, y)
+    assert HEIS.distance(HEIS.multiply(g, x), HEIS.multiply(g, y)) == d
+    assert HEIS.distance(y, x) == d
+
+
+_near = st.tuples(st.integers(-40, 40), st.integers(-40, 40),
+                  st.integers(-2000, 2000))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_near, _near)
+def test_heisenberg_geodesic_realises_distance(x, y):
+    # a word of exactly the claimed length, one generator per step, along
+    # which the distance to y drops by one each step
+    ts, path = HEIS.coarse_geodesic(x, y)
+    d = HEIS.distance(x, y)
+    assert path[0] == x and path[-1] == y and len(path) == d + 1
+    gens = HEIS.generators()
+    for i, (p, q) in enumerate(zip(path, path[1:])):
+        assert HEIS.multiply(HEIS.inverse(p), q) in gens
+        assert HEIS.distance(q, y) == d - i - 1
 
 
 def test_hyperbolic_distance_forms_agree():
