@@ -13,7 +13,6 @@ from .actions import (
     NearestIndex,
     OrbitMapReport,
     QuasiAction,
-    act,
     certify_axioms,
     nearest_point_maps,
     orbit_map_qi,
@@ -40,7 +39,6 @@ from .growth import (
     ball_sizes,
     classify_growth,
     compare_growth,
-    naive_ball_sizes,
 )
 from .nets import (
     HOROCYCLIC_DENSITY_RADIUS,

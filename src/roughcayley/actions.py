@@ -37,7 +37,12 @@ from .spaces import (
 
 
 class NearestIndex:
-    """Fast nearest-lattice-point queries with lexicographic tie-break."""
+    """Fast nearest-lattice-point queries with lexicographic tie-break.
+
+    A query point is checked on its first call, before its answer is
+    remembered; distances to the trusted lattice points use the unchecked
+    kernel.
+    """
 
     def __init__(self, lattice: QuasiLattice):
         self.lattice = lattice
@@ -57,11 +62,13 @@ class NearestIndex:
             self._key_hi = tuple(max(k[i] for k in keys) for i in dims)
 
     def __call__(self, q):
-        if not self.space.window_contains(self.lattice.window, q):
-            raise OutOfWindowError(f"{q!r} is outside the lattice window")
+        # only in-window queries that passed the check are remembered
         hit = self._answers.get(q)
         if hit is not None:
             return hit
+        self.space.check_point(q)
+        if not self.space.window_contains(self.lattice.window, q):
+            raise OutOfWindowError(f"{q!r} is outside the lattice window")
         if self.lattice.contains_point(q):
             self._answers[q] = q
             return q
@@ -96,7 +103,7 @@ class NearestIndex:
                 if pts is None:
                     continue
                 for p in pts:
-                    d = self.space.distance(q, p)
+                    d = self.space._dist(q, p)
                     if d < best_d - TOL or (d <= best_d + TOL and
                                             (best is None or p < best)):
                         best, best_d = p, d
@@ -127,6 +134,7 @@ class QuasiAction:
     description: str = ""
 
     def act(self, s, x):
+        """Apply s to x; escapes of s * psi(x) from the window raise."""
         g = self.group_space.multiply(s, self.psi(x))
         return self.phi(g)
 
@@ -154,11 +162,6 @@ def nearest_point_maps(group_space: SpaceModel, lattice: QuasiLattice):
 def quasi_action(group_space, lattice, description="nearest-point") -> QuasiAction:
     phi, psi = nearest_point_maps(group_space, lattice)
     return QuasiAction(group_space, lattice, phi, psi, description)
-
-
-def act(qa: QuasiAction, s, x):
-    """Apply s to x; escapes of s * psi(x) from the window raise."""
-    return qa.act(s, x)
 
 
 # ---------------------------------------------------------------------------

@@ -444,8 +444,9 @@ def _scan_finite(graph, c, family, epsilon, schedule, center, swap_factor):
             desc = f"box:{size}"
         if not A or any(depths[a] <= c for a in A):
             continue  # candidate leaks past the certified interior
-        ratio = folner_ratio(graph, A, c)
-        entries.append((desc, len(A), len(c_boundary(graph, A, c)), ratio))
+        bsize = len(c_boundary(graph, A, c))
+        ratio = bsize / len(A)
+        entries.append((desc, len(A), bsize, ratio))
         if best_set is None or ratio < min(e[3] for e in entries[:-1]):
             best_set = A
         if ratio < epsilon:

@@ -148,7 +148,7 @@ def _edges_grid(lattice, threshold):
     for i, p in enumerate(pts):
         for nb in itertools.product(*[range(k - 1, k + 2) for k in keys[i]]):
             for j in buckets.get(nb, ()):
-                if j > i and space.distance(p, pts[j]) <= threshold + TOL:
+                if j > i and space._dist(p, pts[j]) <= threshold + TOL:
                     adjacency[i].append(j)
                     adjacency[j].append(i)
     return adjacency
@@ -195,7 +195,7 @@ def _edges_group_ball(lattice, threshold):
     adjacency = [[] for _ in lattice.points]
     for i, p in enumerate(lattice.points):
         for g in hop_ball:
-            q = space.multiply(p, g)
+            q = space._mul(p, g)
             if lattice.contains_point(q):
                 j = lattice.index_of(q)
                 if j != i:
@@ -339,7 +339,7 @@ def certify_qi(graph: RoughGraph, n_pairs=1000, n_sources=50,
         for t, dg in dist.items():
             if t == s:
                 continue
-            d = space.distance(ps, graph.point(t))
+            d = space._dist(ps, graph.point(t))
             need = d / 2.0 + c + r
             if slacks[s] >= need - TOL and slacks[t] >= need - TOL:
                 cand.append((t, d, dg))
@@ -421,7 +421,8 @@ class CayleyGraph:
     Vertices are all group elements; x ~ y when the word distance is at most
     ``threshold`` (default 1: the standard Cayley graph).  Neighborhoods are
     generated on demand by right multiplication, so finite computations on
-    it are exact, free of window-border effects.
+    it are exact, free of window-border effects.  ``neighbors`` checks the
+    vertex it is given once and multiplies with the unchecked kernel.
     """
 
     def __init__(self, space, threshold=1):
@@ -437,7 +438,8 @@ class CayleyGraph:
         return self.space.identity()
 
     def neighbors(self, p):
-        mul = self.space.multiply
+        self.space.check_point(p)
+        mul = self.space._mul
         return [mul(p, g) for g in self._hops]
 
     def point(self, p):

@@ -111,6 +111,7 @@ def _group_ball_sizes(space, x0, m_max) -> GrowthSeries:
         raise DomainError("group ball counts need a discrete group model")
     if x0 is None:
         x0 = space.identity()
+    space.check_point(x0)
     if isinstance(space, FreeGroupModel):
         # the Cayley graph is a tree: frontier counts follow the branching
         # recurrence exactly (each reduced word extends by 2k-1 letters)
@@ -130,7 +131,7 @@ def _group_ball_sizes(space, x0, m_max) -> GrowthSeries:
         nxt = []
         for p in frontier:
             for g in gens:
-                q = space.multiply(p, g)
+                q = space._mul(p, g)
                 if q not in seen:
                     seen.add(q)
                     nxt.append(q)
@@ -167,14 +168,6 @@ def _graph_ball_sizes(graph, x0, m_max) -> GrowthSeries:
         values.append(len(dist))
     return GrowthSeries(f"graph:{graph.space.model_id}", graph.point(x0),
                         tuple(values))
-
-
-def naive_ball_sizes(graph, x0, m_max) -> tuple:
-    """All-pairs oracle: count vertices whose BFS distance is <= m."""
-    from .graphs import graph_distance
-
-    ds = [graph_distance(graph, x0, j) for j in range(graph.n)]
-    return tuple(sum(1 for d in ds if d <= m) for m in range(m_max + 1))
 
 
 # ---------------------------------------------------------------------------

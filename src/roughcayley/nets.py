@@ -47,7 +47,11 @@ HOROCYCLIC_DENSITY_RADIUS = 1.07
 
 @dataclass
 class QuasiLattice:
-    """A finite ordered point set with separation and density certificates."""
+    """A finite ordered point set with separation and density certificates.
+
+    Construction checks every point against the model once; library code
+    trusts lattice points from then on.
+    """
 
     space: SpaceModel
     window: object
@@ -61,6 +65,8 @@ class QuasiLattice:
         return len(self.points)
 
     def __post_init__(self):
+        for p in self.points:
+            self.space.check_point(p)
         self._index = None
 
     def index_of(self, p):
@@ -153,7 +159,7 @@ class _GridNear:
         reach = int(math.ceil(radius / self.cell - TOL))
         for cell in _cells_around(key, reach):
             for q in self.buckets.get(cell, ()):
-                if self.space.distance(p, q) < radius - TOL:
+                if self.space._dist(p, q) < radius - TOL:
                     return True
         return False
 
@@ -200,7 +206,7 @@ class _ListNear:
         self.points.append(p)
 
     def has_within(self, p, radius):
-        return any(self.space.distance(p, q) < radius - TOL for q in self.points)
+        return any(self.space._dist(p, q) < radius - TOL for q in self.points)
 
 
 def _near_index(space, delta):
@@ -228,6 +234,9 @@ def greedy_net(space, window, delta, enumeration=None) -> QuasiLattice:
         raise DomainError("separation delta must be positive")
     if enumeration is None:
         enumeration = space.enumerate_window(window)
+    else:
+        for p in enumeration:
+            space.check_point(p)
     index = _near_index(space, delta)
     chosen = []
     for p in enumeration:

@@ -16,6 +16,14 @@ Five concrete models are provided:
                            (u,a)(v,b) = (av+u, ab), which acts by isometries.
 
 Models are immutable after construction and safe to share between threads.
+
+Validation happens once, at the library boundary.  The public ``distance``,
+``multiply``, ``inverse`` and ``coarse_geodesic`` of ``SpaceModel`` check
+every point a caller hands in with ``check_point`` and then call the
+model's unchecked kernels ``_dist``, ``_mul``, ``_inv`` and ``_geodesic``.
+Library loops over points that are already trusted (lattice points, which
+``QuasiLattice`` checks at construction, and points the library computed
+itself) call the kernels directly.
 """
 
 from __future__ import annotations
@@ -94,7 +102,13 @@ class QiConstants:
 
 
 class SpaceModel:
-    """A pointed coarse-geodesic metric space, possibly with group structure."""
+    """A pointed coarse-geodesic metric space, possibly with group structure.
+
+    Public methods validate the points a caller passes and raise
+    ``ModelMismatchError`` or ``DomainError`` on a malformed one.  Models
+    implement ``check_point`` plus the unchecked kernels ``_dist``, ``_mul``,
+    ``_inv`` and ``_geodesic``, which assume trusted, well-formed points.
+    """
 
     model_id: str
     coarse_constant_c: float
@@ -116,15 +130,32 @@ class SpaceModel:
     def base_point(self):
         raise NotImplementedError
 
-    # group structure; overridden by group models
+    # group structure; the kernels are overridden by group models
+    def _require_group(self):
+        if not self.is_group:
+            raise UnsupportedOperationError(
+                f"{self.model_id} has no group structure")
+
     def identity(self):
-        raise UnsupportedOperationError(f"{self.model_id} has no group structure")
+        self._require_group()
+        return self.base_point
 
     def multiply(self, x, y):
-        raise UnsupportedOperationError(f"{self.model_id} has no group structure")
+        self._require_group()
+        self.check_point(x)
+        self.check_point(y)
+        return self._mul(x, y)
 
     def inverse(self, x):
-        raise UnsupportedOperationError(f"{self.model_id} has no group structure")
+        self._require_group()
+        self.check_point(x)
+        return self._inv(x)
+
+    def _mul(self, x, y):
+        raise NotImplementedError
+
+    def _inv(self, x):
+        raise NotImplementedError
 
     def generators(self):
         """Symmetric generating list (generators and their inverses)."""
@@ -137,6 +168,11 @@ class SpaceModel:
         satisfies |s-t| - c <= d(f(s),f(t)) <= |s-t| + c, with sampling step
         at most 1.
         """
+        self.check_point(x)
+        self.check_point(y)
+        return self._geodesic(x, y)
+
+    def _geodesic(self, x, y):
         raise NotImplementedError
 
     def enumerate_window(self, window):
@@ -162,12 +198,6 @@ class SpaceModel:
 
     def __hash__(self):
         return hash(self._key())
-
-
-def _check_same_model(space, *points):
-    # light structural check: tuples of the right arity/type
-    for p in points:
-        space.check_point(p)
 
 
 # ---------------------------------------------------------------------------
@@ -199,15 +229,10 @@ class ZdModel(SpaceModel):
     def base_point(self):
         return (0,) * self.d
 
-    def identity(self):
-        return self.base_point
-
-    def multiply(self, x, y):
-        _check_same_model(self, x, y)
+    def _mul(self, x, y):
         return tuple(a + b for a, b in zip(x, y))
 
-    def inverse(self, x):
-        self.check_point(x)
+    def _inv(self, x):
         return tuple(-a for a in x)
 
     def generators(self):
@@ -220,8 +245,7 @@ class ZdModel(SpaceModel):
             gens.append(tuple(e))
         return gens
 
-    def coarse_geodesic(self, x, y):
-        _check_same_model(self, x, y)
+    def _geodesic(self, x, y):
         pts = [x]
         cur = list(x)
         for i in range(self.d):
@@ -266,17 +290,6 @@ class ZdModel(SpaceModel):
 # free group
 
 
-def reduce_word(letters):
-    """Freely reduce a letter sequence (tuple of nonzero ints)."""
-    out = []
-    for g in letters:
-        if out and out[-1] == -g:
-            out.pop()
-        else:
-            out.append(g)
-    return tuple(out)
-
-
 class FreeGroupModel(SpaceModel):
     """Free group of rank k; points are reduced words over letters +-1..+-k."""
 
@@ -310,15 +323,15 @@ class FreeGroupModel(SpaceModel):
     def base_point(self):
         return ()
 
-    def identity(self):
-        return ()
+    def _mul(self, x, y):
+        # x and y are reduced, so cancellation happens only where they meet
+        n = len(x)
+        i = 0
+        while i < n and i < len(y) and x[n - 1 - i] == -y[i]:
+            i += 1
+        return x[:n - i] + y[i:]
 
-    def multiply(self, x, y):
-        _check_same_model(self, x, y)
-        return reduce_word(x + y)
-
-    def inverse(self, x):
-        self.check_point(x)
+    def _inv(self, x):
         return tuple(-g for g in reversed(x))
 
     def generators(self):
@@ -327,13 +340,12 @@ class FreeGroupModel(SpaceModel):
     def _letters(self):
         return list(range(-self.k, 0)) + list(range(1, self.k + 1))
 
-    def coarse_geodesic(self, x, y):
-        _check_same_model(self, x, y)
-        w = self.multiply(self.inverse(x), y)
+    def _geodesic(self, x, y):
+        w = self._mul(self._inv(x), y)
         pts = [x]
         cur = x
         for g in w:
-            cur = self.multiply(cur, (g,))
+            cur = self._mul(cur, (g,))
             pts.append(cur)
         return [float(t) for t in range(len(pts))], pts
 
@@ -448,15 +460,10 @@ class HeisenbergModel(SpaceModel):
     def base_point(self):
         return (0, 0, 0)
 
-    def identity(self):
-        return (0, 0, 0)
-
-    def multiply(self, x, y):
-        _check_same_model(self, x, y)
+    def _mul(self, x, y):
         return (x[0] + y[0], x[1] + y[1], x[2] + y[2] + x[0] * y[1])
 
-    def inverse(self, x):
-        self.check_point(x)
+    def _inv(self, x):
         a, b, c = x
         return (-a, -b, a * b - c)
 
@@ -474,8 +481,7 @@ class HeisenbergModel(SpaceModel):
         return _heis_lengths(arr[:, 0] - x[0], b,
                                   arr[:, 2] - x[2] - x[0] * b).astype(float)
 
-    def coarse_geodesic(self, x, y):
-        _check_same_model(self, x, y)
+    def _geodesic(self, x, y):
         # greedy descent: some generator always takes the exact distance to
         # y down by one; take the first in ``generators()`` order
         pts = [x]
@@ -483,7 +489,7 @@ class HeisenbergModel(SpaceModel):
         while left:
             left -= 1
             for g in self.generators():
-                q = self.multiply(pts[-1], g)
+                q = self._mul(pts[-1], g)
                 if self._dist(q, y) == left:
                     pts.append(q)
                     break
@@ -496,10 +502,10 @@ class HeisenbergModel(SpaceModel):
         return sorted(ball)
 
     def window_contains(self, window, x):
-        return self._dist(self.identity(), x) <= window.radius + TOL
+        return self._dist(self.base_point, x) <= window.radius + TOL
 
     def boundary_slack(self, window, x):
-        return float(window.radius) - self._dist(self.identity(), x)
+        return float(window.radius) - self._dist(self.base_point, x)
 
 
 def word_ball(space, radius):
@@ -513,7 +519,7 @@ def word_ball(space, radius):
         nxt = []
         for p in frontier:
             for g in gens:
-                q = space.multiply(p, g)
+                q = space._mul(p, g)
                 if q not in dist:
                     dist[q] = depth
                     nxt.append(q)
@@ -551,31 +557,19 @@ class EuclideanModel(SpaceModel):
     def base_point(self):
         return (0.0,) * self.d
 
-    def identity(self):
+    def _require_group(self):
         if not self.additive_group:
             raise UnsupportedOperationError(
                 "euclidean model built without its additive group flag"
             )
-        return self.base_point
 
-    def multiply(self, x, y):
-        if not self.additive_group:
-            raise UnsupportedOperationError(
-                "euclidean model built without its additive group flag"
-            )
-        _check_same_model(self, x, y)
+    def _mul(self, x, y):
         return tuple(a + b for a, b in zip(x, y))
 
-    def inverse(self, x):
-        if not self.additive_group:
-            raise UnsupportedOperationError(
-                "euclidean model built without its additive group flag"
-            )
-        self.check_point(x)
+    def _inv(self, x):
         return tuple(-a for a in x)
 
-    def coarse_geodesic(self, x, y):
-        _check_same_model(self, x, y)
+    def _geodesic(self, x, y):
         a = self._dist(x, y)
         if a < TOL:
             return [0.0], [x]
@@ -658,22 +652,16 @@ class HyperbolicPlaneModel(SpaceModel):
     def base_point(self):
         return (0.0, 1.0)
 
-    def identity(self):
-        return (0.0, 1.0)
-
-    def multiply(self, x, y):
-        _check_same_model(self, x, y)
+    def _mul(self, x, y):
         u, a = x
         v, b = y
         return (a * v + u, a * b)
 
-    def inverse(self, x):
-        self.check_point(x)
+    def _inv(self, x):
         u, a = x
         return (-u / a, 1.0 / a)
 
-    def coarse_geodesic(self, x, y):
-        _check_same_model(self, x, y)
+    def _geodesic(self, x, y):
         a = self._dist(x, y)
         if a < TOL:
             return [0.0], [x]

@@ -26,6 +26,17 @@ def bfs_ball_depths(space, radius):
     return depth
 
 
+def free_reduce(letters):
+    """Free reduction of a letter sequence by a stack: cancel g, -g pairs."""
+    out = []
+    for g in letters:
+        if out and out[-1] == -g:
+            out.pop()
+        else:
+            out.append(g)
+    return tuple(out)
+
+
 def graph_distances_from(graph, source):
     dist = {source: 0}
     q = deque([source])
@@ -36,6 +47,13 @@ def graph_distances_from(graph, source):
                 dist[v] = dist[u] + 1
                 q.append(v)
     return dist
+
+
+def naive_ball_sizes(graph, x0, m_max):
+    """|N_m(x0)| for m = 0..m_max, counted from one full BFS of the graph."""
+    dist = graph_distances_from(graph, x0)
+    return tuple(sum(1 for d in dist.values() if d <= m)
+                 for m in range(m_max + 1))
 
 
 def literal_c_boundary(graph, A, c):

@@ -30,7 +30,6 @@ from roughcayley import (
     greedy_net,
     group_ball_lattice,
     horocyclic_lattice,
-    naive_ball_sizes,
     orbit_map_qi,
     quasi_action,
     quasi_conjugacy_defect,
@@ -39,7 +38,7 @@ from roughcayley import (
 )
 
 from conftest import make_even_lattice
-from oracles import literal_c_boundary
+from oracles import literal_c_boundary, naive_ball_sizes
 
 
 def note(line):

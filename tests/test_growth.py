@@ -17,12 +17,11 @@ from roughcayley import (
     compare_growth,
     group_ball_lattice,
     horocyclic_lattice,
-    naive_ball_sizes,
 )
 from roughcayley.errors import BorderError, DomainError, SchemaError
 
 from conftest import make_even_lattice
-from oracles import bfs_ball_depths
+from oracles import bfs_ball_depths, naive_ball_sizes
 
 
 def oracle_ball_counts(space, m_max):

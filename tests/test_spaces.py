@@ -26,7 +26,7 @@ from roughcayley.errors import (
 )
 from roughcayley.serialize import point_from_json, point_to_json
 
-from oracles import bfs_ball_depths
+from oracles import bfs_ball_depths, free_reduce
 
 Z1, Z2 = ZdModel(1), ZdModel(2)
 F2 = FreeGroupModel(2)
@@ -212,6 +212,15 @@ def test_group_law_examples():
     comm = HEIS.multiply(HEIS.multiply(x, y),
                          HEIS.multiply(HEIS.inverse(x), HEIS.inverse(y)))
     assert comm == (0, 0, 1)
+
+
+@pytest.mark.parametrize("k,radius", [(1, 6), (2, 4), (3, 3)])
+def test_free_group_product_is_free_reduction(k, radius):
+    space = FreeGroupModel(k)
+    ball = space.enumerate_window(BallWindow(radius))
+    for x in ball:
+        for y in ball:
+            assert space.multiply(x, y) == free_reduce(x + y)
 
 
 @pytest.mark.parametrize("space", [Z1, Z2, F2, HEIS, E2, H2])
