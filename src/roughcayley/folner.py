@@ -1,10 +1,15 @@
 """c-boundaries and Folner ratios on rough graphs.
 
 The c-boundary of a vertex set A is {x : d(x, A) <= c and d(x, V\\A) <= c}
-in the graph metric; the Folner ratio is |boundary| / |A|.  Scans evaluate
-a candidate family in increasing size and stop once the ratio drops below
-the target.  A finite search can only ever report "not achieved over the
-tested family", never non-amenability.
+in the graph metric; the Folner ratio is |boundary| / |A|.  The boundary
+depends on N_c(A) only: it is outer | inner with outer = N_c(A) \\ A and
+inner = A & N_c(outer), because for c >= 1 the first vertex outside A on a
+geodesic from a in A to the complement lies in outer (for c < 1 both are
+empty).  One local computation therefore serves finite and implicit graphs
+and never visits the rest of the graph.  Scans evaluate a candidate family
+in increasing size and stop once the ratio drops below the target.  A
+finite search can only ever report "not achieved over the tested family",
+never non-amenability.
 
 On finite windowed graphs every candidate must keep graph distance > c
 from the border vertices, so the windowed boundary equals the boundary in
@@ -71,8 +76,16 @@ class FolnerReport:
 # finite windowed graphs
 
 
-def _interior_check(graph: RoughGraph, A, c):
-    depths = graph.border_depths()
+def _vertex_ids(graph: RoughGraph, ids):
+    """Sorted distinct vertex ids; ``DomainError`` for one outside the graph."""
+    ids = sorted(set(int(v) for v in ids))
+    if ids and (ids[0] < 0 or ids[-1] >= graph.n):
+        raise DomainError(f"vertex ids must lie in range({graph.n}); "
+                          f"got ids from {ids[0]} to {ids[-1]}")
+    return ids
+
+
+def _interior_check(A, c, depths):
     bad = [a for a in A if depths[a] <= c]
     if bad:
         raise BorderError(
@@ -81,66 +94,38 @@ def _interior_check(graph: RoughGraph, A, c):
         )
 
 
-def _bfs_within(graph: RoughGraph, seeds, c):
-    dist = {int(v): 0 for v in seeds}
-    frontier = list(dist)
-    for depth in range(1, int(c) + 1):
-        nxt = []
-        for u in frontier:
-            for v in graph.neighbors(u):
-                if v not in dist:
-                    dist[v] = depth
-                    nxt.append(v)
-        frontier = nxt
-    return set(dist)
-
-
 def c_boundary(graph, A, c):
     """Exact c-boundary of A; vertices within c of both A and its complement.
 
-    Finite graphs demand A inside the certified interior (graph distance
-    > c from border vertices) and return sorted vertex ids; implicit graphs
-    return a sorted list of vertex coordinates.
+    Computed locally as outer | inner, outer = N_c(A) \\ A and
+    inner = A & N_c(outer): the first vertex outside A on a geodesic from A
+    to its complement lies in outer.  Finite graphs demand vertex ids of
+    the graph (``DomainError`` otherwise) inside the certified interior
+    (graph distance > c from border vertices, ``BorderError`` otherwise) and
+    return sorted vertex ids; implicit graphs return a sorted list of vertex
+    coordinates.
     """
     if isinstance(graph, RoughGraph):
-        A = sorted(set(int(a) for a in A))
-        if not A:
-            return []
-        _interior_check(graph, A, c)
-        a_set = set(A)
-        near_a = _bfs_within(graph, A, c)
-        comp = [v for v in range(graph.n) if v not in a_set]
-        near_comp = _bfs_within(graph, comp, c) if comp else set()
-        return sorted(near_a & near_comp)
-    return sorted(_implicit_boundary(graph, set(A), c))
+        A = _vertex_ids(graph, A)
+        if A:
+            _interior_check(A, c, graph.border_depths())
+    return sorted(_local_boundary(graph, set(A), c))
 
 
-def _implicit_boundary(graph, a_set, c):
-    outer = set()
-    frontier = set(a_set)
-    seen = set(a_set)
+def _local_boundary(graph, a_set, c):
+    outer = _within(graph, a_set, c) - a_set
+    return outer | (_within(graph, outer, c) & a_set)
+
+
+def _within(graph, seeds, c):
+    """N_c(seeds): the vertices at graph distance <= c from ``seeds``."""
+    seen = set(seeds)
+    frontier = seeds
     for _ in range(int(c)):
-        nxt = set()
-        for v in frontier:
-            for w in graph.neighbors(v):
-                if w not in seen:
-                    seen.add(w)
-                    nxt.add(w)
-        outer |= nxt - a_set
-        frontier = nxt
-    inner = set()
-    frontier = set(outer)
-    seen = set(outer)
-    for _ in range(int(c)):
-        nxt = set()
-        for v in frontier:
-            for w in graph.neighbors(v):
-                if w not in seen:
-                    seen.add(w)
-                    nxt.add(w)
-        inner |= nxt & a_set
-        frontier = nxt
-    return outer | inner
+        frontier = {w for v in frontier for w in graph.neighbors(v)
+                    if w not in seen}
+        seen |= frontier
+    return seen
 
 
 def folner_ratio(graph, A, c) -> float:
@@ -358,29 +343,8 @@ class _HoroEngine:
 # candidate families
 
 
-def _implicit_ball(graph, center, radius):
-    dist = {center: 0}
-    frontier = [center]
-    for depth in range(1, radius + 1):
-        nxt = []
-        for u in frontier:
-            for v in graph.neighbors(u):
-                if v not in dist:
-                    dist[v] = depth
-                    nxt.append(v)
-        frontier = nxt
-    return set(dist)
-
-
-def _finite_center(graph: RoughGraph):
-    depths = graph.border_depths()
-    best = max(depths)
-    return min((i for i in range(graph.n) if depths[i] == best),
-               key=lambda i: graph.point(i))
-
-
 def _finite_ball(graph: RoughGraph, center, radius):
-    return sorted(_implicit_ball(graph, center, radius))
+    return sorted(_within(graph, {center}, radius))
 
 
 def _finite_box(graph: RoughGraph, center, n):
@@ -409,6 +373,8 @@ def folner_scan(graph, c, family, epsilon, schedule, center=None,
     if not schedule:
         raise WindowTooSmallError("empty candidate schedule")
     if isinstance(graph, RoughGraph):
+        if center is not None:
+            center, = _vertex_ids(graph, [center])
         entries = _scan_finite(graph, c, family, epsilon, schedule, center,
                                swap_budget_factor)
     else:
@@ -429,9 +395,9 @@ def folner_scan(graph, c, family, epsilon, schedule, center=None,
 
 
 def _scan_finite(graph, c, family, epsilon, schedule, center, swap_factor):
-    if center is None:
-        center = _finite_center(graph)
     depths = graph.border_depths()
+    if center is None:
+        center = graph.deepest_vertex(depths)
     entries = []
     base_family = "metric_balls" if family == "greedy_improved" else family
     best_set = None
@@ -444,7 +410,7 @@ def _scan_finite(graph, c, family, epsilon, schedule, center, swap_factor):
             desc = f"box:{size}"
         if not A or any(depths[a] <= c for a in A):
             continue  # candidate leaks past the certified interior
-        bsize = len(c_boundary(graph, A, c))
+        bsize = len(_local_boundary(graph, set(A), c))
         ratio = bsize / len(A)
         entries.append((desc, len(A), bsize, ratio))
         if best_set is None or ratio < min(e[3] for e in entries[:-1]):
@@ -461,36 +427,32 @@ def _greedy_improve(graph, c, A, swap_factor, depths):
     swaps (drop a boundary vertex or adopt an outer one) in deterministic
     vertex order, with a 10|A| attempt budget."""
     current = set(A)
-    ratio = folner_ratio(graph, sorted(current), c)
+    boundary = _local_boundary(graph, current, c)
+    ratio = len(boundary) / len(current)
     budget = swap_factor * len(current)
     improved = True
     while improved and budget > 0:
         improved = False
-        boundary = c_boundary(graph, sorted(current), c)
-        inner = [v for v in boundary if v in current and len(current) > 1]
-        outer = [v for v in boundary
-                 if v not in current and depths[v] > c]
+        # every trial is a valid candidate: an inner vertex is dropped only
+        # while another remains, so the trial is not empty, and an outer
+        # vertex is adopted only at depth > c, so the trial stays inside the
+        # certified interior
+        ordered = sorted(boundary)
+        inner = [v for v in ordered if v in current and len(current) > 1]
+        outer = [v for v in ordered if v not in current and depths[v] > c]
         for v in inner + outer:
             if budget <= 0:
                 break
             budget -= 1
-            trial = set(current)
-            if v in trial:
-                trial.remove(v)
-            else:
-                trial.add(v)
-            try:
-                trial_ratio = folner_ratio(graph, sorted(trial), c)
-            except (BorderError, UndefinedRatioError):
-                continue
+            trial = current ^ {v}
+            trial_boundary = _local_boundary(graph, trial, c)
+            trial_ratio = len(trial_boundary) / len(trial)
             if trial_ratio < ratio - TOL:
-                current = trial
-                ratio = trial_ratio
+                current, boundary, ratio = trial, trial_boundary, trial_ratio
                 improved = True
                 break
     size = len(current)
-    bsize = len(c_boundary(graph, sorted(current), c))
-    return (f"greedy:{size}", size, bsize, ratio)
+    return (f"greedy:{size}", size, len(boundary), ratio)
 
 
 def _scan_implicit(graph, c, family, epsilon, schedule, center):
@@ -517,7 +479,7 @@ def _scan_implicit(graph, c, family, epsilon, schedule, center):
                 if bsize / len(A) < epsilon:
                     break
                 continue
-            A = _implicit_ball(graph, center, size)
+            A = _within(graph, {center}, size)
         else:
             if engine is None:
                 raise DomainError(
@@ -529,7 +491,7 @@ def _scan_implicit(graph, c, family, epsilon, schedule, center):
             if bsize / len(Ap) < epsilon:
                 break
             continue
-        boundary = _implicit_boundary(graph, A, c)
+        boundary = _local_boundary(graph, A, c)
         ratio = len(boundary) / len(A)
         entries.append((desc, len(A), len(boundary), ratio))
         if ratio < epsilon:

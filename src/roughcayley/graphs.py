@@ -104,6 +104,13 @@ class RoughGraph:
                     q.append(v)
         return depths
 
+    def deepest_vertex(self, depths):
+        """The vertex deepest inside the window by ``depths``, the array
+        ``border_depths()`` returns; ties go to the smallest point."""
+        best = max(depths)
+        return min((i for i in range(self.n) if depths[i] == best),
+                   key=self.point)
+
     def to_json(self) -> dict:
         return {
             "lattice": self.lattice.to_json(),

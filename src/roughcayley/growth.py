@@ -143,10 +143,7 @@ def _group_ball_sizes(space, x0, m_max) -> GrowthSeries:
 def _graph_ball_sizes(graph, x0, m_max) -> GrowthSeries:
     depths = graph.border_depths()
     if x0 is None:
-        # deepest interior vertex; break depth ties toward the smallest point
-        best = max(depths)
-        x0 = min((i for i in range(graph.n) if depths[i] == best),
-                 key=lambda i: graph.point(i))
+        x0 = graph.deepest_vertex(depths)
     safe = int(depths[x0])
     if m_max > safe:
         raise BorderError(

@@ -50,7 +50,11 @@ class QuasiLattice:
     """A finite ordered point set with separation and density certificates.
 
     Construction checks every point against the model once; library code
-    trusts lattice points from then on.
+    trusts lattice points from then on.  ``coords()`` is the point list as
+    the model's ``distances_from`` takes it (``space.coords``: an array of
+    dtype ``space.coord_dtype``, or the list itself for free groups).  It is
+    built once, on first use, like the point index, and gives the same
+    distances as the list without a conversion per call.
     """
 
     space: SpaceModel
@@ -68,6 +72,7 @@ class QuasiLattice:
         for p in self.points:
             self.space.check_point(p)
         self._index = None
+        self._coords = None
 
     def index_of(self, p):
         if self._index is None:
@@ -79,6 +84,11 @@ class QuasiLattice:
             self._index = {q: i for i, q in enumerate(self.points)}
         return p in self._index
 
+    def coords(self):
+        if self._coords is None:
+            self._coords = self.space.coords(self.points)
+        return self._coords
+
     def slacks(self) -> np.ndarray:
         """Boundary slack (metric distance to the window border) per point."""
         return np.array(
@@ -87,7 +97,7 @@ class QuasiLattice:
 
     def nearest(self, x):
         """(index, distance) of the nearest lattice point, lexicographic ties."""
-        d = self.space.distances_from(x, self.points)
+        d = self.space.distances_from(x, self.coords())
         dmin = d.min()
         tied = np.flatnonzero(d <= dmin + TOL)
         best = min(tied, key=lambda i: self.points[i])
@@ -171,8 +181,8 @@ def _cells_around(key, reach):
 
 class _ArrayNear:
     """Vectorised scan with ``distances_from`` over the accepted points,
-    kept in a coordinate array that doubles when full (int64 for discrete
-    models, so Heisenberg coordinates stay exact)."""
+    kept in a coordinate array of the model's ``coord_dtype`` that doubles
+    when full."""
 
     def __init__(self, space):
         self.space = space
@@ -181,8 +191,7 @@ class _ArrayNear:
 
     def add(self, p):
         if self.buf is None:
-            dtype = np.int64 if self.space.is_discrete else float
-            self.buf = np.empty((16, len(p)), dtype=dtype)
+            self.buf = np.empty((16, len(p)), dtype=self.space.coord_dtype)
         elif self.n == len(self.buf):
             self.buf = np.concatenate([self.buf, np.empty_like(self.buf)])
         self.buf[self.n] = p
@@ -366,8 +375,9 @@ def verify_quasilattice(lattice: QuasiLattice, probes, r_list, seed=None):
         return cert, profile
     worst = 0.0
     counts = [0] * len(r_list)
+    coords = lattice.coords()
     for p in probes:
-        d = space.distances_from(p, lattice.points)
+        d = space.distances_from(p, coords)
         worst = max(worst, float(d.min()) if len(d) else math.inf)
         for j, r in enumerate(r_list):
             counts[j] = max(counts[j], int((d <= r + TOL).sum()))

@@ -114,6 +114,8 @@ class SpaceModel:
     coarse_constant_c: float
     is_discrete: bool
     is_group: bool = False
+    # None where distances are measured point by point (free groups)
+    coord_dtype = None
 
     def distance(self, x, y) -> float:
         self.check_point(x)
@@ -190,6 +192,15 @@ class SpaceModel:
         """Distances from x to a point sequence; generic fallback is a loop."""
         return np.array([self.distance(x, p) for p in points])
 
+    def coords(self, points):
+        """Points as the (n, d) array of dtype ``coord_dtype`` that a
+        vectorised ``distances_from`` works on (and takes without another
+        conversion); models without one keep the sequence."""
+        if self.coord_dtype is None:
+            return points
+        return np.asarray(points, dtype=self.coord_dtype).reshape(
+            len(points), self.d)
+
     def _key(self):
         return (self.model_id,)
 
@@ -210,6 +221,7 @@ class ZdModel(SpaceModel):
     is_discrete = True
     is_group = True
     coarse_constant_c = 1.0
+    coord_dtype = np.int64
 
     def __init__(self, d):
         if d < 1:
@@ -282,7 +294,7 @@ class ZdModel(SpaceModel):
         return float(window.radius - sum(abs(v) for v in x))
 
     def distances_from(self, x, points):
-        arr = np.asarray(points, dtype=np.int64).reshape(len(points), self.d)
+        arr = self.coords(points)
         return np.abs(arr - np.asarray(x, dtype=np.int64)).sum(axis=1).astype(float)
 
 
@@ -447,6 +459,8 @@ class HeisenbergModel(SpaceModel):
     is_discrete = True
     is_group = True
     coarse_constant_c = 1.0
+    coord_dtype = np.int64   # exact: float would round large c
+    d = 3
 
     def __init__(self):
         self.model_id = "heisenberg"
@@ -476,7 +490,7 @@ class HeisenbergModel(SpaceModel):
         return float(_heis_length(y[0] - x[0], b, y[2] - x[2] - x[0] * b))
 
     def distances_from(self, x, points):
-        arr = np.asarray(points, dtype=np.int64).reshape(len(points), 3)
+        arr = self.coords(points)
         b = arr[:, 1] - x[1]
         return _heis_lengths(arr[:, 0] - x[0], b,
                                   arr[:, 2] - x[2] - x[0] * b).astype(float)
@@ -536,6 +550,7 @@ class EuclideanModel(SpaceModel):
 
     is_discrete = False
     coarse_constant_c = 0.0
+    coord_dtype = float
 
     def __init__(self, d, additive_group=False):
         if d < 1:
@@ -598,7 +613,7 @@ class EuclideanModel(SpaceModel):
                    for v, lo, hi in zip(x, window.lo, window.hi))
 
     def distances_from(self, x, points):
-        arr = np.asarray(points, dtype=float).reshape(len(points), self.d)
+        arr = self.coords(points)
         return np.sqrt(((arr - np.asarray(x, dtype=float)) ** 2).sum(axis=1))
 
 
@@ -625,6 +640,8 @@ class HyperbolicPlaneModel(SpaceModel):
     is_discrete = False
     is_group = True
     coarse_constant_c = 0.0
+    coord_dtype = float
+    d = 2
 
     def __init__(self):
         self.model_id = "h2"
@@ -724,7 +741,7 @@ class HyperbolicPlaneModel(SpaceModel):
         )
 
     def distances_from(self, x, points):
-        arr = np.asarray(points, dtype=float).reshape(len(points), 2)
+        arr = self.coords(points)
         return hyperbolic_distance_arrays(x[0], x[1], arr[:, 0], arr[:, 1])
 
 

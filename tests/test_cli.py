@@ -68,6 +68,12 @@ def test_pipeline_and_reproducibility(tmp_path, capsys):
                "--out", str(report)) == 0
     doc = json.loads(report.read_text())
     assert doc["achieved"] is True
+    # the ball about the deepest vertex (0, 0): spheres of radius 11 and 10
+    capsys.readouterr()
+    assert run("folner", "ratio", "--graph", str(ug), "--ball", "10",
+               "--c", "1") == 0
+    assert capsys.readouterr().out == (
+        f"ball radius 10 (221 vertices): ratio {84 / 221:.6f}\n")
 
 
 def test_growth_pipeline(tmp_path, capsys):

@@ -11,6 +11,7 @@ from roughcayley import (
     FreeGroupModel,
     HeisenbergModel,
     HorocyclicGraph,
+    RoughGraph,
     ZdModel,
     build_graph,
     c_boundary,
@@ -25,10 +26,10 @@ from roughcayley.errors import (
     UndefinedRatioError,
     WindowTooSmallError,
 )
-from roughcayley.folner import FolnerReport, _implicit_boundary, _uniq
+from roughcayley.folner import FolnerReport, _local_boundary, _uniq
 
 from conftest import make_even_lattice
-from oracles import bfs_ball_depths, literal_c_boundary
+from oracles import bfs_ball_depths, literal_c_boundary, reference_greedy_scan
 
 
 @pytest.fixture(scope="module")
@@ -81,6 +82,25 @@ def test_boundary_preconditions(z_line):
     lat = z_line.lattice
     with pytest.raises(BorderError):
         c_boundary(z_line, [lat.index_of((20,))], 1)
+
+
+@pytest.mark.parametrize("ids", [[-20, -19], [44], [0, 41]])
+def test_c_boundary_rejects_ids_outside_the_graph(z_line, ids):
+    # z_line has vertices 0..40; numpy would wrap -20 onto vertex 21
+    with pytest.raises(DomainError):
+        c_boundary(z_line, ids, 1)
+
+
+@pytest.mark.parametrize("ids", [[-20, -19], [44], [0, 41]])
+def test_folner_ratio_rejects_ids_outside_the_graph(z_line, ids):
+    with pytest.raises(DomainError):
+        folner_ratio(z_line, ids, 1)
+
+
+@pytest.mark.parametrize("center", [-1, -20, 41])
+def test_folner_scan_rejects_center_outside_the_graph(z_line, center):
+    with pytest.raises(DomainError):
+        folner_scan(z_line, 1, "metric_balls", 0.1, [1, 2], center=center)
 
 
 def test_matches_literal_double_loop():
@@ -138,15 +158,15 @@ def test_packed_heisenberg_ball_boundary_matches_sets(radius, c):
     (_, size, boundary, _), = folner_scan(cay, c, "metric_balls", 1e-9,
                                           [radius]).entries
     assert size == len(ball)
-    assert boundary == len(_implicit_boundary(cay, ball, c))
+    assert boundary == len(_local_boundary(cay, ball, c))
 
 
 def test_translation_invariance_on_implicit_lattice():
     cay = CayleyGraph(ZdModel(2))
     box = {(x, y) for x in range(-4, 5) for y in range(-4, 5)}
     shifted = {(x + 3, y + 5) for x, y in box}
-    r1 = len(_implicit_boundary(cay, box, 1)) / len(box)
-    r2 = len(_implicit_boundary(cay, shifted, 1)) / len(shifted)
+    r1 = len(_local_boundary(cay, box, 1)) / len(box)
+    r2 = len(_local_boundary(cay, shifted, 1)) / len(shifted)
     assert r1 == r2
 
 
@@ -170,7 +190,7 @@ def test_packed_engine_matches_python_sets():
     desc, size, boundary, _ = report.entries[0]
     box = {(x, y) for x in range(-4, 5) for y in range(-4, 5)}
     assert size == len(box)
-    assert boundary == len(_implicit_boundary(cay, box, 1))
+    assert boundary == len(_local_boundary(cay, box, 1))
     heis = CayleyGraph(HeisenbergModel())
     rep_b = folner_scan(heis, 1, "metric_balls", 1e-9, [3])
     ball = rep_b.entries[0]
@@ -185,7 +205,7 @@ def test_packed_engine_matches_python_sets():
                     nxt.append(q)
         frontier = nxt
     assert ball[1] == len(dist) == 53
-    assert ball[2] == len(_implicit_boundary(heis, set(dist), 1))
+    assert ball[2] == len(_local_boundary(heis, set(dist), 1))
 
 
 def test_horocyclic_engine_matches_python_sets():
@@ -194,7 +214,7 @@ def test_horocyclic_engine_matches_python_sets():
     sizes = {int(d.split(":")[1]): (s, b) for d, s, b, _ in report.entries}
     ball1 = set(hg.neighbors((0, 0))) | {(0, 0)}
     assert sizes[1][0] == len(ball1)
-    assert sizes[1][1] == len(_implicit_boundary(hg, ball1, 1))
+    assert sizes[1][1] == len(_local_boundary(hg, ball1, 1))
 
 
 def test_scan_achieved_and_early_stop(z_line):
@@ -215,6 +235,47 @@ def test_greedy_improved_does_not_worsen():
     balls = folner_scan(g, 1, "metric_balls", 1e-9, range(1, 7))
     improved = folner_scan(g, 1, "greedy_improved", 1e-9, range(1, 7))
     assert improved.best_ratio <= balls.best_ratio + 1e-12
+
+
+@pytest.fixture(scope="module")
+def greedy_graphs(z2_net_graph):
+    return {
+        "z2_ball12": build_graph(group_ball_lattice(ZdModel(2), 12),
+                                 threshold=1.0),
+        "z2_net24": z2_net_graph,
+        "z1_ball40": build_graph(group_ball_lattice(ZdModel(1), 40),
+                                 threshold=1.0),
+    }
+
+
+@pytest.mark.parametrize("c", [1, 2, 3])
+@pytest.mark.parametrize("name", ["z2_ball12", "z2_net24", "z1_ball40"])
+def test_greedy_improved_matches_reference_hill_climb(greedy_graphs, name, c):
+    g = greedy_graphs[name]
+    schedule = range(0, 12)
+    expected = reference_greedy_scan(g, c, schedule)
+    if not expected:
+        with pytest.raises(WindowTooSmallError):
+            folner_scan(g, c, "greedy_improved", 1e-9, schedule)
+        return
+    report = folner_scan(g, c, "greedy_improved", 1e-9, schedule)
+    assert list(report.entries) == expected
+
+
+def test_finite_scans_compute_border_depths_once(monkeypatch):
+    g = build_graph(group_ball_lattice(ZdModel(2), 12), threshold=1.0)
+    depths = RoughGraph.border_depths
+    calls = [0]
+
+    def counted(self):
+        calls[0] += 1
+        return depths(self)
+
+    monkeypatch.setattr(RoughGraph, "border_depths", counted)
+    for family in ("greedy_improved", "boxes"):
+        calls[0] = 0
+        folner_scan(g, 1, family, 1e-9, range(1, 9))
+        assert calls[0] == 1, family
 
 
 def test_report_invariants():

@@ -8,12 +8,14 @@ from roughcayley import (
     BallWindow,
     BoxWindow,
     EuclideanModel,
+    FreeGroupModel,
     H2Window,
     HOROCYCLIC_SEPARATION,
     HeisenbergModel,
     HyperbolicPlaneModel,
     MultiplicityProfile,
     QuasiLattice,
+    SpaceModel,
     ZdModel,
     greedy_net,
     group_ball_lattice,
@@ -109,6 +111,36 @@ def test_horocyclic_density_on_probes():
     cert, profile = verify_quasilattice(lat, probes, [1.0], seed=42)
     assert cert["max_min_distance"] <= 1.07
     assert profile.at(1.0) <= 24
+
+
+@pytest.mark.parametrize("make", [
+    lambda: greedy_net(ZdModel(2), BallWindow(30), 3.0),
+    lambda: horocyclic_lattice((-20.0, 20.0), (-3, 3)),
+], ids=["zd2_net", "h2_horocyclic"])
+def test_verify_quasilattice_converts_the_lattice_once(monkeypatch, make):
+    lat = make()
+    coords = SpaceModel.coords
+    calls = [0]
+
+    def counted(self, points):
+        calls[0] += points is lat.points
+        return coords(self, points)
+
+    monkeypatch.setattr(SpaceModel, "coords", counted)
+    probes = sample_probes(lat.space, lat.window, 50, 1.2, seed=3)
+    verify_quasilattice(lat, probes, [1.0], seed=3)
+    for p in probes[:5]:
+        lat.nearest(p)
+    assert calls[0] == 1
+
+
+@pytest.mark.parametrize("space", [ZdModel(2), FreeGroupModel(2)],
+                         ids=["zd2", "free2"])
+def test_verify_empty_lattice_has_no_nearby_point(space):
+    lat = QuasiLattice(space, BallWindow(4), [], 1.0, 1.0, "greedy")
+    cert, profile = verify_quasilattice(lat, [space.base_point], [1.0])
+    assert cert["max_min_distance"] == math.inf
+    assert profile.at(1.0) == 0
 
 
 def test_verify_even_lattice_multiplicity():
