@@ -340,7 +340,7 @@ def cmd_growth_compare(args):
 def cmd_folner_ratio(args):
     graph = _load_graph(args.graph)
     center = graph.deepest_vertex(graph.border_depths())
-    A = folner._finite_ball(graph, center, args.ball)
+    A = folner._within(graph, {center}, args.ball)
     ratio = folner.folner_ratio(graph, A, args.c)
     print(f"ball radius {args.ball} ({len(A)} vertices): ratio {ratio:.6f}")
     return 0

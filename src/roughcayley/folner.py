@@ -21,6 +21,7 @@ candidate sets with millions of vertices.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -33,7 +34,7 @@ from .errors import (
     WindowTooSmallError,
 )
 from .graphs import CayleyGraph, HorocyclicGraph, RoughGraph
-from .spaces import EuclideanModel, HeisenbergModel, TOL, ZdModel
+from .spaces import EuclideanModel, HeisenbergModel, TOL, ZdModel, bfs_layers
 
 
 @dataclass(frozen=True)
@@ -76,15 +77,6 @@ class FolnerReport:
 # finite windowed graphs
 
 
-def _vertex_ids(graph: RoughGraph, ids):
-    """Sorted distinct vertex ids; ``DomainError`` for one outside the graph."""
-    ids = sorted(set(int(v) for v in ids))
-    if ids and (ids[0] < 0 or ids[-1] >= graph.n):
-        raise DomainError(f"vertex ids must lie in range({graph.n}); "
-                          f"got ids from {ids[0]} to {ids[-1]}")
-    return ids
-
-
 def _interior_check(A, c, depths):
     bad = [a for a in A if depths[a] <= c]
     if bad:
@@ -106,7 +98,7 @@ def c_boundary(graph, A, c):
     coordinates.
     """
     if isinstance(graph, RoughGraph):
-        A = _vertex_ids(graph, A)
+        A = graph.vertex_ids(A)
         if A:
             _interior_check(A, c, graph.border_depths())
     return sorted(_local_boundary(graph, set(A), c))
@@ -119,18 +111,14 @@ def _local_boundary(graph, a_set, c):
 
 def _within(graph, seeds, c):
     """N_c(seeds): the vertices at graph distance <= c from ``seeds``."""
-    seen = set(seeds)
-    frontier = seeds
-    for _ in range(int(c)):
-        frontier = {w for v in frontier for w in graph.neighbors(v)
-                    if w not in seen}
-        seen |= frontier
-    return seen
+    return set().union(
+        *itertools.islice(bfs_layers(graph.neighbors, seeds), int(c) + 1))
 
 
 def folner_ratio(graph, A, c) -> float:
-    """|c-boundary of A| / |A| (the vertex set is its own quasi-lattice)."""
-    A = list(A)
+    """|c-boundary of A| / |A| (the vertex set is its own quasi-lattice);
+    a vertex listed twice counts once."""
+    A = set(A)
     if not A:
         raise UndefinedRatioError("Folner ratio of the empty set")
     return len(c_boundary(graph, A, c)) / len(A)
@@ -243,14 +231,16 @@ def _packed_boundary_size(engine, a_sorted, word_steps):
 
 
 def _packed_ball(engine, word_radius):
-    visited = engine.origin()
-    frontier = visited.copy()
+    """Sorted packed word ball, layer by layer: the generators are
+    symmetric, so L(k+1) = N(L(k)) minus L(k) and L(k-1)."""
+    layers = [np.empty(0, dtype=np.int64), engine.origin()]
     for _ in range(int(word_radius)):
-        nb = _uniq(engine.expand(frontier))
-        new = nb[~np.isin(nb, visited, assume_unique=True)]
-        visited = _uniq(np.concatenate([visited, new]))
-        frontier = new
-    return visited
+        nb = _uniq(engine.expand(layers[-1]))
+        known = np.concatenate(layers[-2:])
+        layers.append(nb[~np.isin(nb, known, assume_unique=True)])
+    ball = np.concatenate(layers)
+    ball.sort()  # in place: no second copy of the whole ball
+    return ball
 
 
 # ---------------------------------------------------------------------------
@@ -343,10 +333,6 @@ class _HoroEngine:
 # candidate families
 
 
-def _finite_ball(graph: RoughGraph, center, radius):
-    return sorted(_within(graph, {center}, radius))
-
-
 def _finite_box(graph: RoughGraph, center, n):
     space = graph.space
     if not isinstance(space, (ZdModel, EuclideanModel)):
@@ -374,7 +360,7 @@ def folner_scan(graph, c, family, epsilon, schedule, center=None,
         raise WindowTooSmallError("empty candidate schedule")
     if isinstance(graph, RoughGraph):
         if center is not None:
-            center, = _vertex_ids(graph, [center])
+            center, = graph.vertex_ids([center])
         entries = _scan_finite(graph, c, family, epsilon, schedule, center,
                                swap_budget_factor)
     else:
@@ -403,7 +389,7 @@ def _scan_finite(graph, c, family, epsilon, schedule, center, swap_factor):
     best_set = None
     for size in schedule:
         if base_family == "metric_balls":
-            A = _finite_ball(graph, center, size)
+            A = sorted(_within(graph, {center}, size))
             desc = f"ball:{size}"
         else:
             A = _finite_box(graph, center, size)

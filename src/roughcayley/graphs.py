@@ -21,7 +21,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,6 +39,7 @@ from .spaces import (
     QiConstants,
     TOL,
     ZdModel,
+    bfs_layers,
     hyperbolic_distance_arrays,
     word_ball,
 )
@@ -88,21 +88,25 @@ class RoughGraph:
         return [i for i in range(self.n) if slacks[i] < self.threshold - TOL]
 
     def border_depths(self) -> np.ndarray:
-        """Graph distance of every vertex to the border vertex set."""
+        """Graph distance of every vertex to the border vertex set (-1 if it
+        reaches none; the largest int64 everywhere if there is no border)."""
         border = self.border_vertices()
-        depths = np.full(self.n, -1, dtype=np.int64)
         if not border:
             return np.full(self.n, np.iinfo(np.int64).max, dtype=np.int64)
-        q = deque(border)
-        for b in border:
-            depths[b] = 0
-        while q:
-            u = q.popleft()
-            for v in self.adjacency[u]:
-                if depths[v] < 0:
-                    depths[v] = depths[u] + 1
-                    q.append(v)
+        depths = np.full(self.n, -1, dtype=np.int64)
+        for depth, layer in enumerate(
+                bfs_layers(self.adjacency.__getitem__, border)):
+            depths[layer] = depth
         return depths
+
+    def vertex_ids(self, ids):
+        """Sorted distinct vertex ids; ``DomainError`` for one outside
+        ``range(n)``."""
+        ids = sorted(set(int(v) for v in ids))
+        if ids and (ids[0] < 0 or ids[-1] >= self.n):
+            raise DomainError(f"vertex ids must lie in range({self.n}); "
+                              f"got ids from {ids[0]} to {ids[-1]}")
+        return ids
 
     def deepest_vertex(self, depths):
         """The vertex deepest inside the window by ``depths``, the array
@@ -197,8 +201,7 @@ def _edges_h2(lattice, threshold):
 
 def _edges_group_ball(lattice, threshold):
     space = lattice.space
-    hop_ball = [p for p in word_ball(space, int(math.floor(threshold + TOL)))
-                if p != space.identity()]
+    hop_ball = list(word_ball(space, int(math.floor(threshold + TOL))))[1:]
     adjacency = [[] for _ in lattice.points]
     for i, p in enumerate(lattice.points):
         for g in hop_ball:
@@ -234,30 +237,23 @@ def build_graph(lattice: QuasiLattice, threshold=None) -> RoughGraph:
         adjacency=adjacency,
         degree_bound_M=max((len(a) for a in adjacency), default=0),
     )
-    if graph.n:
-        sizes = component_sizes(graph)
-        if len(sizes) > 1:
-            raise DisconnectedGraphError(sizes)
+    sizes = component_sizes(graph)
+    if len(sizes) > 1:
+        raise DisconnectedGraphError(sizes)
     return graph
 
 
 def component_sizes(graph) -> list:
-    seen = [False] * graph.n
+    """Sizes of the connected components, in order of their smallest id."""
+    seen = np.zeros(graph.n, dtype=bool)
     sizes = []
     for s in range(graph.n):
-        if seen[s]:
-            continue
-        size = 0
-        q = deque([s])
-        seen[s] = True
-        while q:
-            u = q.popleft()
-            size += 1
-            for v in graph.neighbors(u):
-                if not seen[v]:
-                    seen[v] = True
-                    q.append(v)
-        sizes.append(size)
+        if not seen[s]:
+            size = 0
+            for layer in bfs_layers(graph.neighbors, [s]):
+                seen[layer] = True
+                size += len(layer)
+            sizes.append(size)
     return sizes
 
 
@@ -268,43 +264,25 @@ def component_sizes(graph) -> list:
 def bfs_distances(graph, source, max_nodes=None):
     """Hop distances from a source vertex.
 
-    Returns ``(dist, completed_depth)`` where ``dist`` maps vertex -> hops.
-    With ``max_nodes``, expansion stops after the last fully completed layer
-    once the visit count exceeds the cap; distances of retained vertices are
-    exact.
+    Returns ``(dist, completed_depth)`` where ``dist`` maps vertex -> hops
+    in BFS discovery order and ``completed_depth`` is the depth of its last
+    layer.  With ``max_nodes`` the walk stops after the first complete
+    layer whose running count exceeds ``max_nodes``; every kept layer is
+    complete, so the distances of retained vertices are exact.
     """
-    dist = {source: 0}
-    frontier = [source]
-    depth = 0
-    while frontier:
+    dist = {}
+    for depth, layer in enumerate(bfs_layers(graph.neighbors, [source])):
+        dist.update(dict.fromkeys(layer, depth))
         if max_nodes is not None and len(dist) > max_nodes:
-            dist = {v: d for v, d in dist.items() if d <= depth}
-            return dist, depth
-        nxt = []
-        depth += 1
-        for u in frontier:
-            for v in graph.neighbors(u):
-                if v not in dist:
-                    dist[v] = depth
-                    nxt.append(v)
-        frontier = nxt
-    return dist, depth - 1
+            break
+    return dist, depth
 
 
 def graph_distance(graph, i, j) -> int:
     """BFS shortest-path length between two vertices."""
-    if i == j:
-        return 0
-    dist = {i: 0}
-    q = deque([i])
-    while q:
-        u = q.popleft()
-        for v in graph.neighbors(u):
-            if v == j:
-                return dist[u] + 1
-            if v not in dist:
-                dist[v] = dist[u] + 1
-                q.append(v)
+    for depth, layer in enumerate(bfs_layers(graph.neighbors, [i])):
+        if j in layer:
+            return depth
     raise UnreachableError(f"vertices {i} and {j} are in different components")
 
 
@@ -393,7 +371,7 @@ def graph_stats(graph: RoughGraph) -> dict:
         "threshold": graph.threshold,
         "max_degree": max(degs, default=0),
         "mean_degree": float(np.mean(degs)) if degs else 0.0,
-        "components": len(component_sizes(graph)) if graph.n else 0,
+        "components": len(component_sizes(graph)),
     }
 
 
@@ -437,8 +415,7 @@ class CayleyGraph:
             raise DomainError("CayleyGraph needs a discrete group model")
         self.space = space
         self.threshold = int(threshold)
-        self._hops = [p for p in word_ball(space, self.threshold)
-                      if p != space.identity()]
+        self._hops = list(word_ball(space, self.threshold))[1:]
 
     @property
     def base_vertex(self):

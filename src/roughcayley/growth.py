@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import BorderError, DomainError, SchemaError
 from .graphs import RoughGraph
-from .spaces import FreeGroupModel, SpaceModel
+from .spaces import FreeGroupModel, SpaceModel, bfs_layers
 
 
 @dataclass(frozen=True)
@@ -124,26 +124,26 @@ def _group_ball_sizes(space, x0, m_max) -> GrowthSeries:
             frontier *= 2 * space.k - 1
         return GrowthSeries(space.model_id, x0, tuple(values))
     gens = space.generators()
-    seen = {x0}
-    frontier = [x0]
-    values = [1]
+    values = _ball_counts(lambda p: [space._mul(p, g) for g in gens], x0,
+                          m_max)
+    return GrowthSeries(space.model_id, x0, values)
+
+
+def _ball_counts(neighbors, x0, m_max):
+    """|N_m(x0)| for m = 0..m_max, read off the BFS layers about x0."""
+    layers = bfs_layers(neighbors, [x0])
+    values = [len(next(layers))]
     for _ in range(m_max):
-        nxt = []
-        for p in frontier:
-            for g in gens:
-                q = space._mul(p, g)
-                if q not in seen:
-                    seen.add(q)
-                    nxt.append(q)
-        frontier = nxt
-        values.append(len(seen))
-    return GrowthSeries(space.model_id, x0, tuple(values))
+        values.append(values[-1] + len(next(layers, ())))
+    return tuple(values)
 
 
 def _graph_ball_sizes(graph, x0, m_max) -> GrowthSeries:
     depths = graph.border_depths()
     if x0 is None:
         x0 = graph.deepest_vertex(depths)
+    else:
+        x0, = graph.vertex_ids([x0])
     safe = int(depths[x0])
     if m_max > safe:
         raise BorderError(
@@ -151,20 +151,8 @@ def _graph_ball_sizes(graph, x0, m_max) -> GrowthSeries:
             f"maximal safe radius from this base vertex is {safe}",
             max_safe=safe,
         )
-    dist = {x0: 0}
-    frontier = [x0]
-    values = [1]
-    for _ in range(m_max):
-        nxt = []
-        for u in frontier:
-            for v in graph.neighbors(u):
-                if v not in dist:
-                    dist[v] = dist[u] + 1
-                    nxt.append(v)
-        frontier = nxt
-        values.append(len(dist))
     return GrowthSeries(f"graph:{graph.space.model_id}", graph.point(x0),
-                        tuple(values))
+                        _ball_counts(graph.neighbors, x0, m_max))
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,9 @@ model's unchecked kernels ``_dist``, ``_mul``, ``_inv`` and ``_geodesic``.
 Library loops over points that are already trusted (lattice points, which
 ``QuasiLattice`` checks at construction, and points the library computed
 itself) call the kernels directly.
+
+``bfs_layers`` is the one breadth-first walk of the package: word balls,
+hop balls, border depths, components, distances and c-neighbourhoods.
 """
 
 from __future__ import annotations
@@ -522,22 +525,28 @@ class HeisenbergModel(SpaceModel):
         return float(window.radius) - self._dist(self.base_point, x)
 
 
+def bfs_layers(neighbors, sources):
+    """Breadth-first layers about ``sources``: the distinct sources, then
+    each list of newly reached vertices in discovery order, until none is
+    left.  A layer is built only when the consumer asks for it."""
+    layer = list(dict.fromkeys(sources))
+    seen = set(layer)
+    while layer:
+        yield layer
+        layer = [w for v in layer for w in neighbors(v)
+                 if w not in seen and not seen.add(w)]
+
+
 def word_ball(space, radius):
     """BFS word ball N_radius(e) of a discrete group model, as a dict
-    point -> word length."""
-    e = space.identity()
-    dist = {e: 0}
-    frontier = [e]
+    point -> word length in discovery order (the identity first)."""
     gens = space.generators()
-    for depth in range(1, radius + 1):
-        nxt = []
-        for p in frontier:
-            for g in gens:
-                q = space._mul(p, g)
-                if q not in dist:
-                    dist[q] = depth
-                    nxt.append(q)
-        frontier = nxt
+    mul = space._mul
+    layers = bfs_layers(lambda p: [mul(p, g) for g in gens],
+                        [space.identity()])
+    dist = {}
+    for depth, layer in enumerate(itertools.islice(layers, radius + 1)):
+        dist.update(dict.fromkeys(layer, depth))
     return dist
 
 

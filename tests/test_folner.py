@@ -47,6 +47,13 @@ def test_z_line_boundary_example(z_line):
     assert folner_ratio(g, A, 1) == pytest.approx(4 / 21)
 
 
+def test_folner_ratio_counts_each_vertex_once():
+    g = build_graph(group_ball_lattice(ZdModel(1), 20))
+    A = [g.lattice.index_of((k,)) for k in range(-5, 6)]
+    assert folner_ratio(g, A, 1) == pytest.approx(8 / 11)
+    assert folner_ratio(g, A + A, 1) == folner_ratio(g, A, 1)
+
+
 def test_empty_set_semantics(z_line):
     assert c_boundary(z_line, [], 1) == []
     with pytest.raises(UndefinedRatioError):

@@ -1,7 +1,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from roughcayley import (
     BallWindow,
@@ -14,6 +17,7 @@ from roughcayley import (
     QuasiLattice,
     RoughGraph,
     ZdModel,
+    ball_sizes,
     build_graph,
     certify_qi,
     default_threshold,
@@ -25,11 +29,15 @@ from roughcayley import (
     to_dot,
     word_ball,
 )
-from roughcayley.errors import DisconnectedGraphError, UnreachableError
+from roughcayley.errors import (
+    BorderError,
+    DisconnectedGraphError,
+    UnreachableError,
+)
 from roughcayley.graphs import bfs_distances, component_sizes
 
 from conftest import make_even_lattice
-from oracles import graph_distances_from
+from oracles import distance_table, graph_distances_from, naive_ball_sizes
 
 
 def test_even_graph_threshold_and_degrees():
@@ -226,3 +234,99 @@ def test_implicit_horocyclic_matches_rough_graph():
         implicit = {hg.point(w) for w in hg.neighbors(v)}
         inside = {p for p in implicit if lat.contains_point(p)}
         assert windowed == inside
+
+# ---------------------------------------------------------------------------
+# graph walks against the oracles on random small graphs
+
+UNREACHED = np.iinfo(np.int64).max
+
+
+@st.composite
+def small_graphs(draw):
+    """A RoughGraph on n <= 10 vertices with arbitrary (possibly
+    disconnected) edges.  The points are Z^1 integers 0..n-1 in a permuted
+    order inside BallWindow(n), so a point's slack is n minus its value and
+    the threshold, from 0 to n + 1, makes anything from no vertex to every
+    vertex a border vertex."""
+    n = draw(st.integers(1, 10))
+    values = draw(st.permutations(range(n)))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                    st.integers(0, n - 1)), max_size=2 * n))
+    adjacency = [set() for _ in range(n)]
+    for i, j in pairs:
+        if i != j:
+            adjacency[i].add(j)
+            adjacency[j].add(i)
+    lattice = QuasiLattice(space=ZdModel(1), window=BallWindow(n),
+                           points=[(v,) for v in values], separation_delta=1.0,
+                           density_radius_r=0.0, construction="test")
+    return RoughGraph(lattice=lattice,
+                      threshold=float(draw(st.integers(0, n + 1))),
+                      adjacency=[sorted(a) for a in adjacency])
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(small_graphs())
+def test_components_and_distances_match_oracle(g):
+    table = distance_table(g)
+    sizes, seen = [], set()
+    for s in range(g.n):
+        if s not in seen:
+            component = set(np.flatnonzero(table[s] < UNREACHED).tolist())
+            seen |= component
+            sizes.append(len(component))
+    assert component_sizes(g) == sizes
+    for i in range(g.n):
+        for j in range(g.n):
+            if table[i, j] == UNREACHED:
+                with pytest.raises(UnreachableError):
+                    graph_distance(g, i, j)
+            else:
+                assert graph_distance(g, i, j) == table[i, j]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(small_graphs())
+def test_bfs_distances_match_oracle_order_and_cap(g):
+    for source in range(g.n):
+        fifo = list(graph_distances_from(g, source).items())
+        dist, depth = bfs_distances(g, source)
+        assert list(dist.items()) == fifo
+        assert depth == max(d for _, d in fifo)
+        for cap in range(g.n + 1):
+            # stop after the first complete layer whose running count
+            # exceeds the cap, or at the last layer
+            stop = next((k for k in range(depth + 1)
+                         if sum(d <= k for _, d in fifo) > cap), depth)
+            capped, capped_depth = bfs_distances(g, source, max_nodes=cap)
+            assert capped_depth == stop
+            assert list(capped.items()) == [(v, d) for v, d in fifo
+                                            if d <= stop]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(small_graphs())
+def test_border_depths_match_oracle(g):
+    border = g.border_vertices()
+    depths = g.border_depths()
+    assert depths.dtype == np.int64
+    if border:
+        nearest = distance_table(g)[border].min(axis=0)
+        expected = np.where(nearest == UNREACHED, -1, nearest)
+    else:
+        expected = np.full(g.n, UNREACHED)
+    assert depths.tolist() == expected.tolist()
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(small_graphs())
+def test_graph_ball_sizes_match_oracle(g):
+    depths = g.border_depths()
+    for x0 in range(g.n):
+        for m_max in range(4):
+            if m_max <= depths[x0]:
+                assert ball_sizes(g, x0, m_max).values == \
+                    naive_ball_sizes(g, x0, m_max)
+            else:
+                with pytest.raises(BorderError):
+                    ball_sizes(g, x0, m_max)

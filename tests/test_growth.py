@@ -59,6 +59,15 @@ def test_graph_ball_sizes_match_naive_filter():
     assert series2.values == naive_ball_sizes(g2, x0, 2)
 
 
+@pytest.mark.parametrize("x0", [-1, -42, 41])
+@pytest.mark.parametrize("m_max", [0, 3])
+def test_graph_ball_sizes_reject_ids_outside_the_graph(x0, m_max):
+    # 41 vertices; -1 used to wrap onto the last vertex (20,)
+    g = build_graph(group_ball_lattice(ZdModel(1), 20))
+    with pytest.raises(DomainError):
+        ball_sizes(g, x0, m_max)
+
+
 def test_graph_border_truncation_error():
     g = build_graph(make_even_lattice(20))
     x0 = g.lattice.index_of((0,))
