@@ -10,6 +10,20 @@ quasi-conjugacy defects between two actions.
 All defects are measured in the ambient group metric restricted to lattice
 points.  Every sampled computation is reproducible from its recorded seed;
 window escapes raise instead of clamping so defect statistics stay honest.
+
+Batches and checks.  The certifiers work on point arrays (``space.coords``)
+through ``QuasiAction.act_many`` and the model's batch kernels
+``_mul_many`` and ``_dist_many``.  ``act_many`` calls psi once per distinct
+row of X, then phi once per distinct product row, and checks each result
+before it enters an array; ``NearestIndex`` checks a query the first time
+it sees it, and its answers are lattice points, which are trusted.  Rows
+of S are trusted group elements and are not checked.  A point the caller
+hands in (``x0`` of ``orbit_map_qi``) and each result of a caller's
+``phi12`` are checked the same way.  The public ``act`` checks s and
+psi(x) on every call.  One ``act_many`` call gives the values the same
+loop over ``act`` gives, and raises ``OutOfWindowError`` for its first
+escaping row in row order; a certifier that makes several calls raises for
+the first escape of the call that fails first.
 """
 
 from __future__ import annotations
@@ -30,6 +44,68 @@ from .spaces import (
     TOL,
     ZdModel,
 )
+
+
+# ---------------------------------------------------------------------------
+# point arrays
+
+
+def _distinct_rows(Q):
+    """The distinct rows of a point array as points, in first-occurrence
+    order, and the position of each row's point among them."""
+    seen = {}
+    inverse = [seen.setdefault(q, len(seen)) for q in map(tuple, Q.tolist())]
+    return list(seen), np.array(inverse, dtype=np.intp)
+
+
+def _map_rows(space, f, Q):
+    """f applied to the distinct rows of the point array Q, in order of
+    first occurrence, spread back over every row."""
+    rows, inverse = _distinct_rows(Q)
+    return space.coords([f(q) for q in rows])[inverse]
+
+
+def _checked(space, f):
+    """f with each result checked as a point of space, before ``coords``
+    casts it; a ``NearestIndex`` on space answers with lattice points, which
+    are trusted, and is returned as it is."""
+    if isinstance(f, NearestIndex) and f.space == space:
+        return f
+
+    def g(x):
+        y = f(x)
+        space.check_point(y)
+        return y
+
+    return g
+
+
+def _outer(A, B):
+    """Rows (a, b) for every a of A and b of B, a-major: the rows the loops
+    ``for a in A: for b in B`` visit."""
+    i, j = np.divmod(np.arange(len(A) * len(B)), len(B))
+    return A[i], B[j]
+
+
+def _act_outer(qa, S, X):
+    """s.x for every row s of S and x of X, in the rows of ``_outer(S, X)``;
+    each distinct s acts once on each x."""
+    rows, inverse = _distinct_rows(S)
+    moved = qa.act_many(*_outer(qa.group_space.coords(rows), X))
+    return moved[(inverse[:, None] * len(X) + np.arange(len(X))).ravel()]
+
+
+def _block_pairs(n_blocks, k):
+    """Row indices (p, q), p < q, of every pair inside each of n_blocks
+    consecutive blocks of k rows."""
+    i, j = np.triu_indices(k, 1)
+    base = np.repeat(np.arange(n_blocks) * k, len(i))
+    return base + np.tile(i, n_blocks), base + np.tile(j, n_blocks)
+
+
+def _sup(values):
+    """Largest value, 0.0 for none: the running max the defects start at 0."""
+    return float(values.max()) if len(values) else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +201,14 @@ def _ring_cells(key, ring):
 
 @dataclass
 class QuasiAction:
-    """s . x = phi(s * psi(x)) on the points of a quasi-lattice."""
+    """s . x = phi(s * psi(x)) on the points of a quasi-lattice.
+
+    ``act`` applies one element to one point and checks s and psi(x).
+    ``act_many`` applies the rows of S to the rows of X (a single row
+    broadcasts): it trusts the rows of S, calls psi once per distinct row
+    of X and phi once per distinct product, and checks each result of psi
+    and of a phi that is not a ``NearestIndex``.
+    """
 
     group_space: SpaceModel
     lattice: QuasiLattice
@@ -138,8 +221,12 @@ class QuasiAction:
         g = self.group_space.multiply(s, self.psi(x))
         return self.phi(g)
 
-    def target_distance(self, x, y):
-        return self.group_space.distance(x, y)
+    def act_many(self, S, X):
+        """Row-wise ``act`` on point arrays; the first escaping row raises."""
+        space = self.group_space
+        G = _map_rows(space, _checked(space, self.psi), X)
+        return _map_rows(space, _checked(space, self.phi),
+                         space._mul_many(S, G))
 
 
 def nearest_point_maps(group_space: SpaceModel, lattice: QuasiLattice):
@@ -211,7 +298,7 @@ def _central_targets(lattice, margin, n_targets):
         raise OutOfWindowError(
             f"no lattice point clears the target margin {margin:g}"
         )
-    eligible.sort(key=lambda i: (space.distance(base, lattice.points[i]),
+    eligible.sort(key=lambda i: (space._dist(base, lattice.points[i]),
                                  lattice.points[i]))
     return [lattice.points[i] for i in eligible[:n_targets]]
 
@@ -247,55 +334,57 @@ def certify_axioms(qa: QuasiAction, group_radius=10, n_targets=8,
     Properness is certified per probe point x and radius R by scanning a
     word ball and checking that {s : d(s.x, x) <= R} stays strictly inside
     the scanned ball; the recorded witness is the largest word norm seen.
+    An empty ``properness_radii`` is a ``DomainError``.
     """
     space = qa.group_space
-    d = qa.target_distance
+    dist = space._dist_many
+    r_list = sorted(properness_radii)
+    if not r_list:
+        raise DomainError("properness needs at least one radius")
     margin = 2.0 * group_radius + qa.lattice.density_radius_r + 2.0
     targets = _central_targets(qa.lattice, margin, n_targets)
     pairs = _pair_sample(space, group_radius, pair_core_cap, n_extra_pairs, seed)
+    X = space.coords(targets)
+    E = space.coords([space.identity()])
 
-    identity_defect = 0.0
-    e = space.identity()
-    for x in targets:
-        identity_defect = max(identity_defect, d(qa.act(e, x), x))
+    identity_defect = _sup(dist(qa.act_many(E, X), X))
 
-    assoc = 0.0
-    for s, t in pairs:
-        st = space.multiply(s, t)
-        for x in targets:
-            assoc = max(assoc, d(qa.act(s, qa.act(t, x)), qa.act(st, x)))
+    # d(s.(t.x), (st).x) over pairs (s, t) and targets x, pair-major
+    S = space.coords([s for s, _ in pairs])
+    T = space.coords([t for _, t in pairs])
+    Sx, _ = _outer(S, X)
+    assoc = _sup(dist(qa.act_many(Sx, _act_outer(qa, T, X)),
+                      _act_outer(qa, space._mul_many(S, T), X)))
 
     # axiom (i): each s acts as a quasi-isometry; additive defect at C = 1
-    per_s = 0.0
     ball = _ball(space, group_radius)
-    idx = np.unique(np.linspace(0, len(ball) - 1, 25).astype(int))
-    singles = [ball[i] for i in idx]
-    target_pairs = list(itertools.combinations(targets, 2))
-    for s in singles:
-        for x, y in target_pairs:
-            per_s = max(per_s, abs(d(qa.act(s, x), qa.act(s, y)) - d(x, y)))
+    # 25 evenly spread elements; the indices do not decrease, so fromkeys
+    # keeps them sorted (np.unique would import numpy.ma, 30 ms)
+    idx = dict.fromkeys(np.linspace(0, len(ball) - 1, 25).astype(int).tolist())
+    singles = space.coords([ball[i] for i in idx])
+    Sx, Xs = _outer(singles, X)
+    moved = qa.act_many(Sx, Xs)
+    p, q = _block_pairs(len(singles), len(targets))
+    per_s = _sup(np.abs(dist(moved[p], moved[q]) - dist(Xs[p], Xs[q])))
 
     # axiom (iv): bounded orbits of the radius-1 generator ball
-    unit_ball = _ball(space, 1)
-    orbit_diam = 0.0
-    for x in targets:
-        orbit = [qa.act(k, x) for k in unit_ball]
-        for p, q in itertools.combinations(orbit, 2):
-            orbit_diam = max(orbit_diam, d(p, q))
+    unit_ball = space.coords(_ball(space, 1))
+    Xk, K = _outer(X, unit_ball)
+    orbits = qa.act_many(K, Xk)
+    p, q = _block_pairs(len(targets), len(unit_ball))
+    orbit_diam = _sup(dist(orbits[p], orbits[q]))
 
     # properness: witness sets over an exhaustive scan, nested in R
-    r_list = sorted(properness_radii)
     if properness_scan is None:
         properness_scan = int(math.ceil(r_list[-1] + 2 * qa.lattice.density_radius_r + 2))
-    scan = _ball(space, properness_scan)
+    scan = space.coords(_ball(space, properness_scan))
+    probes = X[: min(3, len(targets))]
+    Xs, Ss = _outer(probes, scan)
+    displacement = dist(qa.act_many(Ss, Xs), Xs)
+    norms = dist(E, Ss)
     witnesses = []
-    probes = targets[: min(3, len(targets))]
     for R in r_list:
-        worst = 0.0
-        for x in probes:
-            for s in scan:
-                if d(qa.act(s, x), x) <= R + TOL:
-                    worst = max(worst, space.distance(e, s))
+        worst = _sup(norms[displacement <= R + TOL])
         if worst >= properness_scan - TOL:
             raise CertificationError(
                 f"properness witness for R={R} reached the scan radius "
@@ -352,27 +441,37 @@ def orbit_map_qi(qa: QuasiAction, x0=None, radii=(5, 10, 15),
 
     Constants are reported per radius; the report is flagged unstable when
     either constant grows more than 10% from the first to the last radius,
-    signalling a map that is not a quasi-isometry.
+    signalling a map that is not a quasi-isometry.  No radius, or a radius
+    whose sample holds no pair of distinct elements, is a ``DomainError``.
     """
     space = qa.group_space
+    if not radii:
+        raise DomainError("orbit-map constants need at least one radius")
     if x0 is None:
-        x0 = qa.phi(space.identity())
+        x0 = _checked(space, qa.phi)(space.identity())
+    else:
+        space.check_point(x0)
+    X0 = space.coords([x0])
     per_radius = []
     for m in sorted(radii):
-        pairs = _pair_sample(space, m, pair_core_cap, n_extra_pairs, seed,
-                             ordered=False)
-        orbit = {}
-        dg, dx = [], []
-        for s, t in pairs:
-            if s == t:
-                continue
-            for g in (s, t):
-                if g not in orbit:
-                    orbit[g] = qa.act(g, x0)
-            dg.append(space.distance(s, t))
-            dx.append(qa.target_distance(orbit[s], orbit[t]))
-        C, r = _fit_qi(dg, dx)
-        per_radius.append((m, C, r, len(dg)))
+        pairs = [(s, t) for s, t in _pair_sample(
+            space, m, pair_core_cap, n_extra_pairs, seed, ordered=False)
+            if s != t]
+        if not pairs:
+            raise DomainError(f"no pair of distinct elements sampled at "
+                              f"radius {m}")
+        # each element once, in order of first appearance in the pairs
+        where = {}
+        for pair in pairs:
+            for g in pair:
+                where.setdefault(g, len(where))
+        G = space.coords(list(where))
+        orbit = qa.act_many(G, X0)
+        i = np.array([where[s] for s, _ in pairs])
+        j = np.array([where[t] for _, t in pairs])
+        C, r = _fit_qi(space._dist_many(G[i], G[j]),
+                       space._dist_many(orbit[i], orbit[j]))
+        per_radius.append((m, C, r, len(pairs)))
     first = per_radius[0]
     last = per_radius[-1]
     grow_c = last[1] > 1.10 * first[1] + TOL
@@ -404,7 +503,8 @@ def quasi_conjugacy_defect(qa1: QuasiAction, qa2: QuasiAction, phi12=None,
 
     ``phi12`` defaults to the nearest-point map through the common group:
     a vertex of the first lattice is read as a group element and sent to
-    its nearest point in the second lattice.
+    its nearest point in the second lattice.  It is called once per
+    distinct point it is applied to, and each result is checked.
     """
     if qa1.group_space != qa2.group_space:
         raise DomainError("quasi-conjugacy needs a common acting group")
@@ -412,6 +512,7 @@ def quasi_conjugacy_defect(qa1: QuasiAction, qa2: QuasiAction, phi12=None,
     if phi12 is None:
         def phi12(x):
             return qa2.phi(qa1.psi(x))
+    phi12 = _checked(space, phi12)
 
     margin = 2.0 * group_radius + qa1.lattice.density_radius_r \
         + qa2.lattice.density_radius_r + 2.0
@@ -426,10 +527,9 @@ def quasi_conjugacy_defect(qa1: QuasiAction, qa2: QuasiAction, phi12=None,
         rng = np.random.default_rng(seed)
         extra_idx = rng.integers(0, len(elements), size=n_extra)
         elements = core + [elements[i] for i in extra_idx]
-    defect = 0.0
-    for s in elements:
-        for x in targets:
-            lhs = phi12(qa1.act(s, x))
-            rhs = qa2.act(s, phi12(x))
-            defect = max(defect, qa2.target_distance(lhs, rhs))
-    return defect
+    # rows (s, x) element-major; phi12 once per distinct point
+    elements = space.coords(elements)
+    X = space.coords(targets)
+    lhs = _map_rows(space, phi12, _act_outer(qa1, elements, X))
+    rhs = _act_outer(qa2, elements, _map_rows(space, phi12, X))
+    return _sup(space._dist_many(lhs, rhs))

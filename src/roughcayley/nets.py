@@ -52,9 +52,9 @@ class QuasiLattice:
     Construction checks every point against the model once; library code
     trusts lattice points from then on.  ``coords()`` is the point list as
     the model's ``distances_from`` takes it (``space.coords``: an array of
-    dtype ``space.coord_dtype``, or the list itself for free groups).  It is
-    built once, on first use, like the point index, and gives the same
-    distances as the list without a conversion per call.
+    dtype ``space.coord_dtype``, or an object array of words for free
+    groups).  It is built once, on first use, like the point index, and
+    gives the same distances as the list without a conversion per call.
     """
 
     space: SpaceModel

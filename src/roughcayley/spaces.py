@@ -23,7 +23,11 @@ every point a caller hands in with ``check_point`` and then call the
 model's unchecked kernels ``_dist``, ``_mul``, ``_inv`` and ``_geodesic``.
 Library loops over points that are already trusted (lattice points, which
 ``QuasiLattice`` checks at construction, and points the library computed
-itself) call the kernels directly.
+itself) call the kernels directly.  The batch kernels ``_mul_many`` and
+``_dist_many`` apply ``_mul`` and ``_dist`` row by row to point arrays
+(``coords``); Z^d and the Heisenberg group do so in exact int64 NumPy, the
+other models loop over the scalar kernel, so a batch equals the scalar
+results bit for bit on every model.
 
 ``bfs_layers`` is the one breadth-first walk of the package: word balls,
 hop balls, border depths, components, distances and c-neighbourhoods.
@@ -196,13 +200,27 @@ class SpaceModel:
         return np.array([self.distance(x, p) for p in points])
 
     def coords(self, points):
-        """Points as the (n, d) array of dtype ``coord_dtype`` that a
-        vectorised ``distances_from`` works on (and takes without another
-        conversion); models without one keep the sequence."""
+        """Points as a point array: the (n, d) array of dtype
+        ``coord_dtype`` that a vectorised ``distances_from`` works on (and
+        takes without another conversion), or a 1-D object array of the
+        points for models without one."""
         if self.coord_dtype is None:
-            return points
+            return np.fromiter(points, dtype=object, count=len(points))
         return np.asarray(points, dtype=self.coord_dtype).reshape(
             len(points), self.d)
+
+    def _mul_many(self, A, B):
+        """Row-wise products of two point arrays; a single row broadcasts.
+        This fallback loops over ``_mul``."""
+        A, B = np.broadcast_arrays(A, B)
+        return self.coords([self._mul(a, b) for a, b in zip(_rows(A), _rows(B))])
+
+    def _dist_many(self, A, B):
+        """Row-wise distances of two point arrays; a single row broadcasts.
+        This fallback loops over ``_dist``."""
+        A, B = np.broadcast_arrays(A, B)
+        return np.array([self._dist(a, b) for a, b in zip(_rows(A), _rows(B))],
+                        dtype=float)
 
     def _key(self):
         return (self.model_id,)
@@ -212,6 +230,11 @@ class SpaceModel:
 
     def __hash__(self):
         return hash(self._key())
+
+
+def _rows(A):
+    """The rows of a point array as tuples of Python scalars."""
+    return map(tuple, A.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +269,12 @@ class ZdModel(SpaceModel):
 
     def _mul(self, x, y):
         return tuple(a + b for a, b in zip(x, y))
+
+    def _mul_many(self, A, B):
+        return A + B
+
+    def _dist_many(self, A, B):
+        return np.abs(A - B).sum(axis=-1).astype(float)
 
     def _inv(self, x):
         return tuple(-a for a in x)
@@ -297,8 +326,7 @@ class ZdModel(SpaceModel):
         return float(window.radius - sum(abs(v) for v in x))
 
     def distances_from(self, x, points):
-        arr = self.coords(points)
-        return np.abs(arr - np.asarray(x, dtype=np.int64)).sum(axis=1).astype(float)
+        return self._dist_many(np.asarray(x, dtype=np.int64), self.coords(points))
 
 
 # ---------------------------------------------------------------------------
@@ -480,6 +508,11 @@ class HeisenbergModel(SpaceModel):
     def _mul(self, x, y):
         return (x[0] + y[0], x[1] + y[1], x[2] + y[2] + x[0] * y[1])
 
+    def _mul_many(self, A, B):
+        out = A + B
+        out[..., 2] += A[..., 0] * B[..., 1]
+        return out
+
     def _inv(self, x):
         a, b, c = x
         return (-a, -b, a * b - c)
@@ -492,11 +525,13 @@ class HeisenbergModel(SpaceModel):
         b = y[1] - x[1]
         return float(_heis_length(y[0] - x[0], b, y[2] - x[2] - x[0] * b))
 
+    def _dist_many(self, A, B):
+        b = B[..., 1] - A[..., 1]
+        return _heis_lengths(B[..., 0] - A[..., 0], b,
+                             B[..., 2] - A[..., 2] - A[..., 0] * b).astype(float)
+
     def distances_from(self, x, points):
-        arr = self.coords(points)
-        b = arr[:, 1] - x[1]
-        return _heis_lengths(arr[:, 0] - x[0], b,
-                                  arr[:, 2] - x[2] - x[0] * b).astype(float)
+        return self._dist_many(np.asarray(x, dtype=np.int64), self.coords(points))
 
     def _geodesic(self, x, y):
         # greedy descent: some generator always takes the exact distance to

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -23,7 +24,12 @@ from roughcayley.errors import DomainError, OutOfWindowError
 from roughcayley.nets import QuasiLattice
 
 from conftest import make_even_lattice
-from oracles import naive_nearest
+from oracles import (
+    literal_axiom_certificate,
+    literal_conjugacy_defect,
+    literal_orbit_constants,
+    naive_nearest,
+)
 
 
 @pytest.fixture(scope="module")
@@ -78,6 +84,70 @@ def test_nearest_index_matches_naive_property(name, pick):
     net, phi, pool = _nearest_case(name)
     q = pool[pick % len(pool)]
     assert phi(q) == naive_nearest(net.space, net.points, q)
+
+
+_ACTION_CASES = {}
+
+
+def _action_case(name):
+    # a quasi-action, group elements of a ball and lattice points, built
+    # once per model; border points let some rows escape the window
+    if name not in _ACTION_CASES:
+        if name == "zd2":
+            space = ZdModel(2)
+            lattice, radius = greedy_net(space, BallWindow(20), 3.0), 8
+        elif name == "heisenberg":
+            space = HeisenbergModel()
+            lattice, radius = greedy_net(space, BallWindow(6), 2.0), 3
+        else:
+            space = FreeGroupModel(2)
+            lattice, radius = group_ball_lattice(space, 5), 3
+        _ACTION_CASES[name] = (quasi_action(space, lattice),
+                               space.enumerate_window(BallWindow(radius)),
+                               lattice.points)
+    return _ACTION_CASES[name]
+
+
+def _row_by_row(qa, S, X):
+    """``act`` over the rows, or the error of the first row that raises."""
+    try:
+        return [qa.act(s, x) for s, x in zip(S, X)]
+    except OutOfWindowError as exc:
+        return exc
+
+
+@pytest.mark.parametrize("name", ["zd2", "heisenberg", "free_group2"])
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 10 ** 6), st.integers(0, 10 ** 6)),
+                min_size=1, max_size=25))
+def test_act_many_matches_act_row_by_row_property(name, picks):
+    qa, ball, points = _action_case(name)
+    space = qa.group_space
+    S = [ball[i % len(ball)] for i, _ in picks]
+    X = [points[j % len(points)] for _, j in picks]
+    coords = space.coords
+    # the full rows, then a single row of S or of X broadcast to the other
+    for S_rows, X_rows, S_arr, X_arr in (
+            (S, X, coords(S), coords(X)),
+            (S[:1] * len(X), X, coords(S[:1]), coords(X)),
+            (S, X[:1] * len(S), coords(S), coords(X[:1]))):
+        expected = _row_by_row(qa, S_rows, X_rows)
+        if isinstance(expected, OutOfWindowError):
+            # the first escaping row raises, with the same message
+            with pytest.raises(OutOfWindowError, match=re.escape(str(expected))):
+                qa.act_many(S_arr, X_arr)
+        else:
+            assert qa.act_many(S_arr, X_arr).tolist() == \
+                coords(expected).tolist()
+
+
+def test_act_many_escaping_row_raises(even_action):
+    z1 = even_action.group_space
+    S = z1.coords([(0,), (2,), (45,), (46,)])
+    with pytest.raises(OutOfWindowError, match=r"\(45,\)"):
+        even_action.act_many(S, z1.coords([(0,)]))
+    assert even_action.act_many(S[:2], z1.coords([(0,)])).tolist() == \
+        [[0], [2]]
 
 
 def test_act_examples(even_action):
@@ -205,3 +275,50 @@ def test_quasi_action_needs_matching_model():
         quasi_action(z2, make_even_lattice(10))
     qa = quasi_action(z1, make_even_lattice(10))
     assert qa.group_space == z1
+
+
+def _oracle_case(name):
+    """(quasi-action, second action for conjugacy, then the certify_axioms,
+    orbit_map_qi and quasi_conjugacy_defect arguments)."""
+    if name == "zd2":
+        z2 = ZdModel(2)
+        return (quasi_action(z2, greedy_net(z2, BallWindow(40), 3.0)),
+                quasi_action(z2, greedy_net(z2, BallWindow(30), 2.0)),
+                dict(group_radius=6, n_targets=6, seed=3),
+                dict(radii=(3, 6), seed=3),
+                dict(group_radius=6, n_targets=6, seed=3))
+    if name == "heisenberg":
+        heis = HeisenbergModel()
+        return (quasi_action(heis, greedy_net(heis, BallWindow(6), 2.0)),
+                quasi_action(heis, group_ball_lattice(heis, 6)),
+                dict(group_radius=1, n_targets=4, properness_radii=(1.0, 2.0),
+                     properness_scan=6),
+                dict(radii=(1, 2)), dict(group_radius=1, n_targets=4))
+    f2 = FreeGroupModel(2)
+    return (quasi_action(f2, group_ball_lattice(f2, 9)),
+            quasi_action(f2, group_ball_lattice(f2, 8)),
+            dict(group_radius=2, n_targets=4, properness_radii=(1.0, 2.0),
+                 properness_scan=5),
+            dict(radii=(2, 3)), dict(group_radius=2, n_targets=3))
+
+
+@pytest.mark.parametrize("name", ["zd2", "heisenberg", "free_group2"])
+def test_certificates_match_literal_loops(name):
+    """On a Z^2 net, the Heisenberg ball-6 greedy net and an F2 ball
+    lattice, the batched certifiers equal per-element loops over ``act``."""
+    qa, qa2, axioms, orbit, conjugacy = _oracle_case(name)
+    assert certify_axioms(qa, **axioms) == literal_axiom_certificate(qa, **axioms)
+    assert orbit_map_qi(qa, **orbit).per_radius == \
+        literal_orbit_constants(qa, **orbit)
+    assert quasi_conjugacy_defect(qa, qa2, **conjugacy) == \
+        literal_conjugacy_defect(qa, qa2, **conjugacy)
+
+
+def test_empty_radii_are_domain_errors(even_action):
+    with pytest.raises(DomainError):
+        orbit_map_qi(even_action, radii=())
+    with pytest.raises(DomainError):
+        orbit_map_qi(even_action, radii=(0, 0))
+    with pytest.raises(DomainError):
+        certify_axioms(even_action, group_radius=6, n_targets=6,
+                       properness_radii=())

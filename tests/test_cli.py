@@ -123,6 +123,19 @@ def test_qaction_commands(tmp_path, capsys):
                "--lattice2", str(lat), "--group-radius", "4") == 0
 
 
+@pytest.mark.parametrize("radii", ["0", "0,0"])
+def test_orbit_qi_without_pairs_exits_with_domain_error(tmp_path, capsys,
+                                                         radii):
+    lat = tmp_path / "ball.json"
+    assert run("lattice", "build", "--space", "zd", "--d", "1",
+               "--group-ball", "--radius", "10", "--probes", "0",
+               "--out", str(lat)) == 0
+    capsys.readouterr()
+    assert run("qaction", "orbit-qi", "--lattice", str(lat),
+               "--radii", radii) == 1
+    assert "no pair of distinct elements" in capsys.readouterr().err
+
+
 def test_exit_codes(tmp_path, capsys):
     assert run("lattice", "build", "--space", "nosuch", "--radius", "3",
                "--delta", "1", "--out", str(tmp_path / "x.json")) == 2

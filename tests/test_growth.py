@@ -10,6 +10,8 @@ from roughcayley import (
     FreeGroupModel,
     GrowthSeries,
     HeisenbergModel,
+    QuasiLattice,
+    RoughGraph,
     ZdModel,
     ball_sizes,
     build_graph,
@@ -76,6 +78,23 @@ def test_graph_border_truncation_error():
     assert err.value.max_safe is not None
     safe = err.value.max_safe
     assert ball_sizes(g, x0, safe).values[-1] >= 1
+
+
+def test_graph_ball_without_border_is_counted_in_full():
+    # a path 0-1-2 whose vertices are all deep, and a border vertex 3 on its
+    # own: no window can cut a ball about vertex 0
+    lattice = QuasiLattice(space=ZdModel(1), window=BallWindow(4),
+                           points=[(0,), (1,), (-1,), (4,)],
+                           separation_delta=1.0, density_radius_r=0.0,
+                           construction="test")
+    g = RoughGraph(lattice=lattice, threshold=1.0,
+                   adjacency=[[1, 2], [0], [0], []])
+    assert g.border_depths().tolist() == [-1, -1, -1, 0]
+    for m_max in range(5):
+        assert ball_sizes(g, 0, m_max).values == naive_ball_sizes(g, 0, m_max)
+    assert ball_sizes(g, 0, 4).values == (1, 3, 3, 3, 3)
+    with pytest.raises(BorderError):
+        ball_sizes(g, 3, 1)
 
 
 def test_classify_polynomial_quadratic():

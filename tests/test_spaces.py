@@ -172,6 +172,48 @@ def test_heisenberg_geodesic_realises_distance(x, y):
         assert HEIS.distance(q, y) == d - i - 1
 
 
+_int = st.integers(-10 ** 6, 10 ** 6)
+_real = st.floats(-1e3, 1e3, allow_nan=False)
+# points of the five models; Heisenberg coordinates as large as int64 allows
+BATCH_POINTS = {
+    "zd2": (Z2, st.tuples(_int, _int)),
+    "free_group2": (F2, st.lists(st.sampled_from([-2, -1, 1, 2]),
+                                 max_size=8).map(free_reduce)),
+    "heisenberg": (HEIS, _far),
+    "euclidean2": (E2, st.tuples(_real, _real)),
+    "h2": (H2, st.tuples(_real, st.floats(1e-3, 1e3))),
+}
+
+
+def _same_rows(batch, space, rows):
+    """The batch equals ``space.coords(rows)`` bit for bit."""
+    expected = space.coords(rows)
+    if expected.dtype == object:
+        return batch.tolist() == expected.tolist()
+    return batch.dtype == expected.dtype and batch.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_POINTS))
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(data=st.data())
+def test_batch_kernels_equal_scalar_kernels(name, data):
+    space, points = BATCH_POINTS[name]
+    pairs = data.draw(st.lists(st.tuples(points, points), min_size=1,
+                               max_size=12))
+    A = space.coords([a for a, _ in pairs])
+    B = space.coords([b for _, b in pairs])
+    assert _same_rows(space._mul_many(A, B), space,
+                      [space._mul(a, b) for a, b in pairs])
+    assert space._dist_many(A, B).tobytes() == \
+        np.array([space._dist(a, b) for a, b in pairs]).tobytes()
+    # a single row broadcasts against the other array
+    a = pairs[0][0]
+    assert _same_rows(space._mul_many(A[:1], B), space,
+                      [space._mul(a, b) for _, b in pairs])
+    assert space._dist_many(A[:1], B).tobytes() == \
+        np.array([space._dist(a, b) for _, b in pairs]).tobytes()
+
+
 def test_hyperbolic_distance_forms_agree():
     rng = np.random.default_rng(11)
     for _ in range(1000):

@@ -13,14 +13,19 @@ from roughcayley import (
     HeisenbergModel,
     HyperbolicPlaneModel,
     NearestIndex,
+    QuasiAction,
     QuasiLattice,
     RoughGraph,
     ZdModel,
     build_graph,
+    certify_axioms,
     certify_qi,
     greedy_net,
     group_ball_lattice,
     horocyclic_lattice,
+    orbit_map_qi,
+    quasi_action,
+    quasi_conjugacy_defect,
 )
 from roughcayley.errors import (
     DomainError,
@@ -134,3 +139,68 @@ def test_graph_and_certifier_check_each_point_once(monkeypatch):
     lat = group_ball_lattice(f2, 9)
     certify_qi(build_graph(lat), n_sources=n_sources, seed=0)
     assert calls[0] <= len(lat) + n_sources
+
+
+def test_quasi_action_certifiers_check_each_query_once(monkeypatch):
+    """Certifying the axioms and the orbit map of a Z^2 net validates each
+    distinct nearest-point query once, plus one psi(x) per distinct lattice
+    point x of each batch; loops over the public ``act`` validated every
+    product and psi(x) on every call (about 400k calls on the Z^2 ball-80
+    net at group radius 8)."""
+    z2 = ZdModel(2)
+    qa = quasi_action(z2, greedy_net(z2, BallWindow(60), 3.0))
+    calls, targets, queries = [0], [0], set()
+    check = ZdModel.check_point
+    nearest = NearestIndex.__call__
+    act_many = QuasiAction.act_many
+
+    def counted_check(self, x):
+        calls[0] += 1
+        return check(self, x)
+
+    def recorded_nearest(self, q):
+        queries.add(q)
+        return nearest(self, q)
+
+    def counted_act_many(self, S, X):
+        targets[0] += len(set(map(tuple, X.tolist())))
+        return act_many(self, S, X)
+
+    monkeypatch.setattr(ZdModel, "check_point", counted_check)
+    monkeypatch.setattr(NearestIndex, "__call__", recorded_nearest)
+    monkeypatch.setattr(QuasiAction, "act_many", counted_act_many)
+    certify_axioms(qa, group_radius=6, seed=0)
+    orbit_map_qi(qa, radii=(5, 10), seed=0)
+    assert calls[0] <= len(queries) + targets[0]
+    assert targets[0] < len(qa.lattice)
+
+
+@pytest.mark.parametrize("x0", [(1.5, 0), (1, 0, 0), [0, 0]])
+def test_orbit_map_rejects_malformed_base_point(x0):
+    """A caller's base point is checked before it becomes an int64 row, so
+    a float is not truncated to a lattice point."""
+    z2 = ZdModel(2)
+    qa = quasi_action(z2, greedy_net(z2, BallWindow(20), 2.0))
+    with pytest.raises(ModelMismatchError):
+        orbit_map_qi(qa, x0=x0, radii=(2,))
+
+
+def test_batched_maps_check_their_results():
+    """Results of a caller's phi12, and of a quasi-action's own phi and
+    psi, are checked before they enter a point array."""
+    z2 = ZdModel(2)
+    lat = greedy_net(z2, BallWindow(30), 2.0)
+    qa = quasi_action(z2, lat)
+    with pytest.raises(ModelMismatchError):
+        quasi_conjugacy_defect(qa, qa, phi12=lambda x: (x[0] + 0.5, x[1]),
+                               group_radius=2, n_targets=2)
+    nearest = qa.phi
+    for phi, psi in ((lambda g: (*nearest(g), 0), qa.psi),
+                     (nearest, lambda x: (float(x[0]), x[1]))):
+        bad = QuasiAction(z2, lat, phi, psi)
+        with pytest.raises(ModelMismatchError):
+            bad.act_many(z2.coords([(1, 0)]), z2.coords([lat.points[0]]))
+    # the public act raises the same way
+    with pytest.raises(ModelMismatchError):
+        QuasiAction(z2, lat, nearest, lambda x: (float(x[0]), x[1])).act(
+            (1, 0), lat.points[0])
