@@ -35,15 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CertificationError, DomainError, OutOfWindowError
-from .nets import QuasiLattice
-from .spaces import (
-    BallWindow,
-    EuclideanModel,
-    QiConstants,
-    SpaceModel,
-    TOL,
-    ZdModel,
-)
+from .nets import Grid, QuasiLattice
+from .spaces import BallWindow, QiConstants, SpaceModel, TOL
 
 
 # ---------------------------------------------------------------------------
@@ -125,17 +118,11 @@ class NearestIndex:
         self.space = lattice.space
         self._answers = {}
         self._grid = None
-        self._cell = None
-        if isinstance(self.space, (ZdModel, EuclideanModel)) and lattice.points:
-            self._cell = max(lattice.density_radius_r, lattice.separation_delta, 1.0)
-            self._grid = {}
+        if self.space.grid_metric and lattice.points:
+            self._grid = Grid(max(lattice.density_radius_r,
+                                  lattice.separation_delta, 1.0))
             for p in lattice.points:
-                key = tuple(int(math.floor(v / self._cell)) for v in p)
-                self._grid.setdefault(key, []).append(p)
-            keys = list(self._grid)
-            dims = range(len(keys[0]))
-            self._key_lo = tuple(min(k[i] for k in keys) for i in dims)
-            self._key_hi = tuple(max(k[i] for k in keys) for i in dims)
+                self._grid.add(p, p)
 
     def __call__(self, q):
         # only in-window queries that passed the check are remembered
@@ -148,51 +135,26 @@ class NearestIndex:
         if self.lattice.contains_point(q):
             self._answers[q] = q
             return q
-        p = self._grid_query(q) if self._grid is not None else self._scan_query(q)
+        if self._grid is not None:
+            p = self._grid_query(q)
+        else:
+            p = self.lattice.points[self.lattice.nearest(q)[0]]
         self._answers[q] = p
         return p
 
-    def _scan_query(self, q):
-        idx, _ = self.lattice.nearest(q)
-        return self.lattice.points[idx]
-
     def _grid_query(self, q):
-        key = tuple(int(math.floor(v / self._cell)) for v in q)
-        # rings past this cover no grid cell at all
-        last_ring = max(
-            max(k - lo, hi - k)
-            for k, lo, hi in zip(key, self._key_lo, self._key_hi)
-        )
-        best = None
-        best_d = math.inf
-        ring = 0
-        while True:
-            # every candidate beyond this ring sits at distance >= (ring-1)*cell
-            if best is not None and best_d <= (ring - 1) * self._cell + TOL:
+        key = self._grid.key(q)
+        best, best_d = None, math.inf
+        # the lattice is not empty, so some ring finds a first best
+        for ring in itertools.count():
+            # every candidate from this ring on lies beyond (ring-1)*cell
+            if best_d <= (ring - 1) * self._grid.cell + TOL:
                 return best
-            if ring > last_ring:
-                if best is None:
-                    raise DomainError("nearest-point query on an empty lattice")
-                return best
-            for cell in _ring_cells(key, ring):
-                pts = self._grid.get(cell)
-                if pts is None:
-                    continue
-                for p in pts:
-                    d = self.space._dist(q, p)
-                    if d < best_d - TOL or (d <= best_d + TOL and
-                                            (best is None or p < best)):
-                        best, best_d = p, d
-            ring += 1
-
-
-def _ring_cells(key, ring):
-    if ring == 0:
-        yield key
-        return
-    for offs in itertools.product(range(-ring, ring + 1), repeat=len(key)):
-        if max(abs(o) for o in offs) == ring:
-            yield tuple(k + o for k, o in zip(key, offs))
+            for p in self._grid.ring(key, ring):
+                d = self.space._dist(q, p)
+                if d < best_d - TOL or (d <= best_d + TOL and
+                                        (best is None or p < best)):
+                    best, best_d = p, d
 
 
 # ---------------------------------------------------------------------------

@@ -25,13 +25,7 @@ from .errors import (
     SchemaError,
     WindowTooSmallError,
 )
-from .serialize import point_from_json, space_from_json, space_to_json
-from .spaces import (
-    BallWindow,
-    BoxWindow,
-    H2Window,
-    MODEL_BUILDERS,
-)
+from .spaces import BallWindow, BoxWindow, H2Window, MODELS, space_from_json
 
 WINDOW_ERRORS = (OutOfWindowError, BorderError, WindowTooSmallError,
                  DisconnectedGraphError)
@@ -89,28 +83,18 @@ def _parse_list(text, cast=float):
 
 
 def _space_from_args(args):
-    name = args.space
-    if name not in MODEL_BUILDERS:
-        raise SchemaError(f"unknown space {name!r}; see 'space list'")
-    kwargs = {}
-    if name in ("zd", "euclidean"):
-        kwargs["d"] = args.d
-    if name == "free_group":
-        kwargs["k"] = args.k
-    try:
-        return MODEL_BUILDERS[name](**kwargs)
-    except TypeError:
-        raise SchemaError(f"bad parameters for space {name!r}")
+    return space_from_json({"model": args.space, "d": args.d, "k": args.k,
+                            "additive_group": False})
 
 
-def _load_lattice(path):
+def _load(path, cls):
+    """``cls.from_json`` of a JSON file; a file that is no such object is a
+    schema error."""
     with open(path) as fh:
-        return nets.QuasiLattice.from_json(json.load(fh))
-
-
-def _load_graph(path):
-    with open(path) as fh:
-        return graphs.RoughGraph.from_json(json.load(fh))
+        try:
+            return cls.from_json(json.load(fh))
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
+            raise SchemaError(f"{path} is no {cls.__name__} file: {exc!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -118,8 +102,8 @@ def _load_graph(path):
 
 
 def cmd_space_list(args):
-    for name, build in MODEL_BUILDERS.items():
-        space = build()
+    for name, model in MODELS.items():
+        space = model()
         print(f"{name:<12} c={space.coarse_constant_c:g} "
               f"discrete={space.is_discrete} group={space.is_group} "
               f"example_id={space.model_id}")
@@ -178,7 +162,7 @@ def _window_from_args(args, space):
 
 def cmd_lattice_verify(args):
     config = _config(args)
-    lattice = _load_lattice(args.lattice)
+    lattice = _load(args.lattice, nets.QuasiLattice)
     probes = nets.sample_probes(lattice.space, lattice.window, args.probes,
                                 args.margin, args.seed)
     cert, profile = nets.verify_quasilattice(
@@ -196,7 +180,7 @@ def cmd_lattice_verify(args):
 
 def cmd_graph_build(args):
     config = _config(args)
-    lattice = _load_lattice(args.lattice)
+    lattice = _load(args.lattice, nets.QuasiLattice)
     graph = graphs.build_graph(lattice, threshold=args.threshold)
     stats = graphs.graph_stats(graph)
     print(f"graph: {stats['vertices']} vertices, {stats['edges']} edges, "
@@ -207,7 +191,7 @@ def cmd_graph_build(args):
 
 
 def cmd_graph_stats(args):
-    graph = _load_graph(args.graph)
+    graph = _load(args.graph, graphs.RoughGraph)
     for key, value in graphs.graph_stats(graph).items():
         print(f"{key}: {value}")
     return 0
@@ -215,7 +199,7 @@ def cmd_graph_stats(args):
 
 def cmd_graph_export(args):
     config = _config(args)
-    graph = _load_graph(args.graph)
+    graph = _load(args.graph, graphs.RoughGraph)
     if not args.dot and not args.csv:
         raise SchemaError("graph export needs --dot and/or --csv")
     if args.dot:
@@ -229,7 +213,7 @@ def cmd_graph_export(args):
 
 def cmd_qaction_certify(args):
     config = _config(args)
-    lattice = _load_lattice(args.lattice)
+    lattice = _load(args.lattice, nets.QuasiLattice)
     qa = actions.quasi_action(lattice.space, lattice)
     cert = actions.certify_axioms(qa, group_radius=args.group_radius,
                                   n_targets=args.targets, seed=args.seed)
@@ -253,7 +237,7 @@ def cmd_qaction_certify(args):
 
 def cmd_qaction_orbit_qi(args):
     config = _config(args)
-    lattice = _load_lattice(args.lattice)
+    lattice = _load(args.lattice, nets.QuasiLattice)
     qa = actions.quasi_action(lattice.space, lattice)
     radii = [int(v) for v in _parse_list(args.radii, int)]
     report = actions.orbit_map_qi(qa, radii=radii, seed=args.seed)
@@ -275,8 +259,8 @@ def cmd_qaction_orbit_qi(args):
 
 def cmd_qaction_conjugacy(args):
     config = _config(args)
-    lat1 = _load_lattice(args.lattice)
-    lat2 = _load_lattice(args.lattice2)
+    lat1 = _load(args.lattice, nets.QuasiLattice)
+    lat2 = _load(args.lattice2, nets.QuasiLattice)
     qa1 = actions.quasi_action(lat1.space, lat1)
     qa2 = actions.quasi_action(lat2.space, lat2)
     defect = actions.quasi_conjugacy_defect(
@@ -294,11 +278,17 @@ def cmd_growth_run(args):
     if bool(args.graph) == bool(args.space):
         raise SchemaError("growth run needs exactly one of --graph/--space")
     if args.graph:
-        source = _load_graph(args.graph)
+        source = _load(args.graph, graphs.RoughGraph)
         x0 = None
         if args.x0 is not None:
-            x0 = source.lattice.index_of(
-                point_from_json(source.space, json.loads(args.x0)))
+            try:
+                obj = json.loads(args.x0)
+            except ValueError:
+                raise SchemaError(f"--x0 is not JSON: {args.x0!r}")
+            p = source.space.point_from_json(obj)
+            if not source.lattice.contains_point(p):
+                raise SchemaError(f"--x0 {p!r} is not a point of the lattice")
+            x0 = source.lattice.index_of(p)
     else:
         source = _space_from_args(args)
         x0 = None
@@ -338,7 +328,7 @@ def cmd_growth_compare(args):
 
 
 def cmd_folner_ratio(args):
-    graph = _load_graph(args.graph)
+    graph = _load(args.graph, graphs.RoughGraph)
     center = graph.deepest_vertex(graph.border_depths())
     A = folner._within(graph, {center}, args.ball)
     ratio = folner.folner_ratio(graph, A, args.c)
@@ -348,7 +338,7 @@ def cmd_folner_ratio(args):
 
 def cmd_folner_scan(args):
     config = _config(args)
-    graph = _load_graph(args.graph)
+    graph = _load(args.graph, graphs.RoughGraph)
     lo, hi = _parse_range(args.sizes, int)
     report = folner.folner_scan(graph, args.c, args.family, args.epsilon,
                                 range(lo, hi + 1))

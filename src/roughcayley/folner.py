@@ -34,7 +34,7 @@ from .errors import (
     WindowTooSmallError,
 )
 from .graphs import CayleyGraph, HorocyclicGraph, RoughGraph
-from .spaces import EuclideanModel, HeisenbergModel, TOL, ZdModel, bfs_layers
+from .spaces import HeisenbergModel, TOL, ZdModel, bfs_layers
 
 
 @dataclass(frozen=True)
@@ -254,14 +254,6 @@ class _HoroEngine:
         self.reach = graph.reach
 
     @staticmethod
-    def from_vertices(vertices):
-        levels = {}
-        for m, n in vertices:
-            levels.setdefault(n, []).append(m)
-        return {n: np.unique(np.asarray(ms, dtype=np.int64))
-                for n, ms in levels.items()}
-
-    @staticmethod
     def size(levels):
         return sum(len(a) for a in levels.values())
 
@@ -335,7 +327,7 @@ class _HoroEngine:
 
 def _finite_box(graph: RoughGraph, center, n):
     space = graph.space
-    if not isinstance(space, (ZdModel, EuclideanModel)):
+    if not space.grid_metric:
         raise DomainError(f"box candidates are undefined for {space.model_id}")
     c0 = graph.point(center)
     out = [i for i, p in enumerate(graph.lattice.points)

@@ -18,7 +18,6 @@ lattice of the upper half-plane.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -31,14 +30,11 @@ from .errors import (
     DomainError,
     UnreachableError,
 )
-from .nets import HOROCYCLIC_DENSITY_RADIUS, QuasiLattice
-from .serialize import point_to_json
+from .nets import HOROCYCLIC_DENSITY_RADIUS, Grid, QuasiLattice
 from .spaces import (
-    EuclideanModel,
     HyperbolicPlaneModel,
     QiConstants,
     TOL,
-    ZdModel,
     bfs_layers,
     hyperbolic_distance_arrays,
     word_ball,
@@ -145,23 +141,19 @@ class RoughGraph:
 
 
 def _edges_grid(lattice, threshold):
-    # uniform grid, cell = threshold; valid whenever coordinate gaps
-    # lower-bound the metric (L1 and L2 both dominate Linf)
+    # cells of side threshold hold every neighbour of a point in its own
+    # cell or the next (see ``Grid``)
     pts = lattice.points
-    space = lattice.space
-    buckets = {}
-    keys = []
+    dist = lattice.space._dist
+    grid = Grid(threshold)
     for i, p in enumerate(pts):
-        key = tuple(int(math.floor(v / threshold)) for v in p)
-        keys.append(key)
-        buckets.setdefault(key, []).append(i)
+        grid.add(p, i)
     adjacency = [[] for _ in pts]
     for i, p in enumerate(pts):
-        for nb in itertools.product(*[range(k - 1, k + 2) for k in keys[i]]):
-            for j in buckets.get(nb, ()):
-                if j > i and space._dist(p, pts[j]) <= threshold + TOL:
-                    adjacency[i].append(j)
-                    adjacency[j].append(i)
+        for j in grid.near(p):
+            if j > i and dist(p, pts[j]) <= threshold + TOL:
+                adjacency[i].append(j)
+                adjacency[j].append(i)
     return adjacency
 
 
@@ -223,9 +215,9 @@ def build_graph(lattice: QuasiLattice, threshold=None) -> RoughGraph:
     if threshold is None:
         threshold = default_threshold(lattice)
     space = lattice.space
-    if isinstance(space, (ZdModel, EuclideanModel)):
+    if space.grid_metric:
         adjacency = _edges_grid(lattice, threshold)
-    elif isinstance(space, HyperbolicPlaneModel):
+    elif space.tag == "h2":
         adjacency = _edges_h2(lattice, threshold)
     else:
         adjacency = _edges_group_ball(lattice, threshold)
@@ -379,7 +371,7 @@ def to_dot(graph: RoughGraph) -> str:
     """DOT export; vertex labels are the serialized points."""
     lines = ["graph rough {"]
     for i, p in enumerate(graph.lattice.points):
-        label = json.dumps(point_to_json(graph.space, p), sort_keys=True)
+        label = json.dumps(graph.space.point_to_json(p), sort_keys=True)
         lines.append(f'  v{i} [label={json.dumps(label)}];')
     for i, j in graph.edges():
         lines.append(f"  v{i} -- v{j};")

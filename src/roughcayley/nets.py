@@ -11,29 +11,21 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import BorderError, DomainError, WindowTooSmallError
-from .serialize import (
-    point_from_json,
-    point_to_json,
-    space_from_json,
-    space_to_json,
-    window_from_json,
-    window_to_json,
-)
 from .spaces import (
     BallWindow,
     BoxWindow,
-    EuclideanModel,
     H2Window,
-    HeisenbergModel,
     HyperbolicPlaneModel,
     SpaceModel,
     TOL,
-    ZdModel,
+    space_from_json,
+    window_from_json,
 )
 
 # minimal pairwise separation of the horocyclic lattice: the distance between
@@ -105,12 +97,12 @@ class QuasiLattice:
 
     def to_json(self) -> dict:
         return {
-            "space": space_to_json(self.space),
-            "window": window_to_json(self.window),
+            "space": self.space.to_json(),
+            "window": self.window.to_json(),
             "construction": self.construction,
             "separation_delta": self.separation_delta,
             "density_radius_r": self.density_radius_r,
-            "points": [point_to_json(self.space, p) for p in self.points],
+            "points": [self.space.point_to_json(p) for p in self.points],
             "certificates": self.certificates,
         }
 
@@ -120,7 +112,7 @@ class QuasiLattice:
         return cls(
             space=space,
             window=window_from_json(obj["window"]),
-            points=[point_from_json(space, p) for p in obj["points"]],
+            points=[space.point_from_json(p) for p in obj["points"]],
             separation_delta=float(obj["separation_delta"]),
             density_radius_r=float(obj["density_radius_r"]),
             construction=obj["construction"],
@@ -147,83 +139,76 @@ class MultiplicityProfile:
 
 
 # ---------------------------------------------------------------------------
-# incremental nearest-point indexes used by the greedy construction
+# point indexes: the coordinate grid, and the greedy construction's test
 
 
-class _GridNear:
-    """Uniform bucket grid; valid when coordinate gaps lower-bound distance."""
+class Grid:
+    """Items bucketed by the coordinate cell of a point, cells of side
+    ``cell``.  On a ``grid_metric`` model, ``near(p)`` holds every point
+    within ``cell`` of p, and ``ring(key, k)`` only points more than
+    (k - 1) * cell from the cell ``key``."""
 
-    def __init__(self, space, cell):
-        self.space = space
+    _ring_offsets = {}   # (dimension, k) -> cell offsets of ring k
+
+    def __init__(self, cell):
         self.cell = cell
-        self.buckets = {}
+        self.cells = {}
 
-    def _key(self, p):
-        return tuple(int(math.floor(v / self.cell)) for v in p)
+    def key(self, p):
+        return tuple(math.floor(v / self.cell) for v in p)
 
-    def add(self, p):
-        self.buckets.setdefault(self._key(p), []).append(p)
+    def add(self, p, item):
+        self.cells.setdefault(self.key(p), []).append(item)
 
-    def has_within(self, p, radius):
-        key = self._key(p)
-        reach = int(math.ceil(radius / self.cell - TOL))
-        for cell in _cells_around(key, reach):
-            for q in self.buckets.get(cell, ()):
-                if self.space._dist(p, q) < radius - TOL:
-                    return True
-        return False
+    def near(self, p):
+        """The items of p's cell and of every cell next to it."""
+        cells = self.cells
+        return [item for key in itertools.product(
+                    *[range(k - 1, k + 2) for k in self.key(p)])
+                for item in cells.get(key, ())]
 
-
-def _cells_around(key, reach):
-    ranges = [range(k - reach, k + reach + 1) for k in key]
-    yield from itertools.product(*ranges)
-
-
-class _ArrayNear:
-    """Vectorised scan with ``distances_from`` over the accepted points,
-    kept in a coordinate array of the model's ``coord_dtype`` that doubles
-    when full."""
-
-    def __init__(self, space):
-        self.space = space
-        self.n = 0
-        self.buf = None
-
-    def add(self, p):
-        if self.buf is None:
-            self.buf = np.empty((16, len(p)), dtype=self.space.coord_dtype)
-        elif self.n == len(self.buf):
-            self.buf = np.concatenate([self.buf, np.empty_like(self.buf)])
-        self.buf[self.n] = p
-        self.n += 1
-
-    def has_within(self, p, radius):
-        if not self.n:
-            return False
-        d = self.space.distances_from(p, self.buf[:self.n])
-        return bool((d < radius - TOL).any())
+    def ring(self, key, k):
+        """The items of the cells at Chebyshev distance k from ``key``, in
+        lexicographic order of offset."""
+        offsets = Grid._ring_offsets.get((len(key), k))
+        if offsets is None:
+            offsets = Grid._ring_offsets[len(key), k] = [
+                off for off in itertools.product(range(-k, k + 1),
+                                                 repeat=len(key))
+                if max(map(abs, off)) == k]
+        cells = self.cells
+        return [item for off in offsets
+                for item in cells.get(tuple(map(operator.add, key, off)), ())]
 
 
-class _ListNear:
-    """Plain scan with the model's distance (word-metric models)."""
+def _near_test(space, delta):
+    """(add, has_near): ``add(p)`` keeps p, ``has_near(p)`` tells whether
+    a kept point lies closer than delta to p, by a grid of side delta, one
+    vectorised scan of a coordinate array that doubles when full, or a scan
+    of the kept words of a free group."""
+    dist = space._dist
+    if space.grid_metric:
+        grid = Grid(delta)
+        return (lambda p: grid.add(p, p),
+                lambda p: any(dist(p, q) < delta - TOL for q in grid.near(p)))
+    if space.coord_dtype is None:
+        kept = []
+        return kept.append, lambda p: any(dist(p, q) < delta - TOL
+                                          for q in kept)
+    buf, n = np.empty((16, space.d), dtype=space.coord_dtype), 0
 
-    def __init__(self, space):
-        self.space = space
-        self.points = []
+    def add(p):
+        nonlocal buf, n
+        if n == len(buf):
+            buf = np.concatenate([buf, np.empty_like(buf)])
+        buf[n] = p
+        n += 1
 
-    def add(self, p):
-        self.points.append(p)
+    def has_near(p):
+        return n > 0 and bool(
+            (space.distances_from(p, buf[:n]) < delta - TOL).any())
 
-    def has_within(self, p, radius):
-        return any(self.space._dist(p, q) < radius - TOL for q in self.points)
-
-
-def _near_index(space, delta):
-    if isinstance(space, (ZdModel, EuclideanModel)):
-        return _GridNear(space, delta)
-    if isinstance(space, (HyperbolicPlaneModel, HeisenbergModel)):
-        return _ArrayNear(space)
-    return _ListNear(space)
+    return add, has_near
 
 
 # ---------------------------------------------------------------------------
@@ -246,12 +231,12 @@ def greedy_net(space, window, delta, enumeration=None) -> QuasiLattice:
     else:
         for p in enumeration:
             space.check_point(p)
-    index = _near_index(space, delta)
+    add, has_near = _near_test(space, delta)
     chosen = []
     for p in enumeration:
-        if not index.has_within(p, delta):
+        if not has_near(p):
             chosen.append(p)
-            index.add(p)
+            add(p)
     certificates = {"kind": "greedy", "delta": delta, "n_candidates": len(enumeration)}
     if not enumeration:
         certificates["vacuous"] = True

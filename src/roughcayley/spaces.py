@@ -31,6 +31,19 @@ results bit for bit on every model.
 
 ``bfs_layers`` is the one breadth-first walk of the package: word balls,
 hop balls, border depths, components, distances and c-neighbourhoods.
+
+Each model owns its JSON form: ``tag`` names it in files and on the
+command line, ``to_json`` adds its ``params``, and ``point_to_json`` and
+``point_from_json`` are its point codec (``{"model": "zd", "x": [3, -4]}``).
+Windows carry a ``kind`` tag and a ``to_json`` too.  The registries
+``MODELS`` and ``WINDOWS`` serve ``space_from_json``, ``window_from_json``
+and the CLI.  Encodings round-trip exactly; decoding raises ``SchemaError``
+on a missing key, a wrong tag or a mistyped value, and integer coordinates
+(Z^d, Heisenberg, free groups) must be JSON integers, never rounded.
+
+``grid_metric`` marks the models whose distance is at least every
+coordinate gap (Z^d, R^d): there the points within r of p lie in the
+cells of side r about p's cell, which ``nets.Grid`` buckets.
 """
 
 from __future__ import annotations
@@ -44,10 +57,40 @@ import numpy as np
 from .errors import (
     DomainError,
     ModelMismatchError,
+    SchemaError,
     UnsupportedOperationError,
 )
 
 TOL = 1e-9
+
+# ---------------------------------------------------------------------------
+# JSON decoding
+
+
+def _get(obj, key, what):
+    """obj[key], or ``SchemaError`` when obj is no JSON object with key."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise SchemaError(f"{what} object needs a {key!r} key: {obj!r}")
+    return obj[key]
+
+
+def _num(value, kind):
+    """A JSON number as kind: a JSON integer fits every kind, any other
+    value must have type kind (so no float, string or bool is an int)."""
+    if type(value) is int or type(value) is kind:
+        return kind(value)
+    raise SchemaError(f"expected a JSON {kind.__name__}, got {value!r}")
+
+
+def _coords(values, kind):
+    """A JSON list of numbers as a tuple of kind, each checked like
+    ``_num``."""
+    if isinstance(values, list) and all(
+            type(v) is int or type(v) is kind for v in values):
+        return tuple(map(kind, values))
+    raise SchemaError(f"expected a list of JSON {kind.__name__}s, "
+                      f"got {values!r}")
+
 
 # ---------------------------------------------------------------------------
 # windows
@@ -58,6 +101,14 @@ class BallWindow:
     """Word ball N_radius(e) of a discrete group model."""
 
     radius: int
+    kind = "ball"
+
+    def to_json(self):
+        return {"kind": "ball", "radius": self.radius}
+
+    @classmethod
+    def from_json(cls, obj):
+        return cls(_num(_get(obj, "radius", "window"), int))
 
 
 @dataclass(frozen=True)
@@ -67,6 +118,20 @@ class BoxWindow:
     lo: tuple
     hi: tuple
     pitch: float
+    kind = "box"
+
+    def to_json(self):
+        return {"kind": "box", "lo": list(self.lo), "hi": list(self.hi),
+                "pitch": self.pitch}
+
+    @classmethod
+    def from_json(cls, obj):
+        lo, hi = _get(obj, "lo", "window"), _get(obj, "hi", "window")
+        # checked, but kept as written, so a file round-trips unchanged
+        _coords(lo, float)
+        _coords(hi, float)
+        return cls(tuple(lo), tuple(hi),
+                   _num(_get(obj, "pitch", "window"), float))
 
 
 @dataclass(frozen=True)
@@ -82,6 +147,19 @@ class H2Window:
     la_min: float
     la_max: float
     pitch: float = 0.25
+    kind = "h2box"
+
+    def to_json(self):
+        return {"kind": "h2box", "u": [self.u_min, self.u_max],
+                "log_a": [self.la_min, self.la_max], "pitch": self.pitch}
+
+    @classmethod
+    def from_json(cls, obj):
+        u = _coords(_get(obj, "u", "window"), float)
+        la = _coords(_get(obj, "log_a", "window"), float)
+        if len(u) != 2 or len(la) != 2:
+            raise SchemaError(f"h2box window needs two-number ranges: {obj!r}")
+        return cls(*u, *la, _num(obj.get("pitch") or 0.25, float))
 
 
 @dataclass(frozen=True)
@@ -117,12 +195,47 @@ class SpaceModel:
     ``_inv`` and ``_geodesic``, which assume trusted, well-formed points.
     """
 
+    tag: str    # JSON and command-line name of the model
     model_id: str
     coarse_constant_c: float
     is_discrete: bool
     is_group: bool = False
     # None where distances are measured point by point (free groups)
     coord_dtype = None
+    # type of a point's coordinates, and their key in the point's JSON
+    coord_type = int
+    point_key = "x"
+    # every coordinate gap is at most the distance (see the module notes)
+    grid_metric = False
+    # (JSON key, kind) of each constructor argument, in order
+    params = ()
+
+    def to_json(self) -> dict:
+        """The model as its tag plus its parameters."""
+        return {"model": self.tag,
+                **{key: getattr(self, key) for key, _ in self.params}}
+
+    @classmethod
+    def from_json(cls, obj):
+        return cls(*(_num(_get(obj, key, "space"), kind)
+                     for key, kind in cls.params))
+
+    def point_to_json(self, p) -> dict:
+        return {"model": self.tag,
+                self.point_key: list(map(self.coord_type, p))}
+
+    def point_from_json(self, obj):
+        """The point a ``point_to_json`` object of this model describes."""
+        tag = _get(obj, "model", "point")
+        if tag != self.tag:
+            raise SchemaError(
+                f"point tagged {tag!r} does not match model {self.tag!r}")
+        p = self._point_fields(obj)
+        self.check_point(p)
+        return p
+
+    def _point_fields(self, obj):
+        return _coords(_get(obj, self.point_key, "point"), self.coord_type)
 
     def distance(self, x, y) -> float:
         self.check_point(x)
@@ -244,12 +357,15 @@ def _rows(A):
 class ZdModel(SpaceModel):
     """Z^d with the symmetric standard generators; word metric = L1."""
 
+    tag = "zd"
     is_discrete = True
     is_group = True
     coarse_constant_c = 1.0
     coord_dtype = np.int64
+    grid_metric = True
+    params = (("d", int),)
 
-    def __init__(self, d):
+    def __init__(self, d=1):
         if d < 1:
             raise DomainError("dimension must be >= 1")
         self.d = int(d)
@@ -336,11 +452,14 @@ class ZdModel(SpaceModel):
 class FreeGroupModel(SpaceModel):
     """Free group of rank k; points are reduced words over letters +-1..+-k."""
 
+    tag = "free_group"
     is_discrete = True
     is_group = True
     coarse_constant_c = 0.0
+    point_key = "w"
+    params = (("k", int),)
 
-    def __init__(self, k):
+    def __init__(self, k=2):
         if k < 1:
             raise DomainError("rank must be >= 1")
         self.k = int(k)
@@ -487,6 +606,7 @@ class HeisenbergModel(SpaceModel):
     whose top is reached by a box-shaped path.
     """
 
+    tag = "heisenberg"
     is_discrete = True
     is_group = True
     coarse_constant_c = 1.0
@@ -592,11 +712,15 @@ def word_ball(space, radius):
 class EuclideanModel(SpaceModel):
     """R^d with the L2 metric; additive group ops only when flagged."""
 
+    tag = "euclidean"
     is_discrete = False
     coarse_constant_c = 0.0
     coord_dtype = float
+    coord_type = float
+    grid_metric = True
+    params = (("d", int), ("additive_group", bool))
 
-    def __init__(self, d, additive_group=False):
+    def __init__(self, d=2, additive_group=False):
         if d < 1:
             raise DomainError("dimension must be >= 1")
         self.d = int(d)
@@ -681,6 +805,7 @@ class HyperbolicPlaneModel(SpaceModel):
     log((|x-conj y|+|x-y|)/(|x-conj y|-|x-y|)) for cross-checking.
     """
 
+    tag = "h2"
     is_discrete = False
     is_group = True
     coarse_constant_c = 0.0
@@ -689,6 +814,13 @@ class HyperbolicPlaneModel(SpaceModel):
 
     def __init__(self):
         self.model_id = "h2"
+
+    def point_to_json(self, p):
+        return {"model": "h2", "u": float(p[0]), "a": float(p[1])}
+
+    def _point_fields(self, obj):
+        return _coords([_get(obj, "u", "point"), _get(obj, "a", "point")],
+                       float)
 
     def check_point(self, x):
         if not (isinstance(x, tuple) and len(x) == 2
@@ -790,12 +922,28 @@ class HyperbolicPlaneModel(SpaceModel):
 
 
 # ---------------------------------------------------------------------------
-# model registry used by serialization and the CLI
+# registry of the JSON tags; ``space list`` shows each model built with its
+# default parameters
 
-MODEL_BUILDERS = {
-    "zd": lambda d=1: ZdModel(d),
-    "free_group": lambda k=2: FreeGroupModel(k),
-    "heisenberg": lambda: HeisenbergModel(),
-    "euclidean": lambda d=2, additive_group=False: EuclideanModel(d, additive_group),
-    "h2": lambda: HyperbolicPlaneModel(),
-}
+MODELS = {cls.tag: cls for cls in (ZdModel, FreeGroupModel, HeisenbergModel,
+                                   EuclideanModel, HyperbolicPlaneModel)}
+
+
+def space_from_json(obj) -> SpaceModel:
+    """The model a ``to_json`` object describes, by its ``model`` tag."""
+    tag = _get(obj, "model", "space")
+    if not (isinstance(tag, str) and tag in MODELS):
+        raise SchemaError(f"unknown space model tag {tag!r}; the tags "
+                          f"are {', '.join(MODELS)}")
+    return MODELS[tag].from_json(obj)
+
+
+WINDOWS = {cls.kind: cls for cls in (BallWindow, BoxWindow, H2Window)}
+
+
+def window_from_json(obj):
+    """The window a ``to_json`` object describes, by its ``kind`` tag."""
+    kind = _get(obj, "kind", "window")
+    if not (isinstance(kind, str) and kind in WINDOWS):
+        raise SchemaError(f"unknown window kind {kind!r}")
+    return WINDOWS[kind].from_json(obj)

@@ -165,6 +165,18 @@ def naive_nearest(space, points, q):
     return best
 
 
+def naive_edges(lattice, threshold):
+    """Sorted adjacency lists of the threshold graph, by testing every pair
+    with the public distance: an edge where d <= threshold + 1e-9."""
+    pts = lattice.points
+    adjacency = [[] for _ in pts]
+    for i, j in itertools.combinations(range(len(pts)), 2):
+        if lattice.space.distance(pts[i], pts[j]) <= threshold + 1e-9:
+            adjacency[i].append(j)
+            adjacency[j].append(i)
+    return adjacency
+
+
 def pairwise_min_distance(space, points):
     best = None
     for i, p in enumerate(points):

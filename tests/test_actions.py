@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from roughcayley import (
     BallWindow,
+    BoxWindow,
+    EuclideanModel,
     FreeGroupModel,
     HeisenbergModel,
     NearestIndex,
@@ -70,14 +72,20 @@ def _nearest_case(name):
         space, window, delta = {
             "zd2": (ZdModel(2), BallWindow(20), 3.0),
             "heisenberg": (HeisenbergModel(), BallWindow(5), 2.0),
+            "zd3": (ZdModel(3), BallWindow(8), 2.0),
+            "r2": (EuclideanModel(2), BoxWindow((-6.0, -6.0), (6.0, 6.0), 0.5),
+                   1.5),
         }[name]
         net = greedy_net(space, window, delta)
+        if name == "r2":
+            # queries on a finer grid, with exact ties between net points
+            window = BoxWindow(window.lo, window.hi, 0.25)
         _NEAREST_CASES[name] = (net, NearestIndex(net),
                                 space.enumerate_window(window))
     return _NEAREST_CASES[name]
 
 
-@pytest.mark.parametrize("name", ["zd2", "heisenberg"])
+@pytest.mark.parametrize("name", ["zd2", "heisenberg", "zd3", "r2"])
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(st.integers(0, 10 ** 6))
 def test_nearest_index_matches_naive_property(name, pick):

@@ -160,3 +160,100 @@ def test_coarse_seed_env(tmp_path, monkeypatch, capsys):
     assert doc["config"]["seed"] == 99
     monkeypatch.setenv("COARSE_SEED", "notanint")
     assert run("space", "list") == 2
+
+
+def _lattice_file(tmp_path, *space_args):
+    path = tmp_path / "lat.json"
+    assert run("lattice", "build", *space_args, "--probes", "0",
+               "--out", str(path)) == 0
+    return path, json.loads(path.read_text())
+
+
+def _rewrite(path, doc, edit):
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    return path
+
+
+LATTICES = {
+    "zd": ("--space", "zd", "--d", "2", "--radius", "6", "--delta", "2"),
+    "heisenberg": ("--space", "heisenberg", "--radius", "3", "--delta", "2"),
+    "free_group": ("--space", "free_group", "--k", "2", "--group-ball",
+                   "--radius", "2"),
+}
+
+
+@pytest.mark.parametrize("name", list(LATTICES))
+@pytest.mark.parametrize("bad", [0.5, 1.0, "1", True])
+def test_non_integer_coordinates_exit_with_schema_error(tmp_path, capsys,
+                                                        name, bad):
+    # Z^d, Heisenberg and free-group coordinates must be JSON integers: a
+    # float, string or boolean is not truncated to a nearby point
+    path, doc = _lattice_file(tmp_path, *LATTICES[name])
+
+    def edit(doc):
+        point = doc["points"][-1]
+        point["w" if name == "free_group" else "x"][0] = bad
+    _rewrite(path, doc, edit)
+    capsys.readouterr()
+    assert run("graph", "build", "--lattice", str(path),
+               "--out", str(tmp_path / "g.json")) == 2
+    assert "error (schema)" in capsys.readouterr().err
+    assert not (tmp_path / "g.json").exists()
+
+
+def test_x0_must_be_an_integer_lattice_point(tmp_path, capsys):
+    path, _ = _lattice_file(tmp_path, *LATTICES["zd"])
+    g = tmp_path / "g.json"
+    assert run("graph", "build", "--lattice", str(path), "--out", str(g)) == 0
+    out = tmp_path / "s.csv"
+    ok = run("growth", "run", "--graph", str(g), "--max-m", "1",
+             "--x0", '{"model": "zd", "x": [0, 0]}', "--out", str(out))
+    assert ok == 0
+    capsys.readouterr()
+    for x0 in ('{"model": "zd", "x": [0.5, 0]}', '{"model": "zd", "x": [0, 0.0]}',
+               '{"model": "h2", "u": 0.0, "a": 1.0}', '{"model": "zd"}',
+               "[0, 0", '{"model": "zd", "x": [100, 100]}'):
+        code = run("growth", "run", "--graph", str(g), "--max-m", "1",
+                   "--x0", x0, "--out", str(out))
+        err = capsys.readouterr().err
+        assert code == 2 and "error (schema)" in err, (x0, err)
+    # a point of the model that the lattice lacks is named in the error
+    assert "(100, 100)" in err and "not a point of the lattice" in err
+
+
+@pytest.mark.parametrize("edit", [
+    lambda doc: doc["space"].pop("d"),
+    lambda doc: doc["space"].pop("model"),
+    lambda doc: doc["space"].update(d="x"),
+    lambda doc: doc["space"].update(d=2.5),
+    lambda doc: doc["window"].pop("radius"),
+    lambda doc: doc["window"].update(radius="6"),
+    lambda doc: doc["window"].update(kind="disc"),
+    lambda doc: doc["points"][0].pop("x"),
+    lambda doc: doc.pop("separation_delta"),
+    lambda doc: doc.update(separation_delta="x"),
+    lambda doc: doc.update(points=None),
+], ids=["no-d", "no-model", "d-string", "d-float", "no-radius",
+        "radius-string", "window-kind", "point-no-x", "no-delta",
+        "delta-string", "points-null"])
+def test_malformed_lattice_file_exits_with_schema_error(tmp_path, capsys,
+                                                        edit):
+    path, doc = _lattice_file(tmp_path, *LATTICES["zd"])
+    _rewrite(path, doc, edit)
+    capsys.readouterr()
+    assert run("graph", "build", "--lattice", str(path),
+               "--out", str(tmp_path / "g.json")) == 2
+    assert "error (schema)" in capsys.readouterr().err
+
+
+def test_malformed_graph_file_exits_with_schema_error(tmp_path, capsys):
+    path, _ = _lattice_file(tmp_path, *LATTICES["zd"])
+    g = tmp_path / "g.json"
+    assert run("graph", "build", "--lattice", str(path), "--out", str(g)) == 0
+    doc = json.loads(g.read_text())
+    doc["lattice"]["window"].pop("radius")
+    g.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run("graph", "stats", "--graph", str(g)) == 2
+    assert "'radius'" in capsys.readouterr().err

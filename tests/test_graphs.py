@@ -24,6 +24,7 @@ from roughcayley import (
     edge_csv,
     graph_distance,
     graph_stats,
+    greedy_net,
     group_ball_lattice,
     horocyclic_lattice,
     to_dot,
@@ -37,7 +38,12 @@ from roughcayley.errors import (
 from roughcayley.graphs import bfs_distances, component_sizes
 
 from conftest import make_even_lattice
-from oracles import distance_table, graph_distances_from, naive_ball_sizes
+from oracles import (
+    distance_table,
+    graph_distances_from,
+    naive_ball_sizes,
+    naive_edges,
+)
 
 
 def test_even_graph_threshold_and_degrees():
@@ -167,6 +173,24 @@ def test_rebuild_from_serialized_lattice_identical_edges():
     g3 = RoughGraph.from_json(json.loads(json.dumps(g.to_json())))
     assert sorted(g3.edges()) == sorted(g.edges())
     assert g3.threshold == g.threshold
+
+
+@pytest.mark.parametrize("space,window,delta,threshold", [
+    (ZdModel(2), BallWindow(20), 3.0, None),
+    (ZdModel(2), BallWindow(12), 1.0, 2.0),
+    (ZdModel(3), BallWindow(6), 2.0, None),
+    (EuclideanModel(2), BoxWindow((-3.0, -3.0), (3.0, 3.0), 0.5), 1.2, None),
+    # a 0.5 grid at threshold 1.5: distances tie exactly at the threshold
+    # and every point lies on a cell boundary of the grid of side 1.5
+    (EuclideanModel(2), BoxWindow((-3.0, -3.0), (3.0, 3.0), 0.5), 0.5, 1.5),
+    (EuclideanModel(2), BoxWindow((-3.0, -3.0), (3.0, 3.0), 0.75), 1.5, 3.0),
+], ids=["zd2", "zd2-unit", "zd3", "r2", "r2-tied", "r2-tied-net"])
+def test_grid_edges_match_all_pairs_oracle(space, window, delta, threshold):
+    lattice = greedy_net(space, window, delta)
+    if threshold is None:
+        threshold = default_threshold(lattice)
+    graph = build_graph(lattice, threshold=threshold)
+    assert graph.adjacency == naive_edges(lattice, threshold)
 
 
 def test_disconnected_graph_error():

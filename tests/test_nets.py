@@ -61,9 +61,16 @@ def test_greedy_hyperbolic_separated_and_dense():
     (HeisenbergModel(), BallWindow(5), 2.0),
     (HeisenbergModel(), BallWindow(6), 3.0),
     (HyperbolicPlaneModel(), H2Window(-5.0, 5.0, -2.0, 2.0, 0.25), 0.5),
+    (ZdModel(2), BallWindow(15), 3.0),
+    (ZdModel(3), BallWindow(7), 2.0),
+    # grid points on the cell boundaries (multiples of delta), on both
+    # sides of zero, and distances tied exactly at delta
+    (EuclideanModel(2), BoxWindow((-3.0, -3.0), (3.0, 3.0), 0.5), 1.5),
+    (EuclideanModel(2), BoxWindow((-3.0, -2.0), (3.0, 2.5), 0.25), 1.0),
 ])
 def test_greedy_matches_plain_scalar_scan(space, window, delta):
-    # the vectorised index keeps exactly the points a scalar scan keeps
+    # the grid and vectorised indexes keep exactly the points a scalar scan
+    # keeps
     chosen = []
     for p in space.enumerate_window(window):
         if all(space.distance(p, q) >= delta - 1e-9 for q in chosen):

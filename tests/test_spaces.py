@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -22,9 +23,10 @@ from roughcayley.errors import (
     DomainError,
     ModelMismatchError,
     OutOfWindowError,
+    SchemaError,
     UnsupportedOperationError,
 )
-from roughcayley.serialize import point_from_json, point_to_json
+from roughcayley.spaces import space_from_json, window_from_json
 
 from oracles import bfs_ball_depths, free_reduce
 
@@ -345,13 +347,109 @@ def test_point_validation_errors():
     (H2, (0.1, 2.75)),
 ])
 def test_point_serialization_roundtrip(space, pt):
-    obj = point_to_json(space, pt)
+    obj = space.point_to_json(pt)
     assert obj["model"] in {"zd", "free_group", "heisenberg", "euclidean", "h2"}
-    assert point_from_json(space, obj) == pt
+    assert space.point_from_json(obj) == pt
 
 
-def test_h2_point_tag_shape():
-    assert point_to_json(H2, (0.0, 1.0)) == {"model": "h2", "u": 0.0, "a": 1.0}
+# the file format, pinned literally: one space and one point per model, one
+# window per kind
+JSON_FORMS = {
+    "space-zd": (Z2, {"model": "zd", "d": 2}),
+    "space-free_group": (F2, {"model": "free_group", "k": 2}),
+    "space-heisenberg": (HEIS, {"model": "heisenberg"}),
+    "space-euclidean": (E2, {"model": "euclidean", "d": 2,
+                             "additive_group": False}),
+    "space-h2": (H2, {"model": "h2"}),
+    "point-zd": ((Z2, (3, -4)), {"model": "zd", "x": [3, -4]}),
+    "point-free_group": ((F2, (1, -2, 1)), {"model": "free_group",
+                                            "w": [1, -2, 1]}),
+    "point-heisenberg": ((HEIS, (1, 2, -3)), {"model": "heisenberg",
+                                              "x": [1, 2, -3]}),
+    "point-euclidean": ((E2, (0.25, -1.5)), {"model": "euclidean",
+                                             "x": [0.25, -1.5]}),
+    "point-h2": ((H2, (0.0, 1.0)), {"model": "h2", "u": 0.0, "a": 1.0}),
+    "window-ball": (BallWindow(5), {"kind": "ball", "radius": 5}),
+    "window-box": (BoxWindow((-1.0, 0.0), (2.0, 3.5), 0.5),
+                   {"kind": "box", "lo": [-1.0, 0.0], "hi": [2.0, 3.5],
+                    "pitch": 0.5}),
+    "window-h2box": (H2Window(-20.0, 20.0, -3.0, 3.0, 0.25),
+                     {"kind": "h2box", "u": [-20.0, 20.0],
+                      "log_a": [-3.0, 3.0], "pitch": 0.25}),
+}
+
+
+@pytest.mark.parametrize("name", list(JSON_FORMS))
+def test_json_literal_form(name):
+    value, literal = JSON_FORMS[name]
+    text = json.dumps(literal, sort_keys=True)
+    if name.startswith("point"):
+        space, pt = value
+        assert json.dumps(space.point_to_json(pt), sort_keys=True) == text
+        assert space.point_from_json(json.loads(text)) == pt
+    else:
+        assert json.dumps(value.to_json(), sort_keys=True) == text
+        decode = space_from_json if name.startswith("space") else window_from_json
+        assert decode(json.loads(text)) == value
+
+
+@pytest.mark.parametrize("space,obj", [
+    (Z2, {"model": "zd", "x": [1.5, 0]}),
+    (Z2, {"model": "zd", "x": [1.0, 0]}),
+    (Z2, {"model": "zd", "x": ["1", 0]}),
+    (Z2, {"model": "zd", "x": [True, 0]}),
+    (Z2, {"model": "zd", "x": 3}),
+    (Z2, {"model": "zd"}),
+    (Z2, {"model": "h2", "x": [1, 0]}),
+    (Z2, [1, 0]),
+    (HEIS, {"model": "heisenberg", "x": [1, 2, 0.5]}),
+    (HEIS, {"model": "heisenberg", "x": [1, "2", 0]}),
+    (HEIS, {"model": "heisenberg", "x": [False, 2, 0]}),
+    (F2, {"model": "free_group", "w": [1, 2.0]}),
+    (F2, {"model": "free_group", "w": ["1"]}),
+    (F2, {"model": "free_group", "w": [True]}),
+    (F2, {"model": "free_group", "x": [1]}),
+    (E2, {"model": "euclidean", "x": [0.5, "1"]}),
+    (E2, {"model": "euclidean", "x": [0.5, None]}),
+    (H2, {"model": "h2", "u": 0.0}),
+    (H2, {"model": "h2", "u": "0", "a": 1.0}),
+])
+def test_point_codec_rejects_malformed_points(space, obj):
+    # integer coordinates must be JSON integers; nothing is rounded
+    with pytest.raises(SchemaError):
+        space.point_from_json(obj)
+
+
+@pytest.mark.parametrize("obj", [
+    {"d": 2},
+    {"model": "zd"},
+    {"model": "zd", "d": "x"},
+    {"model": "zd", "d": 2.0},
+    {"model": "free_group", "k": None},
+    {"model": "euclidean", "d": 2},
+    {"model": "lattice", "d": 2},
+    {"model": ["zd"]},
+    "zd",
+])
+def test_space_codec_rejects_malformed_spaces(obj):
+    with pytest.raises(SchemaError):
+        space_from_json(obj)
+
+
+@pytest.mark.parametrize("obj", [
+    {"radius": 3},
+    {"kind": "ball"},
+    {"kind": "ball", "radius": "3"},
+    {"kind": "ball", "radius": 2.5},
+    {"kind": "box", "lo": [0.0], "hi": [1.0]},
+    {"kind": "box", "lo": [0.0], "hi": ["1"], "pitch": 0.5},
+    {"kind": "h2box", "u": [0.0], "log_a": [-1.0, 1.0]},
+    {"kind": "h2box", "u": [0.0, 1.0], "log_a": [-1.0, 1.0], "pitch": "x"},
+    {"kind": "disc", "radius": 3},
+])
+def test_window_codec_rejects_malformed_windows(obj):
+    with pytest.raises(SchemaError):
+        window_from_json(obj)
 
 
 def test_qi_constants_validation():
