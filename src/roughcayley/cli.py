@@ -3,8 +3,9 @@
 Every run is reproducible from its recorded configuration: all randomness
 sits behind one seed (flag ``--seed``, overridden by the environment
 variable ``COARSE_SEED``), and every output file embeds the configuration
-that produced it.  Exit codes: 0 success, 2 schema/argument errors,
-3 window or border errors, 4 certification failures.
+that produced it.  Exit codes: 0 success, 2 schema/argument errors
+(a file that cannot be opened among them), 3 window or border errors,
+4 certification failures.
 """
 
 from __future__ import annotations
@@ -519,7 +520,7 @@ def main(argv=None):
             return 2
     try:
         return args.func(args)
-    except SchemaError as exc:
+    except (SchemaError, OSError) as exc:  # OSError: a file cannot be opened
         print(f"error (schema): {exc}", file=sys.stderr)
         return 2
     except WINDOW_ERRORS as exc:

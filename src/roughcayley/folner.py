@@ -133,14 +133,9 @@ class _ZdEngine:
         self.d = d
         self.side = 2 * word_span + 3
         self.half = word_span + 1
-        base = 1
-        self.bases = []
-        for _ in range(d):
-            self.bases.append(base)
-            base *= self.side
-        self.shifts = np.array(
-            [b for b in self.bases] + [-b for b in self.bases], dtype=np.int64
-        )
+        self.bases = [self.side ** i for i in range(d)]
+        self.shifts = np.array(self.bases + [-b for b in self.bases],
+                               dtype=np.int64)
 
     def pack(self, pts):
         arr = np.asarray(pts, dtype=np.int64).reshape(-1, self.d)
@@ -186,10 +181,8 @@ class _HeisenbergEngine:
 
     def box(self, n):
         h = max(1, n * n)
-        a = np.arange(-n, n + 1)
-        b = np.arange(-n, n + 1)
-        cc = np.arange(-h, h + 1)
-        g = np.meshgrid(a, b, cc, indexing="ij")
+        ab = np.arange(-n, n + 1)
+        g = np.meshgrid(ab, ab, np.arange(-h, h + 1), indexing="ij")
         pts = np.stack([x.ravel() for x in g], axis=1)
         return np.sort(self.pack(pts))
 
@@ -277,24 +270,13 @@ class _HoroEngine:
         return {n: _uniq(np.concatenate(parts)) for n, parts in out.items()}
 
     @staticmethod
-    def diff(A, B):
+    def levelwise(op, A, B):
+        """``op`` (``np.setdiff1d`` or ``np.intersect1d``) of A and B level
+        by level; empty levels are dropped."""
         empty = np.empty(0, dtype=np.int64)
-        out = {}
-        for n, arr in A.items():
-            d = np.setdiff1d(arr, B.get(n, empty), assume_unique=True)
-            if len(d):
-                out[n] = d
-        return out
-
-    @staticmethod
-    def intersect(A, B):
-        empty = np.empty(0, dtype=np.int64)
-        out = {}
-        for n, arr in A.items():
-            d = np.intersect1d(arr, B.get(n, empty), assume_unique=True)
-            if len(d):
-                out[n] = d
-        return out
+        out = {n: op(arr, B.get(n, empty), assume_unique=True)
+               for n, arr in A.items()}
+        return {n: arr for n, arr in out.items() if len(arr)}
 
     def ball(self, k):
         levels = {0: np.zeros(1, dtype=np.int64)}
@@ -313,11 +295,11 @@ class _HoroEngine:
         grown = A
         for _ in range(int(c)):
             grown = self.expand(grown)
-        outer = self.diff(grown, A)
+        outer = self.levelwise(np.setdiff1d, grown, A)
         igrow = outer
         for _ in range(int(c)):
             igrow = self.expand(igrow)
-        inner = self.intersect(igrow, A)
+        inner = self.levelwise(np.intersect1d, igrow, A)
         return self.size(outer) + self.size(inner)
 
 
@@ -330,9 +312,8 @@ def _finite_box(graph: RoughGraph, center, n):
     if not space.grid_metric:
         raise DomainError(f"box candidates are undefined for {space.model_id}")
     c0 = graph.point(center)
-    out = [i for i, p in enumerate(graph.lattice.points)
-           if max(abs(v - w) for v, w in zip(p, c0)) <= n + TOL]
-    return out
+    return [i for i, p in enumerate(graph.lattice.points)
+            if max(abs(v - w) for v, w in zip(p, c0)) <= n + TOL]
 
 
 def folner_scan(graph, c, family, epsilon, schedule, center=None,
@@ -438,41 +419,26 @@ def _scan_implicit(graph, c, family, epsilon, schedule, center):
         raise DomainError("greedy_improved needs a finite windowed graph")
     if isinstance(graph, HorocyclicGraph):
         return _scan_horocyclic(graph, c, family, epsilon, schedule)
-    word_hop = getattr(graph, "threshold", 1)
+    hop = int(getattr(graph, "threshold", 1))
     engine = None
     if isinstance(graph, CayleyGraph):
-        span = (max(schedule) + int(c) + 2) * int(word_hop)
-        engine = _packed_engine(graph, span)
-    entries = []
+        engine = _packed_engine(graph, (max(schedule) + int(c) + 2) * hop)
+    balls = family == "metric_balls"
+    if not balls and engine is None:
+        raise DomainError("box candidates are undefined for this implicit graph")
     if center is None:
         center = graph.base_vertex
+    entries = []
     for size in schedule:
-        if family == "metric_balls":
-            desc = f"ball:{size}"
-            if engine is not None:
-                A = _packed_ball(engine, size * int(word_hop))
-                bsize = _packed_boundary_size(engine, A,
-                                              int(c) * int(word_hop))
-                entries.append((desc, len(A), bsize, bsize / len(A)))
-                if bsize / len(A) < epsilon:
-                    break
-                continue
+        if engine is None:
             A = _within(graph, {center}, size)
+            bsize = len(_local_boundary(graph, A, c))
         else:
-            if engine is None:
-                raise DomainError(
-                    "box candidates are undefined for this implicit graph"
-                )
-            Ap = engine.box(size)
-            bsize = _packed_boundary_size(engine, Ap, int(c) * int(word_hop))
-            entries.append((f"box:{size}", len(Ap), bsize, bsize / len(Ap)))
-            if bsize / len(Ap) < epsilon:
-                break
-            continue
-        boundary = _local_boundary(graph, A, c)
-        ratio = len(boundary) / len(A)
-        entries.append((desc, len(A), len(boundary), ratio))
-        if ratio < epsilon:
+            A = _packed_ball(engine, size * hop) if balls else engine.box(size)
+            bsize = _packed_boundary_size(engine, A, int(c) * hop)
+        entries.append((f"{'ball' if balls else 'box'}:{size}", len(A), bsize,
+                        bsize / len(A)))
+        if bsize / len(A) < epsilon:
             break
     return entries
 
@@ -480,16 +446,13 @@ def _scan_implicit(graph, c, family, epsilon, schedule, center):
 def _scan_horocyclic(graph, c, family, epsilon, schedule):
     engine = _HoroEngine(graph)
     entries = []
+    balls = family == "metric_balls"
     for size in schedule:
-        if family == "metric_balls":
-            A = engine.ball(size)
-            desc = f"ball:{size}"
-        else:
-            A = engine.box(size)
-            desc = f"box:{size}"
+        A = engine.ball(size) if balls else engine.box(size)
         n = engine.size(A)
         bsize = engine.boundary_size(A, c)
-        entries.append((desc, n, bsize, bsize / n))
+        entries.append((f"{'ball' if balls else 'box'}:{size}", n, bsize,
+                        bsize / n))
         if bsize / n < epsilon:
             break
     return entries

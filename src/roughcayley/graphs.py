@@ -28,6 +28,7 @@ from .errors import (
     CertificationError,
     DisconnectedGraphError,
     DomainError,
+    SchemaError,
     UnreachableError,
 )
 from .nets import HOROCYCLIC_DENSITY_RADIUS, Grid, QuasiLattice
@@ -81,7 +82,7 @@ class RoughGraph:
         """Vertices whose window slack is below the threshold; their true
         neighborhoods may be truncated by the window."""
         slacks = self.lattice.slacks()
-        return [i for i in range(self.n) if slacks[i] < self.threshold - TOL]
+        return np.flatnonzero(slacks < self.threshold - TOL).tolist()
 
     def border_depths(self) -> np.ndarray:
         """Graph distance of every vertex to the border vertex set (-1 if it
@@ -107,8 +108,7 @@ class RoughGraph:
     def deepest_vertex(self, depths):
         """The vertex deepest inside the window by ``depths``, the array
         ``border_depths()`` returns; ties go to the smallest point."""
-        best = max(depths)
-        return min((i for i in range(self.n) if depths[i] == best),
+        return min(np.flatnonzero(depths == depths.max()).tolist(),
                    key=self.point)
 
     def to_json(self) -> dict:
@@ -122,8 +122,12 @@ class RoughGraph:
     @classmethod
     def from_json(cls, obj: dict) -> "RoughGraph":
         lattice = QuasiLattice.from_json(obj["lattice"])
-        adjacency = [[] for _ in lattice.points]
+        n = len(lattice.points)
+        adjacency = [[] for _ in range(n)]
         for i, j in obj["edges"]:
+            if not (type(i) is type(j) is int and 0 <= i < n and 0 <= j < n):
+                raise SchemaError(f"edge {[i, j]!r} is no pair of vertex ids "
+                                  f"in range({n})")
             adjacency[i].append(j)
             adjacency[j].append(i)
         for nbrs in adjacency:
@@ -282,70 +286,80 @@ def graph_distance(graph, i, j) -> int:
 # quasi-isometry certification
 
 
-def certify_qi(graph: RoughGraph, n_pairs=1000, n_sources=50,
-               max_nodes_per_source=4000, seed=0) -> QiConstants:
-    """Verify both quasi-isometry inequalities on sampled interior pairs.
-
-    A pair (x, y) is admitted when both endpoints keep boundary slack at
-    least d(x,y)/2 + c + r, which guarantees that coarse geodesics between
-    them, thickened by the density radius, stay inside the window.  Any
-    violating pair raises ``CertificationError`` naming the pair.
-    """
+def _qi_sample(graph, n_pairs, n_sources, max_nodes_per_source, seed):
+    """The pairs ``certify_qi`` checks, in sample order, as the arrays
+    (x, y, d(x, y), d_graph(x, y)) of vertex ids and distances."""
     lattice = graph.lattice
-    space = graph.space
-    c = space.coarse_constant_c
+    c = graph.space.coarse_constant_c
     r = lattice.density_radius_r
-    C = 2.0 * r + c + 1.0
     slacks = lattice.slacks()
     rng = np.random.default_rng(seed)
     eligible = np.flatnonzero(slacks >= c + r - TOL)
     if len(eligible) == 0:
         raise CertificationError("no vertex clears the interior margin")
     # draw sources from the deepest-interior vertices, where admissible
-    # partners are plentiful
-    pool = sorted(eligible, key=lambda i: (-slacks[i], graph.point(int(i))))
-    pool = pool[: max(4 * n_sources, 200)]
-    pick = rng.permutation(len(pool))[: min(n_sources, len(pool))]
-    sources = [pool[k] for k in pick]
-    pairs = []
+    # partners are plentiful; only the slacks tied with the k-th deepest
+    # or above can reach the pool, so only they are sorted
+    k = max(4 * n_sources, 200)
+    if len(eligible) > k:
+        kth = -np.partition(-slacks[eligible], k - 1)[k - 1]
+        eligible = eligible[slacks[eligible] >= kth]
+    pool = sorted(eligible, key=lambda i: (-slacks[i], graph.point(i)))[:k]
+    sources = [pool[j] for j in rng.permutation(len(pool))[:n_sources]]
+    # an empty first block keeps the columns defined if no source has pairs
+    samples = [(np.empty(0, dtype=np.intp),) * 4]
     per_source = max(1, -(-3 * n_pairs // len(sources)))
     for s in sources:
         dist, _ = bfs_distances(graph, int(s), max_nodes=max_nodes_per_source)
-        cand = []
-        ps = graph.point(int(s))
-        for t, dg in dist.items():
-            if t == s:
-                continue
-            d = space._dist(ps, graph.point(t))
-            need = d / 2.0 + c + r
-            if slacks[s] >= need - TOL and slacks[t] >= need - TOL:
-                cand.append((t, d, dg))
-        if not cand:
+        # the source is the first key; its partners follow in BFS order
+        ts = np.fromiter(dist, dtype=np.intp, count=len(dist))[1:]
+        dg = np.fromiter(dist.values(), dtype=np.intp, count=len(dist))[1:]
+        d = lattice.distances(s, ts)
+        need = d / 2.0 + c + r - TOL
+        cand = np.flatnonzero((slacks[s] >= need) & (slacks[ts] >= need))
+        if len(cand) == 0:
             continue
-        take = rng.permutation(len(cand))[:per_source]
-        for k in take:
-            t, d, dg = cand[k]
-            pairs.append((int(s), int(t), d, dg))
-    if len(pairs) > n_pairs:
-        keep = rng.permutation(len(pairs))[:n_pairs]
-        pairs = [pairs[k] for k in keep]
-    for s, t, d, dg in pairs:
-        if d > C * dg + TOL:
-            raise CertificationError(
-                "ambient distance exceeds (2r+c+1) * graph distance",
-                witness=(graph.point(s), graph.point(t), d, dg),
-            )
-        if dg > d + c + 1.0 + TOL:
-            raise CertificationError(
-                "graph distance exceeds ambient distance + c + 1",
-                witness=(graph.point(s), graph.point(t), d, dg),
-            )
+        take = cand[rng.permutation(len(cand))[:per_source]]
+        samples.append((np.full(len(take), s), ts[take], d[take], dg[take]))
+    S, T, D, DG = (np.concatenate(col) for col in zip(*samples))
+    if len(S) > n_pairs:
+        keep = rng.permutation(len(S))[:n_pairs]
+        S, T, D, DG = S[keep], T[keep], D[keep], DG[keep]
+    return S, T, D, DG
+
+
+def certify_qi(graph: RoughGraph, n_pairs=1000, n_sources=50,
+               max_nodes_per_source=4000, seed=0) -> QiConstants:
+    """Verify both quasi-isometry inequalities on sampled interior pairs.
+
+    A pair (x, y) is admitted when both endpoints keep boundary slack at
+    least d(x,y)/2 + c + r, which guarantees that coarse geodesics between
+    them, thickened by the density radius, stay inside the window.  The
+    admission test takes d from the model's array distance kernel
+    (``QuasiLattice.distances``), which agrees with ``_dist`` to within
+    TOL.  Any violating pair raises ``CertificationError`` naming the
+    first one in sample order.
+    """
+    S, T, D, DG = _qi_sample(graph, n_pairs, n_sources, max_nodes_per_source,
+                             seed)
+    c = graph.space.coarse_constant_c
+    C = 2.0 * graph.lattice.density_radius_r + c + 1.0
+    too_far = D > C * DG + TOL
+    bad = np.flatnonzero(too_far | (DG > D + c + 1.0 + TOL))
+    if len(bad):
+        i = bad[0]
+        raise CertificationError(
+            "ambient distance exceeds (2r+c+1) * graph distance" if too_far[i]
+            else "graph distance exceeds ambient distance + c + 1",
+            witness=(graph.point(int(S[i])), graph.point(int(T[i])),
+                     float(D[i]), int(DG[i])),
+        )
     return QiConstants(
         C=C,
         r=c + 1.0,
-        sample_size=len(pairs),
+        sample_size=len(S),
         certified_over=(
-            f"{len(pairs)} interior vertex pairs of {space.model_id} graph "
+            f"{len(S)} interior vertex pairs of {graph.space.model_id} graph "
             f"(threshold {graph.threshold:g}, seed {seed})"
         ),
     )
@@ -421,9 +435,6 @@ class CayleyGraph:
     def point(self, p):
         return p
 
-    def ambient_distance(self, p, q):
-        return self.space.distance(p, q)
-
 
 class HorocyclicGraph:
     """Implicit rough graph of the full horocyclic lattice in the half-plane.
@@ -454,9 +465,6 @@ class HorocyclicGraph:
         m, n = v
         en = math.exp(n)
         return (en * m, en)
-
-    def ambient_distance(self, v, w):
-        return self.space.distance(self.point(v), self.point(w))
 
     def neighbors(self, v):
         m, n = v

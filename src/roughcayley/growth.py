@@ -116,12 +116,8 @@ def _group_ball_sizes(space, x0, m_max) -> GrowthSeries:
         # the Cayley graph is a tree: frontier counts follow the branching
         # recurrence exactly (each reduced word extends by 2k-1 letters)
         values = [1]
-        frontier = 2 * space.k
-        total = 1
-        for _ in range(m_max):
-            total += frontier
-            values.append(total)
-            frontier *= 2 * space.k - 1
+        for m in range(m_max):
+            values.append(values[-1] + 2 * space.k * (2 * space.k - 1) ** m)
         return GrowthSeries(space.model_id, x0, tuple(values))
     gens = space.generators()
     values = _ball_counts(lambda p: [space._mul(p, g) for g in gens], x0,

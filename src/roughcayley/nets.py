@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import BorderError, DomainError, WindowTooSmallError
+from .errors import BorderError, DomainError, SchemaError, WindowTooSmallError
 from .spaces import (
     BallWindow,
     BoxWindow,
@@ -45,8 +45,9 @@ class QuasiLattice:
     trusts lattice points from then on.  ``coords()`` is the point list as
     the model's ``distances_from`` takes it (``space.coords``: an array of
     dtype ``space.coord_dtype``, or an object array of words for free
-    groups).  It is built once, on first use, like the point index, and
-    gives the same distances as the list without a conversion per call.
+    groups).  It is built once, on first use, like the point index and the
+    read-only ``slacks()``, and gives the same distances as the list
+    without a conversion per call.
     """
 
     space: SpaceModel
@@ -65,6 +66,7 @@ class QuasiLattice:
             self.space.check_point(p)
         self._index = None
         self._coords = None
+        self._slacks = None
 
     def index_of(self, p):
         if self._index is None:
@@ -83,9 +85,18 @@ class QuasiLattice:
 
     def slacks(self) -> np.ndarray:
         """Boundary slack (metric distance to the window border) per point."""
-        return np.array(
-            [self.space.boundary_slack(self.window, p) for p in self.points]
-        )
+        if self._slacks is None:
+            self._slacks = np.array([self.space.boundary_slack(self.window, p)
+                                     for p in self.points], dtype=float)
+            self._slacks.setflags(write=False)
+        return self._slacks
+
+    def distances(self, i, js):
+        """Distances from point i to the points js, unchecked, by array."""
+        X = self.coords()
+        if self.space.coord_dtype is None:
+            return self.space._dist_many(X[i:i + 1], X[js])
+        return self.space.distances_from(X[i], X[js])
 
     def nearest(self, x):
         """(index, distance) of the nearest lattice point, lexicographic ties."""
@@ -109,9 +120,11 @@ class QuasiLattice:
     @classmethod
     def from_json(cls, obj: dict) -> "QuasiLattice":
         space = space_from_json(obj["space"])
+        window = window_from_json(obj["window"])
+        space.check_window(window, SchemaError)
         return cls(
             space=space,
-            window=window_from_json(obj["window"]),
+            window=window,
             points=[space.point_from_json(p) for p in obj["points"]],
             separation_delta=float(obj["separation_delta"]),
             density_radius_r=float(obj["density_radius_r"]),

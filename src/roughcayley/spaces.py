@@ -40,6 +40,8 @@ Windows carry a ``kind`` tag and a ``to_json`` too.  The registries
 and the CLI.  Encodings round-trip exactly; decoding raises ``SchemaError``
 on a missing key, a wrong tag or a mistyped value, and integer coordinates
 (Z^d, Heisenberg, free groups) must be JSON integers, never rounded.
+A model enumerates windows of one ``window_kind`` only, and boxes whose
+corners have its dimension; ``check_window`` rejects any other window.
 
 ``grid_metric`` marks the models whose distance is at least every
 coordinate gap (Z^d, R^d): there the points within r of p lie in the
@@ -50,6 +52,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -209,6 +212,8 @@ class SpaceModel:
     grid_metric = False
     # (JSON key, kind) of each constructor argument, in order
     params = ()
+    # ``kind`` of the windows the model enumerates
+    window_kind = "ball"
 
     def to_json(self) -> dict:
         """The model as its tag plus its parameters."""
@@ -297,6 +302,13 @@ class SpaceModel:
     def _geodesic(self, x, y):
         raise NotImplementedError
 
+    def check_window(self, window, error=DomainError):
+        """Raise ``error`` unless the model can enumerate ``window``."""
+        kind = getattr(window, "kind", None)
+        if kind != self.window_kind:
+            raise error(f"{self.model_id} windows have kind "
+                        f"{self.window_kind!r}, not {kind!r}")
+
     def enumerate_window(self, window):
         """Deterministic (lexicographic) finite enumeration of a window."""
         raise NotImplementedError
@@ -377,7 +389,7 @@ class ZdModel(SpaceModel):
             raise ModelMismatchError(f"{x!r} is not a point of {self.model_id}")
 
     def _dist(self, x, y):
-        return float(sum(abs(a - b) for a, b in zip(x, y)))
+        return float(sum(map(abs, map(operator.sub, x, y))))
 
     @property
     def base_point(self):
@@ -417,8 +429,7 @@ class ZdModel(SpaceModel):
         return ts, pts
 
     def enumerate_window(self, window):
-        if not isinstance(window, BallWindow):
-            raise DomainError(f"{self.model_id} windows are word balls")
+        self.check_window(window)
         m = window.radius
         if m < 0:
             return []
@@ -513,8 +524,7 @@ class FreeGroupModel(SpaceModel):
 
     def enumerate_window(self, window):
         """Word ball in shortlex order (length first, then letters -k..-1,1..k)."""
-        if not isinstance(window, BallWindow):
-            raise DomainError(f"{self.model_id} windows are word balls")
+        self.check_window(window)
         if window.radius < 0:
             return []
         out = [()]
@@ -668,8 +678,7 @@ class HeisenbergModel(SpaceModel):
         return [float(t) for t in range(len(pts))], pts
 
     def enumerate_window(self, window):
-        if not isinstance(window, BallWindow):
-            raise DomainError(f"{self.model_id} windows are word balls")
+        self.check_window(window)
         ball = word_ball(self, window.radius)
         return sorted(ball)
 
@@ -719,6 +728,7 @@ class EuclideanModel(SpaceModel):
     coord_type = float
     grid_metric = True
     params = (("d", int), ("additive_group", bool))
+    window_kind = "box"
 
     def __init__(self, d=2, additive_group=False):
         if d < 1:
@@ -739,6 +749,12 @@ class EuclideanModel(SpaceModel):
     @property
     def base_point(self):
         return (0.0,) * self.d
+
+    def check_window(self, window, error=DomainError):
+        super().check_window(window, error)
+        if not len(window.lo) == len(window.hi) == self.d:
+            raise error(f"box corners {window.lo!r}, {window.hi!r} are no "
+                        f"points of {self.model_id}")
 
     def _require_group(self):
         if not self.additive_group:
@@ -762,8 +778,7 @@ class EuclideanModel(SpaceModel):
         return ts, pts
 
     def enumerate_window(self, window):
-        if not isinstance(window, BoxWindow):
-            raise DomainError(f"{self.model_id} windows are coordinate boxes")
+        self.check_window(window)
         axes = []
         for lo, hi in zip(window.lo, window.hi):
             if hi < lo - TOL:
@@ -811,6 +826,7 @@ class HyperbolicPlaneModel(SpaceModel):
     coarse_constant_c = 0.0
     coord_dtype = float
     d = 2
+    window_kind = "h2box"
 
     def __init__(self):
         self.model_id = "h2"
@@ -884,8 +900,7 @@ class HyperbolicPlaneModel(SpaceModel):
         return ts, pts
 
     def enumerate_window(self, window):
-        if not isinstance(window, H2Window):
-            raise DomainError("h2 windows are (u, log a) boxes")
+        self.check_window(window)
         if window.u_max < window.u_min - TOL or window.la_max < window.la_min - TOL:
             return []
         nu = int(math.floor((window.u_max - window.u_min) / window.pitch + TOL))

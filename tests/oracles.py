@@ -52,16 +52,64 @@ def free_reduce(letters):
     return tuple(out)
 
 
-def graph_distances_from(graph, source):
+def graph_distances_from(graph, source, max_nodes=None):
+    """Hop distances from source in FIFO order.  With ``max_nodes`` only
+    the layers up to the first whose running count exceeds it."""
     dist = {source: 0}
     q = deque([source])
+    depth = -1
     while q:
         u = q.popleft()
+        if dist[u] > depth:
+            # u opens its layer: that layer is all found, nothing deeper is
+            depth = dist[u]
+            if max_nodes is not None and len(dist) > max_nodes:
+                break
         for v in graph.neighbors(u):
             if v not in dist:
                 dist[v] = dist[u] + 1
                 q.append(v)
     return dist
+
+
+def literal_qi_pairs(graph, n_pairs=1000, n_sources=50, max_nodes=4000,
+                     seed=0):
+    """The pairs (s, t, d, d_graph) ``certify_qi`` samples, by a scalar loop
+    over its definition: sources drawn from the max(4 n_sources, 200)
+    eligible vertices of largest slack (ties to the smaller point), partners
+    from the capped BFS of each source, kept when both slacks clear
+    d/2 + c + r, with the same draws.  Raises ``CertificationError`` at the
+    first sampled pair that breaks an inequality, as the library does."""
+    space, lattice = graph.space, graph.lattice
+    c, r = space.coarse_constant_c, lattice.density_radius_r
+    slack = [space.boundary_slack(lattice.window, p) for p in lattice.points]
+    rng = np.random.default_rng(seed)
+    eligible = [i for i in range(graph.n) if slack[i] >= c + r - 1e-9]
+    pool = sorted(eligible, key=lambda i: (-slack[i], graph.point(i)))
+    pool = pool[:max(4 * n_sources, 200)]
+    pick = rng.permutation(len(pool))[:min(n_sources, len(pool))]
+    per_source = max(1, -(-3 * n_pairs // len(pick)))
+    pairs = []
+    for s in (pool[k] for k in pick):
+        cand = []
+        for t, dg in graph_distances_from(graph, s, max_nodes).items():
+            d = space.distance(graph.point(s), graph.point(t))
+            need = d / 2.0 + c + r
+            if t != s and slack[s] >= need - 1e-9 and slack[t] >= need - 1e-9:
+                cand.append((s, t, d, dg))
+        if cand:
+            pairs += [cand[k] for k in rng.permutation(len(cand))[:per_source]]
+    if len(pairs) > n_pairs:
+        pairs = [pairs[k] for k in rng.permutation(len(pairs))[:n_pairs]]
+    for s, t, d, dg in pairs:
+        witness = (graph.point(s), graph.point(t), d, dg)
+        if d > (2.0 * r + c + 1.0) * dg + 1e-9:
+            raise CertificationError(
+                "ambient distance exceeds (2r+c+1) * graph distance", witness)
+        if dg > d + c + 1.0 + 1e-9:
+            raise CertificationError(
+                "graph distance exceeds ambient distance + c + 1", witness)
+    return pairs
 
 
 def naive_ball_sizes(graph, x0, m_max):

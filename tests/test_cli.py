@@ -257,3 +257,49 @@ def test_malformed_graph_file_exits_with_schema_error(tmp_path, capsys):
     capsys.readouterr()
     assert run("graph", "stats", "--graph", str(g)) == 2
     assert "'radius'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra", [[-1, 0], [0, "n"]])
+def test_graph_file_with_edge_outside_the_vertices_exits_2(tmp_path, capsys,
+                                                           extra):
+    path, doc = _lattice_file(tmp_path, *LATTICES["zd"])
+    g = tmp_path / "g.json"
+    assert run("graph", "build", "--lattice", str(path), "--out", str(g)) == 0
+    doc = json.loads(g.read_text())
+    n = len(doc["lattice"]["points"])
+    doc["edges"].append([n if v == "n" else v for v in extra])
+    g.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run("graph", "stats", "--graph", str(g)) == 2
+    assert f"vertex ids in range({n})" in capsys.readouterr().err
+
+
+def test_file_that_cannot_be_opened_exits_2(tmp_path, capsys):
+    missing = str(tmp_path / "missing.json")
+    out = tmp_path / "g.json"
+    for argv in (["graph", "build", "--lattice", missing, "--out", str(out)],
+                 ["graph", "stats", "--graph", missing],
+                 ["growth", "classify", "--series", missing]):
+        assert run(*argv) == 2
+        assert capsys.readouterr().err == (
+            f"error (schema): [Errno 2] No such file or directory: "
+            f"{missing!r}\n")
+    assert not out.exists()
+    # an output path in a directory that does not exist
+    path, _ = _lattice_file(tmp_path, *LATTICES["zd"])
+    capsys.readouterr()
+    assert run("graph", "build", "--lattice", str(path),
+               "--out", str(tmp_path / "no" / "g.json")) == 2
+    assert "No such file or directory" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("corner", ["lo", "hi"])
+def test_box_window_of_another_dimension_exits_2(tmp_path, capsys, corner):
+    path, doc = _lattice_file(tmp_path, "--space", "euclidean", "--d", "2",
+                              "--box", "0..4,0..4", "--pitch", "1",
+                              "--delta", "1.5")
+    _rewrite(path, doc, lambda doc: doc["window"][corner].pop())
+    capsys.readouterr()
+    assert run("graph", "build", "--lattice", str(path),
+               "--out", str(tmp_path / "g.json")) == 2
+    assert "no points of euclidean(2)" in capsys.readouterr().err

@@ -13,6 +13,7 @@ from roughcayley import (
     EuclideanModel,
     FreeGroupModel,
     HOROCYCLIC_SEPARATION,
+    HeisenbergModel,
     HorocyclicGraph,
     QuasiLattice,
     RoughGraph,
@@ -32,15 +33,18 @@ from roughcayley import (
 )
 from roughcayley.errors import (
     BorderError,
+    CertificationError,
     DisconnectedGraphError,
+    SchemaError,
     UnreachableError,
 )
-from roughcayley.graphs import bfs_distances, component_sizes
+from roughcayley.graphs import _qi_sample, bfs_distances, component_sizes
 
 from conftest import make_even_lattice
 from oracles import (
     distance_table,
     graph_distances_from,
+    literal_qi_pairs,
     naive_ball_sizes,
     naive_edges,
 )
@@ -114,6 +118,91 @@ def test_certify_even_graph_numbers(even_graph_100):
     assert dg == 5
     assert 20.0 <= 4.0 * dg
     assert dg <= 20.0 + 1.0 + 1.0
+
+
+def _scattered_r2_lattice():
+    """600 seeded uniform points of a 30 x 30 box: no two slacks tie, so
+    the source pool is cut inside a run of distinct slacks."""
+    rng = np.random.default_rng(7)
+    return QuasiLattice(
+        space=EuclideanModel(2),
+        window=BoxWindow((0.0, 0.0), (30.0, 30.0), 1.0),
+        points=[tuple(p) for p in rng.uniform(0.0, 30.0, (600, 2)).tolist()],
+        separation_delta=0.01, density_radius_r=1.5, construction="greedy")
+
+
+# the graphs of the acceptance criteria, with the benchmark's certify_qi
+# settings where it has them, and one whose slacks never tie
+QI_GRAPHS = {
+    "r2-scattered": (_scattered_r2_lattice, {}),
+    "z1-even": (lambda: make_even_lattice(100), {}),
+    "z2-delta3": (lambda: greedy_net(ZdModel(2), BallWindow(80), 3.0),
+                  {"n_sources": 25}),
+    "horocyclic": (lambda: horocyclic_lattice((-30.0, 30.0), (-3, 3)),
+                   {"n_sources": 150, "max_nodes": 600}),
+    "f2-ball9": (lambda: group_ball_lattice(FreeGroupModel(2), 9), {}),
+    "heisenberg-ball8": (lambda: group_ball_lattice(HeisenbergModel(), 8),
+                         {"n_sources": 30, "max_nodes": 300}),
+}
+
+
+@pytest.mark.parametrize("name", list(QI_GRAPHS))
+def test_qi_sample_matches_literal_loop(name):
+    lattice, kw = QI_GRAPHS[name]
+    g = build_graph(lattice())
+    for seed in (0, 1, 5001):
+        expected = literal_qi_pairs(g, seed=seed, **kw)
+        S, T, D, DG = _qi_sample(g, 1000, kw.get("n_sources", 50),
+                                 kw.get("max_nodes", 4000), seed)
+        assert list(zip(S.tolist(), T.tolist(), DG.tolist())) == \
+            [(s, t, dg) for s, t, _, dg in expected]
+        assert np.allclose(D, [d for _, _, d, _ in expected],
+                           rtol=0.0, atol=1e-11)
+        assert certify_qi(g, seed=seed, n_sources=kw.get("n_sources", 50),
+                          max_nodes_per_source=kw.get("max_nodes", 4000)
+                          ).sample_size == len(expected) == 1000
+
+
+def test_certify_qi_without_admissible_pairs_samples_none():
+    # the Z^1 ball of radius 2: no two vertices both clear d/2 + c + r
+    g = build_graph(group_ball_lattice(ZdModel(1), 2))
+    assert literal_qi_pairs(g) == []
+    assert certify_qi(g).sample_size == 0
+
+
+def _rewired(graph, keep, extra=()):
+    """The graph with only the edges ``keep`` accepts, plus ``extra``."""
+    pts = graph.lattice.points
+    adjacency = [[j for j in nbrs if keep(pts[i], pts[j])]
+                 for i, nbrs in enumerate(graph.adjacency)]
+    for i, j in extra:
+        adjacency[i].append(j)
+        adjacency[j].append(i)
+    return RoughGraph(lattice=graph.lattice, threshold=graph.threshold,
+                      adjacency=[sorted(a) for a in adjacency],
+                      degree_bound_M=graph.degree_bound_M)
+
+
+@pytest.mark.parametrize("broken", ["wall", "shortcut"])
+def test_certify_qi_raises_the_literal_witness(broken):
+    g = build_graph(group_ball_lattice(ZdModel(2), 12))
+    if broken == "wall":
+        # no edge crosses x = 1/2 below |y| = 8: the detour breaks
+        # d_graph <= d + c + 1
+        g = _rewired(g, lambda p, q: (p[0] <= 0) == (q[0] <= 0)
+                     or abs(p[1]) >= 8)
+    else:
+        # one edge of length 10 breaks d <= (2r + c + 1) d_graph
+        ends = (g.lattice.index_of((-5, 0)), g.lattice.index_of((5, 0)))
+        g = _rewired(g, lambda p, q: True, [ends])
+    for seed in (0, 1, 2):
+        with pytest.raises(CertificationError) as want:
+            literal_qi_pairs(g, seed=seed)
+        with pytest.raises(CertificationError) as got:
+            certify_qi(g, seed=seed)
+        assert str(got.value) == str(want.value)
+        assert got.value.witness == want.value.witness
+        assert ("exceeds ambient" in str(got.value)) == (broken == "wall")
 
 
 def test_group_ball_graph_inequalities_exhaustive():
@@ -191,6 +280,25 @@ def test_grid_edges_match_all_pairs_oracle(space, window, delta, threshold):
         threshold = default_threshold(lattice)
     graph = build_graph(lattice, threshold=threshold)
     assert graph.adjacency == naive_edges(lattice, threshold)
+
+
+@pytest.mark.parametrize("edge", [[-1, 0], [0, 7], [0, 1.0], [True, 0]])
+def test_graph_json_rejects_edge_ids_outside_the_vertices(edge):
+    doc = build_graph(group_ball_lattice(ZdModel(1), 3)).to_json()
+    assert len(doc["lattice"]["points"]) == 7
+    doc["edges"].append(edge)
+    with pytest.raises(SchemaError, match="vertex ids in range\\(7\\)"):
+        RoughGraph.from_json(doc)
+
+
+def test_slacks_built_once_and_read_only():
+    lat = group_ball_lattice(ZdModel(2), 4)
+    slacks = lat.slacks()
+    assert lat.slacks() is slacks
+    assert slacks.tolist() == [lat.space.boundary_slack(lat.window, p)
+                               for p in lat.points]
+    with pytest.raises(ValueError):
+        slacks[0] = 0.0
 
 
 def test_disconnected_graph_error():

@@ -452,6 +452,23 @@ def test_window_codec_rejects_malformed_windows(obj):
         window_from_json(obj)
 
 
+@pytest.mark.parametrize("space, window", [
+    (EuclideanModel(2), BoxWindow((0.0,), (2.0,), 1.0)),
+    (EuclideanModel(2), BoxWindow((0.0, 0.0), (2.0,), 1.0)),
+    (EuclideanModel(1), BoxWindow((0.0, 0.0), (2.0, 2.0), 1.0)),
+    (EuclideanModel(2), BallWindow(3)),
+    (ZdModel(2), BoxWindow((0.0, 0.0), (2.0, 2.0), 1.0)),
+    (HyperbolicPlaneModel(), BallWindow(3)),
+    (FreeGroupModel(2), H2Window(0.0, 1.0, 0.0, 1.0)),
+], ids=["e2-box1", "e2-corners-differ", "e1-box2", "e2-ball", "z2-box",
+        "h2-ball", "f2-h2box"])
+def test_enumerate_window_rejects_a_window_of_another_model(space, window):
+    with pytest.raises(DomainError):
+        space.enumerate_window(window)
+    with pytest.raises(DomainError):
+        space.check_window(window)
+
+
 def test_qi_constants_validation():
     QiConstants(1.0, 0.0, 10, "sample")
     with pytest.raises(DomainError):
