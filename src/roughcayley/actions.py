@@ -43,18 +43,18 @@ from .spaces import BallWindow, QiConstants, SpaceModel, TOL
 # point arrays
 
 
-def _distinct_rows(Q):
+def _distinct_rows(space, Q):
     """The distinct rows of a point array as points, in first-occurrence
     order, and the position of each row's point among them."""
     seen = {}
-    inverse = [seen.setdefault(q, len(seen)) for q in map(tuple, Q.tolist())]
+    inverse = [seen.setdefault(q, len(seen)) for q in space._points(Q)]
     return list(seen), np.array(inverse, dtype=np.intp)
 
 
 def _map_rows(space, f, Q):
     """f applied to the distinct rows of the point array Q, in order of
     first occurrence, spread back over every row."""
-    rows, inverse = _distinct_rows(Q)
+    rows, inverse = _distinct_rows(space, Q)
     return space.coords([f(q) for q in rows])[inverse]
 
 
@@ -83,7 +83,7 @@ def _outer(A, B):
 def _act_outer(qa, S, X):
     """s.x for every row s of S and x of X, in the rows of ``_outer(S, X)``;
     each distinct s acts once on each x."""
-    rows, inverse = _distinct_rows(S)
+    rows, inverse = _distinct_rows(qa.group_space, S)
     moved = qa.act_many(*_outer(qa.group_space.coords(rows), X))
     return moved[(inverse[:, None] * len(X) + np.arange(len(X))).ravel()]
 
@@ -296,14 +296,18 @@ def certify_axioms(qa: QuasiAction, group_radius=10, n_targets=8,
     Properness is certified per probe point x and radius R by scanning a
     word ball and checking that {s : d(s.x, x) <= R} stays strictly inside
     the scanned ball; the recorded witness is the largest word norm seen.
-    An empty ``properness_radii`` is a ``DomainError``.
+    An empty ``properness_radii`` is a ``DomainError``.  Targets keep slack
+    max(2 group_radius, properness_scan) + r + 2, else ``OutOfWindowError``.
     """
     space = qa.group_space
     dist = space._dist_many
     r_list = sorted(properness_radii)
     if not r_list:
         raise DomainError("properness needs at least one radius")
-    margin = 2.0 * group_radius + qa.lattice.density_radius_r + 2.0
+    r = qa.lattice.density_radius_r
+    if properness_scan is None:
+        properness_scan = int(math.ceil(r_list[-1] + 2 * r + 2))
+    margin = max(2.0 * group_radius, properness_scan) + r + 2.0
     targets = _central_targets(qa.lattice, margin, n_targets)
     pairs = _pair_sample(space, group_radius, pair_core_cap, n_extra_pairs, seed)
     X = space.coords(targets)
@@ -337,8 +341,6 @@ def certify_axioms(qa: QuasiAction, group_radius=10, n_targets=8,
     orbit_diam = _sup(dist(orbits[p], orbits[q]))
 
     # properness: witness sets over an exhaustive scan, nested in R
-    if properness_scan is None:
-        properness_scan = int(math.ceil(r_list[-1] + 2 * qa.lattice.density_radius_r + 2))
     scan = space.coords(_ball(space, properness_scan))
     probes = X[: min(3, len(targets))]
     Xs, Ss = _outer(probes, scan)

@@ -14,9 +14,10 @@ never non-amenability.
 On finite windowed graphs every candidate must keep graph distance > c
 from the border vertices, so the windowed boundary equals the boundary in
 the unwindowed object.  On the implicit infinite graphs (``CayleyGraph``,
-``HorocyclicGraph``) boundaries are exact as computed; integer-coordinate
-groups additionally get a vectorised packed-array engine that handles
-candidate sets with millions of vertices.
+``HorocyclicGraph``) boundaries are exact as computed.  Cayley graphs of
+Z^d, Heisenberg and free groups get a vectorised engine on int64 codes
+(packed coordinates; for free groups the shortlex rank of the word) that
+handles candidate sets with millions of vertices.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .errors import (
     WindowTooSmallError,
 )
 from .graphs import CayleyGraph, HorocyclicGraph, RoughGraph
-from .spaces import HeisenbergModel, TOL, ZdModel, bfs_layers
+from .spaces import FreeGroupModel, HeisenbergModel, TOL, ZdModel, bfs_layers
 
 
 @dataclass(frozen=True)
@@ -125,7 +126,7 @@ def folner_ratio(graph, A, c) -> float:
 
 
 # ---------------------------------------------------------------------------
-# packed engines for integer-coordinate Cayley graphs
+# packed engines for the Cayley graphs of Z^d, Heisenberg and free groups
 
 
 class _ZdEngine:
@@ -187,13 +188,45 @@ class _HeisenbergEngine:
         return np.sort(self.pack(pts))
 
 
+class _FreeEngine:
+    """The free group of rank k on shortlex ranks: the words of length L
+    are the ranks from S(L) = |ball of radius L-1| up to S(L+1).  The word
+    at offset o = r - S(L) has the children S(L+1) + (2k-1) o + j,
+    j < 2k-1, and the parent S(L-1) + o // (2k-1), the identity for L = 1."""
+
+    box = None   # free groups have no box candidates
+
+    def __init__(self, k, starts):
+        self.q = 2 * k - 1
+        self.starts = np.array(starts, dtype=np.int64)
+
+    def origin(self):
+        return np.zeros(1, dtype=np.int64)
+
+    def expand(self, arr):
+        S = self.starts
+        level = np.searchsorted(S, arr, side="right") - 1
+        off = arr - S[level]
+        nb = np.empty((len(arr), self.q + 1), dtype=np.int64)
+        nb[:, :-1] = (S[level + 1] + off * self.q)[:, None] + np.arange(self.q)
+        nb[:, -1] = np.where(level > 1, S[level - 1] + off // self.q, 0)
+        nb[level == 0] = np.arange(1, self.q + 2)
+        return nb.ravel()
+
+
 def _packed_engine(graph, word_span):
+    """The engine for words up to length ``word_span``, or None."""
     if not isinstance(graph, CayleyGraph):
         return None
-    if isinstance(graph.space, ZdModel):
-        return _ZdEngine(graph.space.d, word_span)
-    if isinstance(graph.space, HeisenbergModel):
+    space = graph.space
+    if isinstance(space, ZdModel):
+        return _ZdEngine(space.d, word_span)
+    if isinstance(space, HeisenbergModel):
         return _HeisenbergEngine(word_span)
+    if isinstance(space, FreeGroupModel):
+        starts = [0, *space.ball_sizes(word_span)]
+        if starts[-1] <= np.iinfo(np.int64).max:
+            return _FreeEngine(space.k, starts)
     return None
 
 
@@ -417,40 +450,27 @@ def _greedy_improve(graph, c, A, swap_factor, depths):
 def _scan_implicit(graph, c, family, epsilon, schedule, center):
     if family == "greedy_improved":
         raise DomainError("greedy_improved needs a finite windowed graph")
-    if isinstance(graph, HorocyclicGraph):
-        return _scan_horocyclic(graph, c, family, epsilon, schedule)
     hop = int(getattr(graph, "threshold", 1))
-    engine = None
-    if isinstance(graph, CayleyGraph):
-        engine = _packed_engine(graph, (max(schedule) + int(c) + 2) * hop)
+    horo = isinstance(graph, HorocyclicGraph)
+    # codes reach 2c hops past the largest ball, and expand reads one more
+    engine = _HoroEngine(graph) if horo else _packed_engine(
+        graph, (max(schedule) + 2 * int(c) + 1) * hop)
     balls = family == "metric_balls"
-    if not balls and engine is None:
+    if not balls and getattr(engine, "box", None) is None:
         raise DomainError("box candidates are undefined for this implicit graph")
     if center is None:
         center = graph.base_vertex
     entries = []
     for size in schedule:
-        if engine is None:
+        if horo:
+            A = engine.ball(size) if balls else engine.box(size)
+            n, bsize = engine.size(A), engine.boundary_size(A, c)
+        elif engine is None:
             A = _within(graph, {center}, size)
-            bsize = len(_local_boundary(graph, A, c))
+            n, bsize = len(A), len(_local_boundary(graph, A, c))
         else:
             A = _packed_ball(engine, size * hop) if balls else engine.box(size)
-            bsize = _packed_boundary_size(engine, A, int(c) * hop)
-        entries.append((f"{'ball' if balls else 'box'}:{size}", len(A), bsize,
-                        bsize / len(A)))
-        if bsize / len(A) < epsilon:
-            break
-    return entries
-
-
-def _scan_horocyclic(graph, c, family, epsilon, schedule):
-    engine = _HoroEngine(graph)
-    entries = []
-    balls = family == "metric_balls"
-    for size in schedule:
-        A = engine.ball(size) if balls else engine.box(size)
-        n = engine.size(A)
-        bsize = engine.boundary_size(A, c)
+            n, bsize = len(A), _packed_boundary_size(engine, A, int(c) * hop)
         entries.append((f"{'ball' if balls else 'box'}:{size}", n, bsize,
                         bsize / n))
         if bsize / n < epsilon:

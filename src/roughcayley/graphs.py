@@ -196,17 +196,38 @@ def _edges_h2(lattice, threshold):
 
 
 def _edges_group_ball(lattice, threshold):
+    # i ~ j when p_j = p_i g for a hop g; blocks of 2^14 products are found
+    # by bisection in the lattice rows, sorted once as raw bytes (exact)
     space = lattice.space
-    hop_ball = list(word_ball(space, int(math.floor(threshold + TOL))))[1:]
-    adjacency = [[] for _ in lattice.points]
-    for i, p in enumerate(lattice.points):
-        for g in hop_ball:
-            q = space._mul(p, g)
-            if lattice.contains_point(q):
-                j = lattice.index_of(q)
-                if j != i:
-                    adjacency[i].append(j)
-    return adjacency
+    X = lattice.coords()
+    n, w = len(X), max(X.shape[1], 1)
+    hops = space.coords(list(word_ball(space, int(math.floor(threshold + TOL))))[1:])
+    keys = _row_bytes(X, w)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    I, J = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
+    for lo in range(0, len(hops) * n, 1 << 14):
+        k = np.arange(lo, min(lo + (1 << 14), len(hops) * n))
+        i = k % n
+        P = space._mul_many(X[i], hops[k // n])
+        q = _row_bytes(P, w)
+        at = np.minimum(np.searchsorted(keys, q), n - 1)
+        hit = (keys[at] == q) & ~P[:, w:].any(axis=1) & (order[at] != i)
+        I.append(i[hit])
+        J.append(order[at[hit]])
+    I, J = np.concatenate(I), np.concatenate(J)
+    order = np.lexsort((J, I))
+    ends = np.searchsorted(I[order], np.arange(n + 1)).tolist()
+    # one int object per vertex id, shared by every list that holds it
+    J = np.arange(n).astype(object)[J[order]].tolist()
+    return [J[a:b] for a, b in zip(ends, ends[1:])]
+
+
+def _row_bytes(A, w):
+    """Each row of A, cut or zero-padded to w columns, as one bytes value."""
+    out = np.zeros((len(A), w), dtype=A.dtype)
+    out[:, :min(A.shape[1], w)] = A[:, :w]
+    return out.view(f"V{out.itemsize * w}").ravel()
 
 
 def build_graph(lattice: QuasiLattice, threshold=None) -> RoughGraph:
@@ -292,7 +313,7 @@ def _qi_sample(graph, n_pairs, n_sources, max_nodes_per_source, seed):
     lattice = graph.lattice
     c = graph.space.coarse_constant_c
     r = lattice.density_radius_r
-    slacks = lattice.slacks()
+    slacks, X = lattice.slacks(), lattice.coords()
     rng = np.random.default_rng(seed)
     eligible = np.flatnonzero(slacks >= c + r - TOL)
     if len(eligible) == 0:
@@ -314,7 +335,7 @@ def _qi_sample(graph, n_pairs, n_sources, max_nodes_per_source, seed):
         # the source is the first key; its partners follow in BFS order
         ts = np.fromiter(dist, dtype=np.intp, count=len(dist))[1:]
         dg = np.fromiter(dist.values(), dtype=np.intp, count=len(dist))[1:]
-        d = lattice.distances(s, ts)
+        d = graph.space.distances_from(X[s], X[ts])
         need = d / 2.0 + c + r - TOL
         cand = np.flatnonzero((slacks[s] >= need) & (slacks[ts] >= need))
         if len(cand) == 0:
@@ -336,9 +357,9 @@ def certify_qi(graph: RoughGraph, n_pairs=1000, n_sources=50,
     least d(x,y)/2 + c + r, which guarantees that coarse geodesics between
     them, thickened by the density radius, stay inside the window.  The
     admission test takes d from the model's array distance kernel
-    (``QuasiLattice.distances``), which agrees with ``_dist`` to within
-    TOL.  Any violating pair raises ``CertificationError`` naming the
-    first one in sample order.
+    (``distances_from`` on ``lattice.coords()``), which agrees with
+    ``_dist`` to within TOL.  Any violating pair raises
+    ``CertificationError`` naming the first one in sample order.
     """
     S, T, D, DG = _qi_sample(graph, n_pairs, n_sources, max_nodes_per_source,
                              seed)

@@ -113,12 +113,7 @@ def _group_ball_sizes(space, x0, m_max) -> GrowthSeries:
         x0 = space.identity()
     space.check_point(x0)
     if isinstance(space, FreeGroupModel):
-        # the Cayley graph is a tree: frontier counts follow the branching
-        # recurrence exactly (each reduced word extends by 2k-1 letters)
-        values = [1]
-        for m in range(m_max):
-            values.append(values[-1] + 2 * space.k * (2 * space.k - 1) ** m)
-        return GrowthSeries(space.model_id, x0, tuple(values))
+        return GrowthSeries(space.model_id, x0, space.ball_sizes(m_max))
     gens = space.generators()
     values = _ball_counts(lambda p: [space._mul(p, g) for g in gens], x0,
                           m_max)

@@ -44,10 +44,10 @@ class QuasiLattice:
     Construction checks every point against the model once; library code
     trusts lattice points from then on.  ``coords()`` is the point list as
     the model's ``distances_from`` takes it (``space.coords``: an array of
-    dtype ``space.coord_dtype``, or an object array of words for free
-    groups).  It is built once, on first use, like the point index and the
-    read-only ``slacks()``, and gives the same distances as the list
-    without a conversion per call.
+    dtype ``space.coord_dtype``, for free groups the words as zero-padded
+    rows of letters).  It is built once, on first use, like the point index
+    and the read-only ``slacks()``, and gives the same distances as the
+    list without a conversion per call.
     """
 
     space: SpaceModel
@@ -90,13 +90,6 @@ class QuasiLattice:
                                      for p in self.points], dtype=float)
             self._slacks.setflags(write=False)
         return self._slacks
-
-    def distances(self, i, js):
-        """Distances from point i to the points js, unchecked, by array."""
-        X = self.coords()
-        if self.space.coord_dtype is None:
-            return self.space._dist_many(X[i:i + 1], X[js])
-        return self.space.distances_from(X[i], X[js])
 
     def nearest(self, x):
         """(index, distance) of the nearest lattice point, lexicographic ties."""
@@ -194,27 +187,24 @@ class Grid:
                 for item in cells.get(tuple(map(operator.add, key, off)), ())]
 
 
-def _near_test(space, delta):
+def _near_test(space, delta, enumeration):
     """(add, has_near): ``add(p)`` keeps p, ``has_near(p)`` tells whether
-    a kept point lies closer than delta to p, by a grid of side delta, one
-    vectorised scan of a coordinate array that doubles when full, or a scan
-    of the kept words of a free group."""
+    a kept point lies closer than delta to p, by a grid of side delta or by
+    one vectorised scan of a point array that doubles when full, its rows
+    as wide as the longest point (free-group words are zero-padded)."""
     dist = space._dist
     if space.grid_metric:
         grid = Grid(delta)
         return (lambda p: grid.add(p, p),
                 lambda p: any(dist(p, q) < delta - TOL for q in grid.near(p)))
-    if space.coord_dtype is None:
-        kept = []
-        return kept.append, lambda p: any(dist(p, q) < delta - TOL
-                                          for q in kept)
-    buf, n = np.empty((16, space.d), dtype=space.coord_dtype), 0
+    width = max(map(len, enumeration), default=0)
+    buf, n = np.zeros((16, width), dtype=space.coord_dtype), 0
 
     def add(p):
         nonlocal buf, n
         if n == len(buf):
-            buf = np.concatenate([buf, np.empty_like(buf)])
-        buf[n] = p
+            buf = np.concatenate([buf, np.zeros_like(buf)])
+        buf[n, :len(p)] = p
         n += 1
 
     def has_near(p):
@@ -244,7 +234,7 @@ def greedy_net(space, window, delta, enumeration=None) -> QuasiLattice:
     else:
         for p in enumeration:
             space.check_point(p)
-    add, has_near = _near_test(space, delta)
+    add, has_near = _near_test(space, delta, enumeration)
     chosen = []
     for p in enumeration:
         if not has_near(p):

@@ -25,7 +25,8 @@ Library loops over points that are already trusted (lattice points, which
 ``QuasiLattice`` checks at construction, and points the library computed
 itself) call the kernels directly.  The batch kernels ``_mul_many`` and
 ``_dist_many`` apply ``_mul`` and ``_dist`` row by row to point arrays
-(``coords``); Z^d and the Heisenberg group do so in exact int64 NumPy, the
+(``coords``; ``_points`` reads them back); Z^d, Heisenberg and free groups
+(words as zero-padded rows of letters) do so in exact integer NumPy, the
 other models loop over the scalar kernel, so a batch equals the scalar
 results bit for bit on every model.
 
@@ -203,8 +204,8 @@ class SpaceModel:
     coarse_constant_c: float
     is_discrete: bool
     is_group: bool = False
-    # None where distances are measured point by point (free groups)
-    coord_dtype = None
+    # dtype of the point arrays ``coords`` builds
+    coord_dtype: type
     # type of a point's coordinates, and their key in the point's JSON
     coord_type = int
     point_key = "x"
@@ -320,32 +321,30 @@ class SpaceModel:
         """Metric distance from x to the window border (0 if outside)."""
         raise NotImplementedError
 
-    def distances_from(self, x, points) -> np.ndarray:
-        """Distances from x to a point sequence; generic fallback is a loop."""
-        return np.array([self.distance(x, p) for p in points])
-
     def coords(self, points):
         """Points as a point array: the (n, d) array of dtype
-        ``coord_dtype`` that a vectorised ``distances_from`` works on (and
-        takes without another conversion), or a 1-D object array of the
-        points for models without one."""
-        if self.coord_dtype is None:
-            return np.fromiter(points, dtype=object, count=len(points))
+        ``coord_dtype`` that ``distances_from`` works on (and takes
+        without another conversion)."""
         return np.asarray(points, dtype=self.coord_dtype).reshape(
             len(points), self.d)
+
+    def _points(self, A):
+        """The rows of a point array as points: the inverse of ``coords``."""
+        return map(tuple, A.tolist())
 
     def _mul_many(self, A, B):
         """Row-wise products of two point arrays; a single row broadcasts.
         This fallback loops over ``_mul``."""
         A, B = np.broadcast_arrays(A, B)
-        return self.coords([self._mul(a, b) for a, b in zip(_rows(A), _rows(B))])
+        return self.coords([self._mul(a, b) for a, b in
+                            zip(self._points(A), self._points(B))])
 
     def _dist_many(self, A, B):
         """Row-wise distances of two point arrays; a single row broadcasts.
         This fallback loops over ``_dist``."""
         A, B = np.broadcast_arrays(A, B)
-        return np.array([self._dist(a, b) for a, b in zip(_rows(A), _rows(B))],
-                        dtype=float)
+        return np.array([self._dist(a, b) for a, b in
+                         zip(self._points(A), self._points(B))], dtype=float)
 
     def _key(self):
         return (self.model_id,)
@@ -355,11 +354,6 @@ class SpaceModel:
 
     def __hash__(self):
         return hash(self._key())
-
-
-def _rows(A):
-    """The rows of a point array as tuples of Python scalars."""
-    return map(tuple, A.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +447,8 @@ class ZdModel(SpaceModel):
         return float(window.radius - sum(abs(v) for v in x))
 
     def distances_from(self, x, points):
-        return self._dist_many(np.asarray(x, dtype=np.int64), self.coords(points))
+        return self._dist_many(np.asarray(x, dtype=self.coord_dtype),
+                               self.coords(points))
 
 
 # ---------------------------------------------------------------------------
@@ -475,6 +470,7 @@ class FreeGroupModel(SpaceModel):
             raise DomainError("rank must be >= 1")
         self.k = int(k)
         self.model_id = f"free_group({k})"
+        self.coord_dtype = np.min_scalar_type(-self.k)
 
     def check_point(self, x):
         if not isinstance(x, tuple):
@@ -506,6 +502,47 @@ class FreeGroupModel(SpaceModel):
 
     def _inv(self, x):
         return tuple(-g for g in reversed(x))
+
+    def coords(self, points):
+        """Words as zero-padded rows of letters; arrays pass through."""
+        if isinstance(points, np.ndarray):
+            return points
+        return self._pack(
+            np.fromiter(map(len, points), dtype=np.intp, count=len(points)),
+            np.fromiter(itertools.chain.from_iterable(points),
+                        dtype=self.coord_dtype))
+
+    def _pack(self, lengths, letters):
+        out = np.zeros((len(lengths), lengths.max(initial=0)),
+                       dtype=self.coord_dtype)
+        out[np.arange(out.shape[1]) < lengths[:, None]] = letters
+        return out
+
+    def _points(self, A):
+        # a reduced word has no letter 0, so its length is its nonzero count
+        return [tuple(row[:n]) for row, n in
+                zip(A.tolist(), np.count_nonzero(A, axis=1).tolist())]
+
+    def _mul_many(self, A, B):
+        # a b = a[:|a| - i] + b[i:], where i is the common prefix of a^-1
+        # and b; the nonzero letters of a row, read row by row, are its word
+        la, lb = np.count_nonzero(A, axis=1), np.count_nonzero(B, axis=1)
+        flip = A[:, ::-1]
+        cut = _prefix(self._pack(la, -flip[flip != 0]), B)
+        C = np.concatenate([A * (np.arange(A.shape[1]) < (la - cut)[:, None]),
+                            B * (np.arange(B.shape[1]) >= cut[:, None])],
+                           axis=1)
+        return self._pack(la + lb - 2 * cut, C[C != 0])
+
+    def _dist_many(self, A, B):
+        # |a^-1 b| = |a| + |b| - 2 (length of the common prefix of a and b)
+        A, B = np.atleast_2d(A), np.atleast_2d(B)
+        return (np.count_nonzero(A, axis=1) + np.count_nonzero(B, axis=1)
+                - 2 * _prefix(A, B)).astype(float)
+
+    def distances_from(self, x, points):
+        return self._dist_many(np.asarray(x, dtype=self.coord_dtype),
+                               self.coords(points))
 
     def generators(self):
         return [(g,) for g in self._letters()]
@@ -541,11 +578,24 @@ class FreeGroupModel(SpaceModel):
             layer = nxt
         return out
 
+    def ball_sizes(self, m):
+        """|N_r(e)| for r = 0..m: each reduced word of length r >= 1 has
+        2k - 1 extensions, as the Cayley graph is a tree."""
+        return tuple(itertools.accumulate(
+            (2 * self.k * (2 * self.k - 1) ** r for r in range(m)), initial=1))
+
     def window_contains(self, window, x):
         return len(x) <= window.radius
 
     def boundary_slack(self, window, x):
         return float(window.radius - len(x))
+
+
+def _prefix(A, B):
+    """Per row, the common prefix length of two free-group point arrays."""
+    w = max(A.shape[1], B.shape[1])
+    A, B = (np.pad(X, ((0, 0), (0, w - X.shape[1]))) for X in (A, B))
+    return np.logical_and.accumulate((A == B) & (A != 0), axis=1).sum(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -661,7 +711,8 @@ class HeisenbergModel(SpaceModel):
                              B[..., 2] - A[..., 2] - A[..., 0] * b).astype(float)
 
     def distances_from(self, x, points):
-        return self._dist_many(np.asarray(x, dtype=np.int64), self.coords(points))
+        return self._dist_many(np.asarray(x, dtype=self.coord_dtype),
+                               self.coords(points))
 
     def _geodesic(self, x, y):
         # greedy descent: some generator always takes the exact distance to

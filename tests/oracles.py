@@ -247,7 +247,12 @@ def literal_axiom_certificate(qa, group_radius=10, n_targets=8,
                               properness_scan=None, seed=0):
     space = qa.group_space
     d = space.distance
-    margin = 2.0 * group_radius + qa.lattice.density_radius_r + 2.0
+    r_list = sorted(properness_radii)
+    r = qa.lattice.density_radius_r
+    if properness_scan is None:
+        properness_scan = int(math.ceil(r_list[-1] + 2 * r + 2))
+    # targets clear the products s t x and the scanned s x
+    margin = max(2.0 * group_radius, properness_scan) + r + 2.0
     targets = _central_targets(qa.lattice, margin, n_targets)
     pairs = _pair_sample(space, group_radius, pair_core_cap, n_extra_pairs,
                          seed)
@@ -269,10 +274,6 @@ def literal_axiom_certificate(qa, group_radius=10, n_targets=8,
         orbit = [qa.act(k, x) for k in _ball(space, 1)]
         for p, q in itertools.combinations(orbit, 2):
             orbit_diam = max(orbit_diam, d(p, q))
-    r_list = sorted(properness_radii)
-    if properness_scan is None:
-        properness_scan = int(math.ceil(
-            r_list[-1] + 2 * qa.lattice.density_radius_r + 2))
     scan = _ball(space, properness_scan)
     witnesses = []
     for R in r_list:

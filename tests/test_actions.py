@@ -297,10 +297,10 @@ def _oracle_case(name):
                 dict(group_radius=6, n_targets=6, seed=3))
     if name == "heisenberg":
         heis = HeisenbergModel()
-        return (quasi_action(heis, greedy_net(heis, BallWindow(6), 2.0)),
+        return (quasi_action(heis, greedy_net(heis, BallWindow(8), 2.0)),
                 quasi_action(heis, group_ball_lattice(heis, 6)),
                 dict(group_radius=1, n_targets=4, properness_radii=(1.0, 2.0),
-                     properness_scan=6),
+                     properness_scan=4),
                 dict(radii=(1, 2)), dict(group_radius=1, n_targets=4))
     f2 = FreeGroupModel(2)
     return (quasi_action(f2, group_ball_lattice(f2, 9)),
@@ -312,7 +312,7 @@ def _oracle_case(name):
 
 @pytest.mark.parametrize("name", ["zd2", "heisenberg", "free_group2"])
 def test_certificates_match_literal_loops(name):
-    """On a Z^2 net, the Heisenberg ball-6 greedy net and an F2 ball
+    """On a Z^2 net, the Heisenberg ball-8 greedy net and an F2 ball
     lattice, the batched certifiers equal per-element loops over ``act``."""
     qa, qa2, axioms, orbit, conjugacy = _oracle_case(name)
     assert certify_axioms(qa, **axioms) == literal_axiom_certificate(qa, **axioms)
@@ -320,6 +320,21 @@ def test_certificates_match_literal_loops(name):
         literal_orbit_constants(qa, **orbit)
     assert quasi_conjugacy_defect(qa, qa2, **conjugacy) == \
         literal_conjugacy_defect(qa, qa2, **conjugacy)
+
+
+@pytest.mark.parametrize("make,group_radius", [
+    (lambda: greedy_net(HeisenbergModel(), BallWindow(6), 2.0), 1),
+    (lambda: group_ball_lattice(FreeGroupModel(2), 8), 2),
+], ids=["heisenberg-net6", "f2-ball8"])
+def test_axiom_targets_clear_the_properness_scan(make, group_radius):
+    """The default properness scan (ceil(6 + 2r + 2) = 12 and 8 here) goes
+    past 2 group_radius: the target margin covers it, so these small
+    windows have no target instead of a scan that leaves the window."""
+    lattice = make()
+    qa = quasi_action(lattice.space, lattice)
+    with pytest.raises(OutOfWindowError,
+                       match="no lattice point clears the target margin"):
+        certify_axioms(qa, group_radius=group_radius)
 
 
 def test_empty_radii_are_domain_errors(even_action):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from roughcayley import (
@@ -26,7 +26,16 @@ from roughcayley.errors import (
     UndefinedRatioError,
     WindowTooSmallError,
 )
-from roughcayley.folner import FolnerReport, _local_boundary, _uniq
+from roughcayley.folner import (
+    FolnerReport,
+    _FreeEngine,
+    _local_boundary,
+    _packed_ball,
+    _packed_boundary_size,
+    _packed_engine,
+    _uniq,
+    _within,
+)
 
 from conftest import make_even_lattice
 from oracles import bfs_ball_depths, literal_c_boundary, reference_greedy_scan
@@ -189,6 +198,37 @@ def test_free_group_closed_form_ratios():
     assert not report.achieved
     entry5 = report.entries[4]
     assert entry5[2] >= entry5[1] / 2  # tree boundary dominance at radius 5
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(k=st.integers(1, 3), threshold=st.integers(1, 2), c=st.integers(1, 2),
+       radius=st.integers(0, 4))
+def test_free_engine_matches_python_sets(k, threshold, c, radius):
+    """Ball and c-boundary sizes on shortlex ranks equal those of the set
+    walk on the implicit Cayley graph of a free group."""
+    # keep the set walk, out to word length (radius + 2c) * threshold, small
+    assume((radius + 2 * c) * threshold <= {1: 12, 2: 7, 3: 5}[k])
+    cay = CayleyGraph(FreeGroupModel(k), threshold)
+    engine = _packed_engine(cay, (radius + 2 * c + 1) * threshold)
+    assert isinstance(engine, _FreeEngine)
+    A = _within(cay, {()}, radius)
+    packed = _packed_ball(engine, radius * threshold)
+    assert len(packed) == len(A)
+    assert _packed_boundary_size(engine, packed, c * threshold) == \
+        len(_local_boundary(cay, A, c))
+
+
+def test_free_group_boxes_still_rejected():
+    with pytest.raises(DomainError, match="box candidates"):
+        folner_scan(CayleyGraph(FreeGroupModel(2)), 1, "boxes", 0.1, [1, 2])
+
+
+def test_free_engine_declines_when_ranks_overflow_int64():
+    # the ball of radius L in F2 has 2 * 3^L - 1 words: L = 39 fits int64
+    f2 = CayleyGraph(FreeGroupModel(2))
+    assert isinstance(_packed_engine(f2, 39), _FreeEngine)
+    assert _packed_engine(f2, 40) is None
+    assert _packed_engine(CayleyGraph(FreeGroupModel(1000)), 10) is None
 
 
 def test_packed_engine_matches_python_sets():

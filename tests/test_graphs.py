@@ -282,6 +282,24 @@ def test_grid_edges_match_all_pairs_oracle(space, window, delta, threshold):
     assert graph.adjacency == naive_edges(lattice, threshold)
 
 
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(k=st.integers(0, 3), radius=st.integers(0, 4),
+       threshold=st.sampled_from([1.0, 2.0, 2.5, 3.0]))
+def test_group_ball_edges_match_all_pairs_oracle(k, radius, threshold):
+    """Edges found by array products and bisection, on word balls of the
+    free groups of rank 1 to 3 (k) and of the Heisenberg group (k = 0)."""
+    space = FreeGroupModel(k) if k else HeisenbergModel()
+    lattice = group_ball_lattice(space, min(radius, {0: 3, 1: 4, 2: 4, 3: 3}[k]))
+    graph = build_graph(lattice, threshold=threshold)
+    assert graph.adjacency == naive_edges(lattice, threshold)
+
+
+def test_heisenberg_net_edges_match_all_pairs_oracle():
+    lattice = greedy_net(HeisenbergModel(), BallWindow(5), 2.0)
+    graph = build_graph(lattice)
+    assert graph.adjacency == naive_edges(lattice, graph.threshold)
+
+
 @pytest.mark.parametrize("edge", [[-1, 0], [0, 7], [0, 1.0], [True, 0]])
 def test_graph_json_rejects_edge_ids_outside_the_vertices(edge):
     doc = build_graph(group_ball_lattice(ZdModel(1), 3)).to_json()

@@ -141,6 +141,23 @@ def test_verify_quasilattice_converts_the_lattice_once(monkeypatch, make):
     assert calls[0] == 1
 
 
+def test_free_group_queries_check_no_lattice_point(monkeypatch):
+    """Nearest-point queries and density probes on a free-group lattice
+    measure distances to its trusted points by array, unchecked."""
+    f2 = FreeGroupModel(2)
+    lat = group_ball_lattice(f2, 6)
+    probes = sample_probes(f2, lat.window, 20, 2.0, seed=4)
+    checked = []
+    check = FreeGroupModel.check_point
+    monkeypatch.setattr(FreeGroupModel, "check_point",
+                        lambda self, x: checked.append(x) or check(self, x))
+    assert lat.nearest((1, 2, 1, 2, 1, 2, 1)) == \
+        (lat.index_of((1, 2, 1, 2, 1, 2)), 1.0)
+    cert, profile = verify_quasilattice(lat, probes, [1.0, 2.0], seed=4)
+    assert cert["max_min_distance"] == 0.0 and profile.at(1.0) == 5
+    assert not set(checked) & set(lat.points)
+
+
 @pytest.mark.parametrize("space", [ZdModel(2), FreeGroupModel(2)],
                          ids=["zd2", "free2"])
 def test_verify_empty_lattice_has_no_nearby_point(space):

@@ -190,9 +190,8 @@ BATCH_POINTS = {
 def _same_rows(batch, space, rows):
     """The batch equals ``space.coords(rows)`` bit for bit."""
     expected = space.coords(rows)
-    if expected.dtype == object:
-        return batch.tolist() == expected.tolist()
-    return batch.dtype == expected.dtype and batch.tobytes() == expected.tobytes()
+    return (batch.dtype == expected.dtype and batch.shape == expected.shape
+            and batch.tobytes() == expected.tobytes())
 
 
 @pytest.mark.parametrize("name", sorted(BATCH_POINTS))
@@ -214,6 +213,37 @@ def test_batch_kernels_equal_scalar_kernels(name, data):
                       [space._mul(a, b) for _, b in pairs])
     assert space._dist_many(A[:1], B).tobytes() == \
         np.array([space._dist(a, b) for _, b in pairs]).tobytes()
+
+
+def _free_words(k):
+    letters = [g for g in range(-k, k + 1) if g]
+    return st.lists(st.sampled_from(letters), max_size=7).map(free_reduce)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(data=st.data(), k=st.integers(1, 3))
+def test_free_group_array_kernels_equal_scalar_kernels(data, k):
+    """Padded-word kernels of free groups of rank 1 to 3 against the scalar
+    ones, with the empty word, arrays of different widths and rows padded
+    wider than their longest word."""
+    space, words = FreeGroupModel(k), _free_words(k)
+    xs = data.draw(st.lists(words, min_size=1, max_size=8))
+    ys = data.draw(st.lists(words | st.just(()), min_size=len(xs),
+                            max_size=len(xs)))
+    X, Y = space.coords(xs), space.coords(ys)
+    assert X.dtype == np.int8 and space._points(X) == xs
+    wide = np.pad(Y, ((0, 0), (0, data.draw(st.integers(0, 3)))))
+    for A, B, pairs in ((X, Y, list(zip(xs, ys))), (X, wide, list(zip(xs, ys))),
+                        (X[:1], Y, [(xs[0], y) for y in ys]),
+                        (X, space.coords([()]), [(x, ()) for x in xs])):
+        assert _same_rows(space._mul_many(A, B), space,
+                          [space._mul(a, b) for a, b in pairs])
+        assert space._dist_many(A, B).tolist() == \
+            [space._dist(a, b) for a, b in pairs]
+    p = data.draw(words)
+    expected = [space._dist(p, y) for y in ys]
+    assert space.distances_from(p, ys).tolist() == expected
+    assert space.distances_from(p, wide).tolist() == expected
 
 
 def test_hyperbolic_distance_forms_agree():
