@@ -37,6 +37,8 @@ from .errors import (
 from .graphs import CayleyGraph, HorocyclicGraph, RoughGraph
 from .spaces import FreeGroupModel, HeisenbergModel, TOL, ZdModel, bfs_layers
 
+SWAP_BUDGET_FACTOR = 10   # greedy_improved's swap budget per start vertex
+
 
 @dataclass(frozen=True)
 class FolnerReport:
@@ -349,15 +351,16 @@ def _finite_box(graph: RoughGraph, center, n):
             if max(abs(v - w) for v, w in zip(p, c0)) <= n + TOL]
 
 
-def folner_scan(graph, c, family, epsilon, schedule, center=None,
-                swap_budget_factor=10) -> FolnerReport:
+def folner_scan(graph, c, family, epsilon, schedule,
+                center=None) -> FolnerReport:
     """Evaluate a Folner candidate family in increasing size.
 
     ``family`` is one of ``metric_balls``, ``boxes``, ``greedy_improved``;
     the schedule lists ball radii or box sizes.  Evaluation stops early once
     a ratio beats epsilon.  Candidates that do not fit the certified
     interior of a finite graph are skipped; if none fits at all the scan
-    raises ``WindowTooSmallError``.
+    raises ``WindowTooSmallError``.  Implicit graphs, vertex-transitive,
+    ignore ``center`` and raise ``DomainError`` past their exact engine.
     """
     if family not in ("metric_balls", "boxes", "greedy_improved"):
         raise DomainError(f"unknown Folner family {family!r}")
@@ -367,10 +370,9 @@ def folner_scan(graph, c, family, epsilon, schedule, center=None,
     if isinstance(graph, RoughGraph):
         if center is not None:
             center, = graph.vertex_ids([center])
-        entries = _scan_finite(graph, c, family, epsilon, schedule, center,
-                               swap_budget_factor)
+        entries = _scan_finite(graph, c, family, epsilon, schedule, center)
     else:
-        entries = _scan_implicit(graph, c, family, epsilon, schedule, center)
+        entries = _scan_implicit(graph, c, family, epsilon, schedule)
     if not entries:
         raise WindowTooSmallError(
             "no candidate of the requested family fits the certified interior"
@@ -386,7 +388,7 @@ def folner_scan(graph, c, family, epsilon, schedule, center=None,
     )
 
 
-def _scan_finite(graph, c, family, epsilon, schedule, center, swap_factor):
+def _scan_finite(graph, c, family, epsilon, schedule, center):
     depths = graph.border_depths()
     if center is None:
         center = graph.deepest_vertex(depths)
@@ -410,18 +412,18 @@ def _scan_finite(graph, c, family, epsilon, schedule, center, swap_factor):
         if ratio < epsilon:
             break
     if family == "greedy_improved" and entries and best_set is not None:
-        entries.append(_greedy_improve(graph, c, best_set, swap_factor, depths))
+        entries.append(_greedy_improve(graph, c, best_set, depths))
     return entries
 
 
-def _greedy_improve(graph, c, A, swap_factor, depths):
+def _greedy_improve(graph, c, A, depths):
     """Single-vertex hill climbing from the best ball: first-improvement
     swaps (drop a boundary vertex or adopt an outer one) in deterministic
-    vertex order, with a 10|A| attempt budget."""
+    vertex order, with a ``SWAP_BUDGET_FACTOR`` |A| attempt budget."""
     current = set(A)
     boundary = _local_boundary(graph, current, c)
     ratio = len(boundary) / len(current)
-    budget = swap_factor * len(current)
+    budget = SWAP_BUDGET_FACTOR * len(current)
     improved = True
     while improved and budget > 0:
         improved = False
@@ -447,27 +449,24 @@ def _greedy_improve(graph, c, A, swap_factor, depths):
     return (f"greedy:{size}", size, len(boundary), ratio)
 
 
-def _scan_implicit(graph, c, family, epsilon, schedule, center):
+def _scan_implicit(graph, c, family, epsilon, schedule):
     if family == "greedy_improved":
         raise DomainError("greedy_improved needs a finite windowed graph")
     hop = int(getattr(graph, "threshold", 1))
     horo = isinstance(graph, HorocyclicGraph)
-    # codes reach 2c hops past the largest ball, and expand reads one more
-    engine = _HoroEngine(graph) if horo else _packed_engine(
-        graph, (max(schedule) + 2 * int(c) + 1) * hop)
     balls = family == "metric_balls"
-    if not balls and getattr(engine, "box", None) is None:
-        raise DomainError("box candidates are undefined for this implicit graph")
-    if center is None:
-        center = graph.base_vertex
     entries = []
     for size in schedule:
+        # codes reach 2c hops past the candidate, and expand reads one more
+        span = (size + 2 * int(c) + 1) * hop
+        engine = _HoroEngine(graph) if horo else _packed_engine(graph, span)
+        if engine is None:
+            raise DomainError(f"no exact engine reaches word length {span}")
+        if not balls and engine.box is None:
+            raise DomainError("box candidates are undefined for this graph")
         if horo:
             A = engine.ball(size) if balls else engine.box(size)
             n, bsize = engine.size(A), engine.boundary_size(A, c)
-        elif engine is None:
-            A = _within(graph, {center}, size)
-            n, bsize = len(A), len(_local_boundary(graph, A, c))
         else:
             A = _packed_ball(engine, size * hop) if balls else engine.box(size)
             n, bsize = len(A), _packed_boundary_size(engine, A, int(c) * hop)

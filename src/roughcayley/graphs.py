@@ -2,8 +2,10 @@
 
 ``build_graph`` connects lattice points at distance <= 2r + c + 1 (density
 radius r, coarse-geodesic constant c), which makes the graph connected,
-uniformly locally finite and quasi-isometric to the ambient space.
-``certify_qi`` checks the two defining inequalities
+uniformly locally finite and quasi-isometric to the ambient space.  Model
+builders only propose candidate pairs; ``build_graph`` alone keeps edges and
+``_adjacency`` alone lays out the neighbour lists.  ``certify_qi`` checks the
+two defining inequalities
 
     d(x, y) <= (2r + c + 1) d_graph(x, y)
     d_graph(x, y) <= d(x, y) + c + 1
@@ -18,6 +20,7 @@ lattice of the upper half-plane.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -31,11 +34,12 @@ from .errors import (
     SchemaError,
     UnreachableError,
 )
-from .nets import HOROCYCLIC_DENSITY_RADIUS, Grid, QuasiLattice
+from .nets import HOROCYCLIC_DENSITY_RADIUS, QuasiLattice
 from .spaces import (
     HyperbolicPlaneModel,
     QiConstants,
     TOL,
+    _num,
     bfs_layers,
     hyperbolic_distance_arrays,
     word_ball,
@@ -70,10 +74,8 @@ class RoughGraph:
         return self.adjacency[i]
 
     def edges(self):
-        for i, nbrs in enumerate(self.adjacency):
-            for j in nbrs:
-                if j > i:
-                    yield i, j
+        return ((i, j) for i, nbrs in enumerate(self.adjacency)
+                for j in nbrs if j > i)
 
     def n_edges(self):
         return sum(len(a) for a in self.adjacency) // 2
@@ -121,106 +123,97 @@ class RoughGraph:
 
     @classmethod
     def from_json(cls, obj: dict) -> "RoughGraph":
+        """The graph of a ``to_json`` object; ``SchemaError`` for a self-loop,
+        an edge listed twice or a ``degree_bound_M`` below a degree."""
         lattice = QuasiLattice.from_json(obj["lattice"])
         n = len(lattice.points)
-        adjacency = [[] for _ in range(n)]
         for i, j in obj["edges"]:
-            if not (type(i) is type(j) is int and 0 <= i < n and 0 <= j < n):
-                raise SchemaError(f"edge {[i, j]!r} is no pair of vertex ids "
-                                  f"in range({n})")
-            adjacency[i].append(j)
-            adjacency[j].append(i)
-        for nbrs in adjacency:
-            nbrs.sort()
-        return cls(
-            lattice=lattice,
-            threshold=float(obj["threshold"]),
-            adjacency=adjacency,
-            degree_bound_M=int(obj["degree_bound_M"]),
-        )
+            if not (type(i) is type(j) is int and 0 <= i < n and 0 <= j < n
+                    and i != j):
+                raise SchemaError(f"edge {[i, j]!r} is no pair of distinct "
+                                  f"vertex ids in range({n})")
+        ends = np.fromiter(itertools.chain.from_iterable(obj["edges"]), np.intp)
+        adjacency = _adjacency(n, [ends.reshape(-1, 2).T])
+        if any(len(set(nbrs)) < len(nbrs) for nbrs in adjacency):
+            raise SchemaError("the graph lists an edge twice")
+        bound = _num(obj["degree_bound_M"], int)
+        if bound < max(map(len, adjacency), default=0):
+            raise SchemaError(f"degree_bound_M {bound} is below a vertex degree")
+        return cls(lattice, _num(obj["threshold"], float), adjacency, bound)
 
 
 # ---------------------------------------------------------------------------
-# edge construction (bucketed candidate generation, then exact distances)
+# edge construction: the builders yield candidate pairs as arrays (i, j, d)
+
+
+_BLOCK = 1 << 11   # candidate pairs per block, which bounds the memory
+
+
+def _expand(I, lo, hi, order):
+    """The pairs (I[k], order[t]) for lo[k] <= t < hi[k], in blocks."""
+    ends = np.cumsum(hi - lo)
+    for s in range(0, int(ends[-1]) if len(ends) else 0, _BLOCK):
+        t = np.arange(s, min(s + _BLOCK, ends[-1]))
+        k = np.searchsorted(ends, t, side="right")
+        t += hi[k] - ends[k]
+        yield I[k], order[t]
 
 
 def _edges_grid(lattice, threshold):
-    # cells of side threshold hold every neighbour of a point in its own
-    # cell or the next (see ``Grid``)
-    pts = lattice.points
-    dist = lattice.space._dist
-    grid = Grid(threshold)
-    for i, p in enumerate(pts):
-        grid.add(p, i)
-    adjacency = [[] for _ in pts]
-    for i, p in enumerate(pts):
-        for j in grid.near(p):
-            if j > i and dist(p, pts[j]) <= threshold + TOL:
-                adjacency[i].append(j)
-                adjacency[j].append(i)
-    return adjacency
+    # the neighbours of a point lie in the 3^d cells of side threshold about
+    # its own (see ``SpaceModel.grid_metric``), found by bisection in the keys
+    X = lattice.coords()
+    n, d = X.shape
+    cells = np.floor(X / threshold).astype(np.int64)
+    keys = _row_bytes(cells, d)
+    order = np.argsort(keys)
+    keys = keys[order]
+    for off in itertools.product((-1, 0, 1), repeat=d):
+        q = _row_bytes(cells + off, d)
+        for i, j in _expand(np.arange(n), np.searchsorted(keys, q, "left"),
+                            np.searchsorted(keys, q, "right"), order):
+            yield i, j, lattice.space._dist_many(X[i], X[j])
 
 
 def _edges_h2(lattice, threshold):
-    pts = lattice.points
-    us = np.array([p[0] for p in pts])
-    as_ = np.array([p[1] for p in pts])
-    las = np.log(as_)
-    rows = {}
-    for i, la in enumerate(las):
-        rows.setdefault(int(math.floor(la / threshold)), []).append(i)
-    row_arrays = {}
-    for k, idxs in rows.items():
-        idxs = np.array(idxs)
-        order = np.argsort(us[idxs], kind="stable")
-        row_arrays[k] = idxs[order]
-    stretch = (math.exp(threshold) - 1.0) / 2.0  # |du| <= (a1+a2)*stretch
-    adjacency = [[] for _ in pts]
-    for i in range(len(pts)):
-        k0 = int(math.floor(las[i] / threshold))
-        for k in (k0 - 1, k0, k0 + 1):
-            idxs = row_arrays.get(k)
-            if idxs is None:
-                continue
-            amax = as_[idxs].max()
-            w = (as_[i] + amax) * stretch
-            lo = np.searchsorted(us[idxs], us[i] - w, side="left")
-            hi = np.searchsorted(us[idxs], us[i] + w, side="right")
-            cand = idxs[lo:hi]
-            d = hyperbolic_distance_arrays(us[i], as_[i], us[cand], as_[cand])
-            for j in cand[d <= threshold + TOL]:
-                if j > i:
-                    adjacency[i].append(int(j))
-                    adjacency[int(j)].append(i)
-    return adjacency
+    # rows of log a of height threshold hold every neighbour of a point in
+    # its own row or the next; in a row, sorted by u, the neighbours of
+    # (u, a) have |du| <= (a + the row's largest a) * stretch
+    u, a = lattice.coords().T
+    rows = np.floor(np.log(a) / threshold).astype(np.int64)
+    order = np.lexsort((u, rows))
+    stretch = (math.exp(threshold) - 1.0) / 2.0
+    for k in np.unique(rows):
+        s, e = np.searchsorted(rows[order], [k, k + 1])
+        row_u = u[order[s:e]]
+        Q = np.flatnonzero(np.abs(rows - k) <= 1)
+        w = (a[Q] + a[order[s:e]].max()) * stretch
+        for i, j in _expand(Q, s + np.searchsorted(row_u, u[Q] - w, "left"),
+                            s + np.searchsorted(row_u, u[Q] + w, "right"),
+                            order):
+            yield i, j, hyperbolic_distance_arrays(u[i], a[i], u[j], a[j])
 
 
 def _edges_group_ball(lattice, threshold):
-    # i ~ j when p_j = p_i g for a hop g; blocks of 2^14 products are found
-    # by bisection in the lattice rows, sorted once as raw bytes (exact)
+    # p_j = p_i g for a hop g, at distance |g|; the products are found by
+    # bisection in the lattice rows, sorted once as raw bytes (exact)
     space = lattice.space
     X = lattice.coords()
     n, w = len(X), max(X.shape[1], 1)
-    hops = space.coords(list(word_ball(space, int(math.floor(threshold + TOL))))[1:])
+    ball = word_ball(space, int(math.floor(threshold + TOL)))
+    hops = space.coords(list(ball)[1:])
+    lengths = np.array(list(ball.values())[1:], dtype=float)
     keys = _row_bytes(X, w)
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
-    I, J = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
-    for lo in range(0, len(hops) * n, 1 << 14):
-        k = np.arange(lo, min(lo + (1 << 14), len(hops) * n))
+    for lo in range(0, len(hops) * n, _BLOCK):
+        k = np.arange(lo, min(lo + _BLOCK, len(hops) * n))
         i = k % n
         P = space._mul_many(X[i], hops[k // n])
         q = _row_bytes(P, w)
         at = np.minimum(np.searchsorted(keys, q), n - 1)
-        hit = (keys[at] == q) & ~P[:, w:].any(axis=1) & (order[at] != i)
-        I.append(i[hit])
-        J.append(order[at[hit]])
-    I, J = np.concatenate(I), np.concatenate(J)
-    order = np.lexsort((J, I))
-    ends = np.searchsorted(I[order], np.arange(n + 1)).tolist()
-    # one int object per vertex id, shared by every list that holds it
-    J = np.arange(n).astype(object)[J[order]].tolist()
-    return [J[a:b] for a, b in zip(ends, ends[1:])]
+        hit = (keys[at] == q) & ~P[:, w:].any(axis=1)
+        yield i[hit], order[at[hit]], lengths[k[hit] // n]
 
 
 def _row_bytes(A, w):
@@ -228,6 +221,28 @@ def _row_bytes(A, w):
     out = np.zeros((len(A), w), dtype=A.dtype)
     out[:, :min(A.shape[1], w)] = A[:, :w]
     return out.view(f"V{out.itemsize * w}").ravel()
+
+
+def _adjacency(n, pairs):
+    """Sorted neighbour lists of n vertices joined by the edges of the blocks
+    (I, J) of ``pairs``, which grow the lists in turn so that no array holds
+    every edge; one int object per vertex id."""
+    ids = np.arange(n).astype(object)
+    adjacency = [[] for _ in range(n)]
+    for I, J in pairs:
+        for i, j in zip(ids[I].tolist(), ids[J].tolist()):
+            adjacency[i].append(j)
+            adjacency[j].append(i)
+    for v, nbrs in enumerate(adjacency):
+        adjacency[v] = sorted(nbrs)   # a new list has no spare capacity
+    return adjacency
+
+
+def _kept(blocks, threshold):
+    """The edge rule: candidate pairs i < j with d <= threshold + 1e-9."""
+    for i, j, d in blocks:
+        keep = (i < j) & (d <= threshold + TOL)
+        yield i[keep], j[keep]
 
 
 def build_graph(lattice: QuasiLattice, threshold=None) -> RoughGraph:
@@ -239,21 +254,12 @@ def build_graph(lattice: QuasiLattice, threshold=None) -> RoughGraph:
     """
     if threshold is None:
         threshold = default_threshold(lattice)
-    space = lattice.space
-    if space.grid_metric:
-        adjacency = _edges_grid(lattice, threshold)
-    elif space.tag == "h2":
-        adjacency = _edges_h2(lattice, threshold)
-    else:
-        adjacency = _edges_group_ball(lattice, threshold)
-    for nbrs in adjacency:
-        nbrs.sort()
-    graph = RoughGraph(
-        lattice=lattice,
-        threshold=float(threshold),
-        adjacency=adjacency,
-        degree_bound_M=max((len(a) for a in adjacency), default=0),
-    )
+    propose = (_edges_grid if lattice.space.grid_metric else _edges_h2
+               if lattice.space.tag == "h2" else _edges_group_ball)
+    adjacency = _adjacency(len(lattice),
+                           _kept(propose(lattice, threshold), threshold))
+    graph = RoughGraph(lattice, float(threshold), adjacency,
+                       max(map(len, adjacency), default=0))
     sizes = component_sizes(graph)
     if len(sizes) > 1:
         raise DisconnectedGraphError(sizes)
@@ -444,17 +450,10 @@ class CayleyGraph:
         self.threshold = int(threshold)
         self._hops = list(word_ball(space, self.threshold))[1:]
 
-    @property
-    def base_vertex(self):
-        return self.space.identity()
-
     def neighbors(self, p):
         self.space.check_point(p)
         mul = self.space._mul
         return [mul(p, g) for g in self._hops]
-
-    def point(self, p):
-        return p
 
 
 class HorocyclicGraph:
@@ -477,10 +476,6 @@ class HorocyclicGraph:
         for dn in range(-self._dn_max, self._dn_max + 1):
             b2 = 2.0 * math.exp(dn) * (cosht - math.cosh(dn))
             self.reach[dn] = math.sqrt(max(0.0, b2))
-
-    @property
-    def base_vertex(self):
-        return (0, 0)
 
     def point(self, v):
         m, n = v

@@ -30,6 +30,9 @@ from .errors import BorderError, DomainError, SchemaError
 from .graphs import RoughGraph
 from .spaces import FreeGroupModel, SpaceModel, bfs_layers
 
+MIN_LEN = 8          # shortest series ``classify_growth`` classifies
+ALPHA_MAX = BETA_MAX = GAMMA_MAX = 8   # the sandwich constants searched
+
 
 @dataclass(frozen=True)
 class GrowthSeries:
@@ -167,7 +170,7 @@ def _least_squares(x, y):
     return float(slope), float(intercept), rms, se
 
 
-def classify_growth(series, min_len=8) -> GrowthVerdict:
+def classify_growth(series) -> GrowthVerdict:
     """Fixed decision rule on the tail m >= 4 of the series.
 
     The polynomial test fits log V(m) against log(m + 1/2), so the slope
@@ -177,9 +180,9 @@ def classify_growth(series, min_len=8) -> GrowthVerdict:
     (the rule is scale-invariant, so rescaled series classify identically).
     """
     values = series.values if isinstance(series, GrowthSeries) else tuple(series)
-    if len(values) < min_len:
+    if len(values) < MIN_LEN:
         return GrowthVerdict("inconclusive", None, None,
-                             {"reason": f"series shorter than {min_len}"})
+                             {"reason": f"series shorter than {MIN_LEN}"})
     ms = np.arange(4, len(values))
     vs = np.array(values[4:], dtype=float)
     logv = np.log(vs)
@@ -198,22 +201,20 @@ def classify_growth(series, min_len=8) -> GrowthVerdict:
 # sandwich comparison
 
 
-def compare_growth(a: GrowthSeries, b: GrowthSeries, alpha_max=8, beta_max=8,
-                   gamma_max=8, min_cover=None) -> ComparisonVerdict:
+def compare_growth(a: GrowthSeries, b: GrowthSeries) -> ComparisonVerdict:
     """Search for sandwich constants making the two series equivalent.
 
     Each direction is checked on the overlapping range; a constant triple
-    only counts when both directions cover at least ``min_cover`` arguments
-    (default: half the shorter series), so degenerate overlaps cannot fake
-    an equivalence.
+    only counts when both directions cover at least ``min_cover`` arguments,
+    half the shorter series, so degenerate overlaps cannot fake an
+    equivalence.
     """
     va, vb = a.values, b.values
     la, lb = len(va), len(vb)
-    if min_cover is None:
-        min_cover = (min(la, lb) - 1) // 2 + 1
-    for alpha in range(1, alpha_max + 1):
-        for beta in range(1, beta_max + 1):
-            for gamma in range(0, gamma_max + 1):
+    min_cover = (min(la, lb) - 1) // 2 + 1
+    for alpha in range(1, ALPHA_MAX + 1):
+        for beta in range(1, BETA_MAX + 1):
+            for gamma in range(0, GAMMA_MAX + 1):
                 m1 = min((lb - 1 - gamma) // beta, la - 1)
                 m2 = min((la - 1 - gamma) // beta, lb - 1)
                 if m1 + 1 < min_cover or m2 + 1 < min_cover:

@@ -274,6 +274,25 @@ def test_graph_file_with_edge_outside_the_vertices_exits_2(tmp_path, capsys,
     assert f"vertex ids in range({n})" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edit,message", [
+    (lambda doc: doc["edges"].append([3, 3]), "no pair of distinct vertex ids"),
+    (lambda doc: doc["edges"].append(doc["edges"][-1][::-1]),
+     "lists an edge twice"),
+    (lambda doc: doc.update(degree_bound_M=1), "below a vertex degree"),
+    (lambda doc: doc.update(degree_bound_M=4.5), "expected a JSON int"),
+], ids=["self-loop", "twice", "bound-below-degree", "float-bound"])
+def test_graph_file_with_malformed_edge_list_exits_2(tmp_path, capsys, edit,
+                                                     message):
+    path, _ = _lattice_file(tmp_path, *LATTICES["zd"])
+    g = tmp_path / "g.json"
+    assert run("graph", "build", "--lattice", str(path), "--out", str(g)) == 0
+    _rewrite(g, json.loads(g.read_text()), edit)
+    capsys.readouterr()
+    assert run("graph", "stats", "--graph", str(g)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error (schema)") and message in err
+
+
 def test_file_that_cannot_be_opened_exits_2(tmp_path, capsys):
     missing = str(tmp_path / "missing.json")
     out = tmp_path / "g.json"

@@ -231,6 +231,17 @@ def test_free_engine_declines_when_ranks_overflow_int64():
     assert _packed_engine(CayleyGraph(FreeGroupModel(1000)), 10) is None
 
 
+def test_implicit_scan_sizes_its_engine_by_each_scanned_radius():
+    """The ranks of F_1000 overflow int64 past word length 5.  A scan that
+    stops at radius 0 needs words of length 3 only; one that starts at
+    radius 5 raises at once, with no fallback walk over element sets."""
+    cay = CayleyGraph(FreeGroupModel(1000))
+    report = folner_scan(cay, 1, "metric_balls", 1e9, [0, 5])
+    assert report.entries == (("ball:0", 1, 2001, 2001.0),)
+    with pytest.raises(DomainError, match="no exact engine"):
+        folner_scan(cay, 1, "metric_balls", 1e9, [5])
+
+
 def test_packed_engine_matches_python_sets():
     cay = CayleyGraph(ZdModel(2))
     report = folner_scan(cay, 1, "boxes", 1e-9, [4])

@@ -12,9 +12,11 @@ from roughcayley import (
     CayleyGraph,
     EuclideanModel,
     FreeGroupModel,
+    H2Window,
     HOROCYCLIC_SEPARATION,
     HeisenbergModel,
     HorocyclicGraph,
+    HyperbolicPlaneModel,
     QuasiLattice,
     RoughGraph,
     ZdModel,
@@ -292,6 +294,20 @@ def test_group_ball_edges_match_all_pairs_oracle(k, radius, threshold):
     lattice = group_ball_lattice(space, min(radius, {0: 3, 1: 4, 2: 4, 3: 3}[k]))
     graph = build_graph(lattice, threshold=threshold)
     assert graph.adjacency == naive_edges(lattice, threshold)
+
+
+@pytest.mark.parametrize("make,n,edges", [
+    (lambda: horocyclic_lattice((-6.0, 6.0), (-2, 2)), 141, 1639),
+    (lambda: greedy_net(HyperbolicPlaneModel(),
+                        H2Window(-3.0, 3.0, -1.5, 1.5), 0.8), 45, 350),
+], ids=["horocyclic", "greedy"])
+def test_h2_edges_match_all_pairs_oracle(make, n, edges):
+    """Edges found by u-windows in rows of log a, on the horocyclic lattice
+    and on a greedy net of the hyperbolic plane."""
+    lattice = make()
+    graph = build_graph(lattice)
+    assert (graph.n, graph.n_edges()) == (n, edges)
+    assert graph.adjacency == naive_edges(lattice, graph.threshold)
 
 
 def test_heisenberg_net_edges_match_all_pairs_oracle():

@@ -30,6 +30,7 @@ from roughcayley import (
 from roughcayley.errors import (
     DomainError,
     ModelMismatchError,
+    SchemaError,
     UnsupportedOperationError,
 )
 
@@ -121,6 +122,28 @@ def test_rough_graph_from_json_rejects_unreduced_word():
     obj["lattice"]["points"][-1]["w"] = [1, -1]
     with pytest.raises(DomainError):
         RoughGraph.from_json(obj)
+
+
+@pytest.mark.parametrize("edit,match", [
+    (lambda doc: doc["edges"].append([0, 0]), "distinct vertex ids"),
+    (lambda doc: doc["edges"].append([0, 1]), "lists an edge twice"),
+    (lambda doc: doc["edges"].append([1, 0]), "lists an edge twice"),
+    (lambda doc: doc.update(degree_bound_M=3), "below a vertex degree"),
+    (lambda doc: doc.update(degree_bound_M=4.0), "JSON int"),
+    (lambda doc: doc.update(degree_bound_M=True), "JSON int"),
+    (lambda doc: doc.update(threshold="2"), "JSON float"),
+], ids=["self-loop", "twice", "twice-reversed", "bound-below-degree",
+        "float-bound", "bool-bound", "string-threshold"])
+def test_rough_graph_from_json_rejects_malformed_edge_lists(edit, match):
+    """Without these checks the Z^1 ball-3 graph with [0, 0] and a second
+    [0, 1] read 13 edges for 11 and a degree of 5 under a bound of 4."""
+    doc = build_graph(group_ball_lattice(ZdModel(1), 3)).to_json()
+    graph = RoughGraph.from_json(doc)
+    assert (graph.n_edges(), graph.degree_bound_M) == (11, 4)
+    assert graph.adjacency[0] == [1, 2]
+    edit(doc)
+    with pytest.raises(SchemaError, match=match):
+        RoughGraph.from_json(doc)
 
 
 def test_graph_and_certifier_check_each_point_once(monkeypatch):
