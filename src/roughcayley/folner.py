@@ -5,19 +5,20 @@ in the graph metric; the Folner ratio is |boundary| / |A|.  The boundary
 depends on N_c(A) only: it is outer | inner with outer = N_c(A) \\ A and
 inner = A & N_c(outer), because for c >= 1 the first vertex outside A on a
 geodesic from a in A to the complement lies in outer (for c < 1 both are
-empty).  One local computation therefore serves finite and implicit graphs
-and never visits the rest of the graph.  Scans evaluate a candidate family
-in increasing size and stop once the ratio drops below the target.  A
-finite search can only ever report "not achieved over the tested family",
-never non-amenability.
+empty).  One local rule therefore serves finite and implicit graphs, and
+on an implicit graph never visits the rest of it.  Scans evaluate a
+candidate family in increasing size and stop once the ratio drops below
+the target.  A finite search can only ever report "not achieved over the
+tested family", never non-amenability.
 
 On finite windowed graphs every candidate must keep graph distance > c
 from the border vertices, so the windowed boundary equals the boundary in
-the unwindowed object.  On the implicit infinite graphs (``CayleyGraph``,
-``HorocyclicGraph``) boundaries are exact as computed.  Cayley graphs of
-Z^d, Heisenberg and free groups get a vectorised engine on int64 codes
-(packed coordinates; for free groups the shortlex rank of the word) that
-handles candidate sets with millions of vertices.
+the unwindowed object; there vertex sets are boolean masks, and N_c is c
+mask steps over the graph's CSR arrays.  On the implicit infinite graphs
+(``CayleyGraph``, ``HorocyclicGraph``) boundaries are exact as computed.
+Cayley graphs of Z^d, Heisenberg and free groups get a vectorised engine
+on int64 codes (packed coordinates; for free groups the shortlex rank of
+the word) that handles candidate sets with millions of vertices.
 """
 
 from __future__ import annotations
@@ -35,7 +36,14 @@ from .errors import (
     WindowTooSmallError,
 )
 from .graphs import CayleyGraph, HorocyclicGraph, RoughGraph
-from .spaces import FreeGroupModel, HeisenbergModel, TOL, ZdModel, bfs_layers
+from .spaces import (
+    FreeGroupModel,
+    HeisenbergModel,
+    TOL,
+    ZdModel,
+    bfs_layers,
+    csr_layers,
+)
 
 SWAP_BUDGET_FACTOR = 10   # greedy_improved's swap budget per start vertex
 
@@ -104,6 +112,8 @@ def c_boundary(graph, A, c):
         A = graph.vertex_ids(A)
         if A:
             _interior_check(A, c, graph.border_depths())
+        return np.flatnonzero(_mask_boundary(graph, _mask(graph, A), c)
+                              ).tolist()
     return sorted(_local_boundary(graph, set(A), c))
 
 
@@ -113,9 +123,41 @@ def _local_boundary(graph, a_set, c):
 
 
 def _within(graph, seeds, c):
-    """N_c(seeds): the vertices at graph distance <= c from ``seeds``."""
+    """N_c(seeds): the vertices at graph distance <= c from ``seeds``, as
+    sorted ids on a finite graph and as a set on an implicit one."""
+    if isinstance(graph, RoughGraph):
+        layers = csr_layers(*graph.csr(), list(seeds))
+        return np.sort(np.concatenate(
+            [np.empty(0, dtype=np.intp),
+             *itertools.islice(layers, int(c) + 1)]))
     return set().union(
         *itertools.islice(bfs_layers(graph.neighbors, seeds), int(c) + 1))
+
+
+def _mask(graph, ids):
+    m = np.zeros(graph.n, dtype=bool)
+    m[ids] = True
+    return m
+
+
+def _mask_boundary(graph, m, c):
+    """``_local_boundary`` of the vertex mask m of a finite graph, as a
+    mask."""
+    outer = _grow(graph, m, c) & ~m
+    return outer | (_grow(graph, outer, c) & m)
+
+
+def _grow(graph, m, c):
+    """The mask of N_c of the vertex mask m: c steps, each adding every
+    vertex with a neighbour in the mask."""
+    indptr, indices = graph.csr()
+    # reduceat reads an empty row as the first entry of the next row (and
+    # fails past the end), so only the rows with neighbours are reduced
+    rows = np.flatnonzero(indptr[1:] > indptr[:-1])
+    m = m.copy()
+    for _ in range(int(c)):
+        m[rows] |= np.logical_or.reduceat(m[indices], indptr[rows])
+    return m
 
 
 def folner_ratio(graph, A, c) -> float:
@@ -346,9 +388,8 @@ def _finite_box(graph: RoughGraph, center, n):
     space = graph.space
     if not space.grid_metric:
         raise DomainError(f"box candidates are undefined for {space.model_id}")
-    c0 = graph.point(center)
-    return [i for i, p in enumerate(graph.lattice.points)
-            if max(abs(v - w) for v, w in zip(p, c0)) <= n + TOL]
+    X = graph.lattice.coords()
+    return np.flatnonzero(np.abs(X - X[center]).max(axis=1) <= n + TOL)
 
 
 def folner_scan(graph, c, family, epsilon, schedule,
@@ -397,14 +438,14 @@ def _scan_finite(graph, c, family, epsilon, schedule, center):
     best_set = None
     for size in schedule:
         if base_family == "metric_balls":
-            A = sorted(_within(graph, {center}, size))
+            A = _within(graph, {center}, size)
             desc = f"ball:{size}"
         else:
             A = _finite_box(graph, center, size)
             desc = f"box:{size}"
-        if not A or any(depths[a] <= c for a in A):
+        if not len(A) or (depths[A] <= c).any():
             continue  # candidate leaks past the certified interior
-        bsize = len(_local_boundary(graph, set(A), c))
+        bsize = int(_mask_boundary(graph, _mask(graph, A), c).sum())
         ratio = bsize / len(A)
         entries.append((desc, len(A), bsize, ratio))
         if best_set is None or ratio < min(e[3] for e in entries[:-1]):
@@ -420,10 +461,10 @@ def _greedy_improve(graph, c, A, depths):
     """Single-vertex hill climbing from the best ball: first-improvement
     swaps (drop a boundary vertex or adopt an outer one) in deterministic
     vertex order, with a ``SWAP_BUDGET_FACTOR`` |A| attempt budget."""
-    current = set(A)
-    boundary = _local_boundary(graph, current, c)
-    ratio = len(boundary) / len(current)
-    budget = SWAP_BUDGET_FACTOR * len(current)
+    current, size = _mask(graph, A), len(A)
+    boundary = np.flatnonzero(_mask_boundary(graph, current, c))
+    ratio = len(boundary) / size
+    budget = SWAP_BUDGET_FACTOR * size
     improved = True
     while improved and budget > 0:
         improved = False
@@ -431,21 +472,23 @@ def _greedy_improve(graph, c, A, depths):
         # while another remains, so the trial is not empty, and an outer
         # vertex is adopted only at depth > c, so the trial stays inside the
         # certified interior
-        ordered = sorted(boundary)
-        inner = [v for v in ordered if v in current and len(current) > 1]
-        outer = [v for v in ordered if v not in current and depths[v] > c]
-        for v in inner + outer:
+        member = current[boundary]
+        inner = boundary[member] if size > 1 else boundary[:0]
+        outer = boundary[~member & (depths[boundary] > c)]
+        for v in np.concatenate([inner, outer]).tolist():
             if budget <= 0:
                 break
             budget -= 1
-            trial = current ^ {v}
-            trial_boundary = _local_boundary(graph, trial, c)
-            trial_ratio = len(trial_boundary) / len(trial)
+            trial = current.copy()
+            trial[v] = not current[v]
+            trial_size = size - 1 if current[v] else size + 1
+            trial_boundary = np.flatnonzero(_mask_boundary(graph, trial, c))
+            trial_ratio = len(trial_boundary) / trial_size
             if trial_ratio < ratio - TOL:
-                current, boundary, ratio = trial, trial_boundary, trial_ratio
+                current, size = trial, trial_size
+                boundary, ratio = trial_boundary, trial_ratio
                 improved = True
                 break
-    size = len(current)
     return (f"greedy:{size}", size, len(boundary), ratio)
 
 

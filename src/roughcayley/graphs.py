@@ -4,8 +4,10 @@
 radius r, coarse-geodesic constant c), which makes the graph connected,
 uniformly locally finite and quasi-isometric to the ambient space.  Model
 builders only propose candidate pairs; ``build_graph`` alone keeps edges and
-``_adjacency`` alone lays out the neighbour lists.  ``certify_qi`` checks the
-two defining inequalities
+``_adjacency`` alone lays out the neighbour lists.  Every walk over a finite
+graph runs ``spaces.csr_layers`` on the graph's CSR arrays (``csr``), one
+array step per breadth-first layer.  ``certify_qi`` checks the two defining
+inequalities
 
     d(x, y) <= (2r + c + 1) d_graph(x, y)
     d_graph(x, y) <= d(x, y) + c + 1
@@ -40,7 +42,7 @@ from .spaces import (
     QiConstants,
     TOL,
     _num,
-    bfs_layers,
+    csr_layers,
     hyperbolic_distance_arrays,
     word_ball,
 )
@@ -52,12 +54,22 @@ def default_threshold(lattice: QuasiLattice) -> float:
 
 @dataclass
 class RoughGraph:
-    """Finite threshold graph over a windowed quasi-lattice."""
+    """Finite threshold graph over a windowed quasi-lattice.
+
+    ``adjacency`` holds the sorted neighbour lists and is what ``edges``,
+    ``n_edges`` and ``to_json`` read.  The walks (distances, components,
+    border depths, balls, boundaries) read ``csr()``, a snapshot of it
+    taken on first use; library code never mutates a graph after
+    construction.
+    """
 
     lattice: QuasiLattice
     threshold: float
     adjacency: list
     degree_bound_M: int = field(default=0)
+
+    def __post_init__(self):
+        self._csr = None
 
     @property
     def n(self):
@@ -72,6 +84,21 @@ class RoughGraph:
 
     def neighbors(self, i):
         return self.adjacency[i]
+
+    def csr(self):
+        """Read-only int32 arrays ``(indptr, indices)``: the neighbours of
+        vertex i are ``indices[indptr[i]:indptr[i + 1]]``, in ``adjacency``
+        order.  Built once, on first use."""
+        if self._csr is None:
+            indptr = np.zeros(len(self.adjacency) + 1, dtype=np.int32)
+            np.cumsum(np.fromiter(map(len, self.adjacency), dtype=np.int32,
+                                  count=len(self.adjacency)), out=indptr[1:])
+            indices = np.fromiter(itertools.chain.from_iterable(self.adjacency),
+                                  dtype=np.int32, count=int(indptr[-1]))
+            indptr.setflags(write=False)
+            indices.setflags(write=False)
+            self._csr = indptr, indices
+        return self._csr
 
     def edges(self):
         return ((i, j) for i, nbrs in enumerate(self.adjacency)
@@ -93,8 +120,7 @@ class RoughGraph:
         if not border:
             return np.full(self.n, np.iinfo(np.int64).max, dtype=np.int64)
         depths = np.full(self.n, -1, dtype=np.int64)
-        for depth, layer in enumerate(
-                bfs_layers(self.adjacency.__getitem__, border)):
+        for depth, layer in enumerate(csr_layers(*self.csr(), border)):
             depths[layer] = depth
         return depths
 
@@ -268,15 +294,14 @@ def build_graph(lattice: QuasiLattice, threshold=None) -> RoughGraph:
 
 def component_sizes(graph) -> list:
     """Sizes of the connected components, in order of their smallest id."""
+    csr = graph.csr()
     seen = np.zeros(graph.n, dtype=bool)
-    sizes = []
-    for s in range(graph.n):
+    sizes = [sum(map(len, csr_layers(*csr, [0], seen)))] if graph.n else []
+    # only the vertices that the component of vertex 0 leaves out, in id
+    # order, can start another
+    for s in np.flatnonzero(~seen).tolist():
         if not seen[s]:
-            size = 0
-            for layer in bfs_layers(graph.neighbors, [s]):
-                seen[layer] = True
-                size += len(layer)
-            sizes.append(size)
+            sizes.append(sum(map(len, csr_layers(*csr, [s], seen))))
     return sizes
 
 
@@ -293,18 +318,27 @@ def bfs_distances(graph, source, max_nodes=None):
     layer whose running count exceeds ``max_nodes``; every kept layer is
     complete, so the distances of retained vertices are exact.
     """
-    dist = {}
-    for depth, layer in enumerate(bfs_layers(graph.neighbors, [source])):
-        dist.update(dict.fromkeys(layer, depth))
-        if max_nodes is not None and len(dist) > max_nodes:
+    ids, depths = _bfs_arrays(graph, source, max_nodes)
+    return dict(zip(ids.tolist(), depths.tolist())), int(depths[-1])
+
+
+def _bfs_arrays(graph, source, max_nodes=None):
+    """``bfs_distances`` as two arrays: the vertex ids in discovery order
+    and their hop distances."""
+    layers, count = [], 0
+    for layer in csr_layers(*graph.csr(), [source]):
+        layers.append(layer)
+        count += len(layer)
+        if max_nodes is not None and count > max_nodes:
             break
-    return dist, depth
+    return (np.concatenate(layers),
+            np.repeat(np.arange(len(layers)), list(map(len, layers))))
 
 
 def graph_distance(graph, i, j) -> int:
     """BFS shortest-path length between two vertices."""
-    for depth, layer in enumerate(bfs_layers(graph.neighbors, [i])):
-        if j in layer:
+    for depth, layer in enumerate(csr_layers(*graph.csr(), [i])):
+        if (layer == j).any():
             return depth
     raise UnreachableError(f"vertices {i} and {j} are in different components")
 
@@ -337,10 +371,9 @@ def _qi_sample(graph, n_pairs, n_sources, max_nodes_per_source, seed):
     samples = [(np.empty(0, dtype=np.intp),) * 4]
     per_source = max(1, -(-3 * n_pairs // len(sources)))
     for s in sources:
-        dist, _ = bfs_distances(graph, int(s), max_nodes=max_nodes_per_source)
-        # the source is the first key; its partners follow in BFS order
-        ts = np.fromiter(dist, dtype=np.intp, count=len(dist))[1:]
-        dg = np.fromiter(dist.values(), dtype=np.intp, count=len(dist))[1:]
+        ts, dg = _bfs_arrays(graph, s, max_nodes_per_source)
+        # the source comes first; its partners follow in BFS order
+        ts, dg = ts[1:], dg[1:]
         d = graph.space.distances_from(X[s], X[ts])
         need = d / 2.0 + c + r - TOL
         cand = np.flatnonzero((slacks[s] >= need) & (slacks[ts] >= need))
@@ -397,13 +430,13 @@ def certify_qi(graph: RoughGraph, n_pairs=1000, n_sources=50,
 
 
 def graph_stats(graph: RoughGraph) -> dict:
-    degs = [len(a) for a in graph.adjacency]
+    degs = np.diff(graph.csr()[0])
     return {
         "vertices": graph.n,
         "edges": graph.n_edges(),
         "threshold": graph.threshold,
-        "max_degree": max(degs, default=0),
-        "mean_degree": float(np.mean(degs)) if degs else 0.0,
+        "max_degree": int(degs.max(initial=0)),
+        "mean_degree": float(np.mean(degs)) if len(degs) else 0.0,
         "components": len(component_sizes(graph)),
     }
 

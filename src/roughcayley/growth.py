@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import BorderError, DomainError, SchemaError
 from .graphs import RoughGraph
-from .spaces import FreeGroupModel, SpaceModel, bfs_layers
+from .spaces import FreeGroupModel, SpaceModel, bfs_layers, csr_layers
 
 MIN_LEN = 8          # shortest series ``classify_growth`` classifies
 ALPHA_MAX = BETA_MAX = GAMMA_MAX = 8   # the sandwich constants searched
@@ -118,14 +118,12 @@ def _group_ball_sizes(space, x0, m_max) -> GrowthSeries:
     if isinstance(space, FreeGroupModel):
         return GrowthSeries(space.model_id, x0, space.ball_sizes(m_max))
     gens = space.generators()
-    values = _ball_counts(lambda p: [space._mul(p, g) for g in gens], x0,
-                          m_max)
-    return GrowthSeries(space.model_id, x0, values)
+    layers = bfs_layers(lambda p: [space._mul(p, g) for g in gens], [x0])
+    return GrowthSeries(space.model_id, x0, _ball_counts(layers, m_max))
 
 
-def _ball_counts(neighbors, x0, m_max):
+def _ball_counts(layers, m_max):
     """|N_m(x0)| for m = 0..m_max, read off the BFS layers about x0."""
-    layers = bfs_layers(neighbors, [x0])
     values = [len(next(layers))]
     for _ in range(m_max):
         values.append(values[-1] + len(next(layers, ())))
@@ -147,7 +145,7 @@ def _graph_ball_sizes(graph, x0, m_max) -> GrowthSeries:
             max_safe=safe,
         )
     return GrowthSeries(f"graph:{graph.space.model_id}", graph.point(x0),
-                        _ball_counts(graph.neighbors, x0, m_max))
+                        _ball_counts(csr_layers(*graph.csr(), [x0]), m_max))
 
 
 # ---------------------------------------------------------------------------

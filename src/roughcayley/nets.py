@@ -86,8 +86,8 @@ class QuasiLattice:
     def slacks(self) -> np.ndarray:
         """Boundary slack (metric distance to the window border) per point."""
         if self._slacks is None:
-            self._slacks = np.array([self.space.boundary_slack(self.window, p)
-                                     for p in self.points], dtype=float)
+            self._slacks = self.space.boundary_slacks(self.window,
+                                                      self.coords())
             self._slacks.setflags(write=False)
         return self._slacks
 

@@ -26,11 +26,17 @@ Library loops over points that are already trusted (lattice points, which
 itself) call the kernels directly.  The batch kernels ``_mul_many`` and
 ``_dist_many`` apply ``_mul`` and ``_dist`` row by row to point arrays
 (``coords``; ``_points`` reads them back); Z^d, Heisenberg and free groups
-(words as zero-padded rows of letters) do so in exact integer NumPy, the
-other models loop over the scalar kernel, so a batch equals the scalar
-results bit for bit on every model.
+(words as zero-padded rows of letters) do so in exact integer NumPy, R^d
+in float NumPy with ``_dist``'s operations in its order, and the
+hyperbolic plane loops over the scalar kernel, so a batch equals the
+scalar results bit for bit on every model.  ``boundary_slacks`` does the
+same for ``boundary_slack`` where an array form is exact (Z^d, free
+groups).
 
-``bfs_layers`` is the one breadth-first walk of the package: word balls,
+Two breadth-first walks serve the package, both layer by layer with the
+same sources rule and FIFO order.  ``bfs_layers`` walks any neighbour
+function over hashable vertices: word balls and the implicit graphs.
+``csr_layers`` walks a finite graph in CSR arrays (``RoughGraph.csr``):
 hop balls, border depths, components, distances and c-neighbourhoods.
 
 Each model owns its JSON form: ``tag`` names it in files and on the
@@ -321,6 +327,12 @@ class SpaceModel:
         """Metric distance from x to the window border (0 if outside)."""
         raise NotImplementedError
 
+    def boundary_slacks(self, window, X) -> np.ndarray:
+        """``boundary_slack`` of each row of the point array X.  This
+        fallback loops over ``boundary_slack``."""
+        return np.array([self.boundary_slack(window, p)
+                         for p in self._points(X)], dtype=float)
+
     def coords(self, points):
         """Points as a point array: the (n, d) array of dtype
         ``coord_dtype`` that ``distances_from`` works on (and takes
@@ -445,6 +457,9 @@ class ZdModel(SpaceModel):
 
     def boundary_slack(self, window, x):
         return float(window.radius - sum(abs(v) for v in x))
+
+    def boundary_slacks(self, window, X):
+        return (window.radius - np.abs(X).sum(axis=1)).astype(float)
 
     def distances_from(self, x, points):
         return self._dist_many(np.asarray(x, dtype=self.coord_dtype),
@@ -589,6 +604,9 @@ class FreeGroupModel(SpaceModel):
 
     def boundary_slack(self, window, x):
         return float(window.radius - len(x))
+
+    def boundary_slacks(self, window, X):
+        return (window.radius - np.count_nonzero(X, axis=1)).astype(float)
 
 
 def _prefix(A, B):
@@ -752,6 +770,35 @@ def bfs_layers(neighbors, sources):
                  if w not in seen and not seen.add(w)]
 
 
+def csr_layers(indptr, indices, sources, seen=None):
+    """``bfs_layers`` of a finite graph in CSR form, whose vertex v has the
+    neighbours ``indices[indptr[v]:indptr[v + 1]]``: the same layers in the
+    same order, as intp arrays.  A vertex set in the boolean array ``seen``
+    is never reached; the walk sets every vertex it yields there."""
+    n = len(indptr) - 1
+    if seen is None:
+        seen = np.zeros(n, dtype=bool)
+    pos = np.empty(n, dtype=np.intp)
+    cand = np.asarray(sources, dtype=np.intp).ravel()
+    while len(cand):
+        # keep the first occurrence of each vertex: the reversed scatter
+        # leaves in pos[v] the smallest position of v in cand
+        k = np.arange(len(cand))
+        pos[cand[::-1]] = k[::-1]
+        layer = cand[pos.take(cand) == k]
+        seen[layer] = True
+        yield layer
+        # the rows of the layer, laid end to end (``take`` and intp ids
+        # spare NumPy an index conversion per step)
+        lo = indptr.take(layer)
+        cnt = indptr.take(layer + 1) - lo
+        ends = cnt.cumsum()
+        at = (lo - ends + cnt).repeat(cnt)
+        at += np.arange(len(at))
+        cand = indices.take(at).astype(np.intp)
+        cand = cand[~seen.take(cand)]
+
+
 def word_ball(space, radius):
     """BFS word ball N_radius(e) of a discrete group model, as a dict
     point -> word length in discovery order (the identity first)."""
@@ -795,7 +842,18 @@ class EuclideanModel(SpaceModel):
             raise ModelMismatchError(f"{x!r} is not a point of {self.model_id}")
 
     def _dist(self, x, y):
-        return math.sqrt(sum((a - b) ** 2 for a, b in zip(x, y)))
+        # squares by multiplication, which rounds correctly; ``** 2`` calls
+        # the C pow, which can miss by one unit in the last place (about
+        # one float square in a thousand with glibc)
+        return math.sqrt(sum((a - b) * (a - b) for a, b in zip(x, y)))
+
+    def _dist_many(self, A, B):
+        # ``_dist`` in arrays: the squared gaps summed in its column order
+        G = A - B
+        total = np.zeros(G.shape[:-1])
+        for k in range(G.shape[-1]):
+            total += G[..., k] * G[..., k]
+        return np.sqrt(total)
 
     @property
     def base_point(self):
@@ -847,8 +905,7 @@ class EuclideanModel(SpaceModel):
                    for v, lo, hi in zip(x, window.lo, window.hi))
 
     def distances_from(self, x, points):
-        arr = self.coords(points)
-        return np.sqrt(((arr - np.asarray(x, dtype=float)) ** 2).sum(axis=1))
+        return self._dist_many(np.asarray(x, dtype=float), self.coords(points))
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from roughcayley import (
     BallWindow,
+    BoxWindow,
     CayleyGraph,
+    EuclideanModel,
     FreeGroupModel,
     HeisenbergModel,
     HorocyclicGraph,
@@ -29,6 +31,7 @@ from roughcayley.errors import (
 from roughcayley.folner import (
     FolnerReport,
     _FreeEngine,
+    _finite_box,
     _local_boundary,
     _packed_ball,
     _packed_boundary_size,
@@ -318,6 +321,21 @@ def test_greedy_improved_matches_reference_hill_climb(greedy_graphs, name, c):
         return
     report = folner_scan(g, c, "greedy_improved", 1e-9, schedule)
     assert list(report.entries) == expected
+
+
+@pytest.mark.parametrize("lattice", [
+    lambda: greedy_net(ZdModel(2), BallWindow(40), 3.0),
+    lambda: greedy_net(EuclideanModel(2),
+                       BoxWindow((-6.0, -6.0), (6.0, 6.0), 0.25), 1.0),
+], ids=["z2", "r2"])
+def test_finite_box_matches_the_coordinate_loop(lattice):
+    g = build_graph(lattice())
+    for center in (0, g.n // 2, g.deepest_vertex(g.border_depths())):
+        c0 = g.point(center)
+        for n in range(10):
+            assert _finite_box(g, center, n).tolist() == [
+                i for i, p in enumerate(g.lattice.points)
+                if max(abs(v - w) for v, w in zip(p, c0)) <= n + 1e-9]
 
 
 def test_finite_scans_compute_border_depths_once(monkeypatch):

@@ -22,9 +22,11 @@ from roughcayley import (
     ZdModel,
     ball_sizes,
     build_graph,
+    c_boundary,
     certify_qi,
     default_threshold,
     edge_csv,
+    folner_scan,
     graph_distance,
     graph_stats,
     greedy_net,
@@ -41,14 +43,17 @@ from roughcayley.errors import (
     UnreachableError,
 )
 from roughcayley.graphs import _qi_sample, bfs_distances, component_sizes
+from roughcayley.spaces import bfs_layers, csr_layers
 
 from conftest import make_even_lattice
 from oracles import (
     distance_table,
     graph_distances_from,
+    literal_c_boundary,
     literal_qi_pairs,
     naive_ball_sizes,
     naive_edges,
+    reference_greedy_scan,
 )
 
 
@@ -275,7 +280,10 @@ def test_rebuild_from_serialized_lattice_identical_edges():
     # and every point lies on a cell boundary of the grid of side 1.5
     (EuclideanModel(2), BoxWindow((-3.0, -3.0), (3.0, 3.0), 0.5), 0.5, 1.5),
     (EuclideanModel(2), BoxWindow((-3.0, -3.0), (3.0, 3.0), 0.75), 1.5, 3.0),
-], ids=["zd2", "zd2-unit", "zd3", "r2", "r2-tied", "r2-tied-net"])
+    # a net of a 0.25 grid at threshold 1: axis neighbours tie exactly
+    (EuclideanModel(2), BoxWindow((-5.0, -5.0), (5.0, 5.0), 0.25), 1.0, 1.0),
+], ids=["zd2", "zd2-unit", "zd3", "r2", "r2-tied", "r2-tied-net",
+        "r2-tied-quarter"])
 def test_grid_edges_match_all_pairs_oracle(space, window, delta, threshold):
     lattice = greedy_net(space, window, delta)
     if threshold is None:
@@ -408,16 +416,18 @@ UNREACHED = np.iinfo(np.int64).max
 
 
 @st.composite
-def small_graphs(draw):
-    """A RoughGraph on n <= 10 vertices with arbitrary (possibly
-    disconnected) edges.  The points are Z^1 integers 0..n-1 in a permuted
-    order inside BallWindow(n), so a point's slack is n minus its value and
-    the threshold, from 0 to n + 1, makes anything from no vertex to every
+def small_graphs(draw, max_n=10, pairs_per_vertex=2):
+    """A RoughGraph on n <= max_n vertices with arbitrary (possibly
+    disconnected) edges, from up to ``pairs_per_vertex`` n drawn pairs.
+    The points are Z^1 integers 0..n-1 in a permuted order inside
+    BallWindow(n), so a point's slack is n minus its value and the
+    threshold, from 0 to n + 1, makes anything from no vertex to every
     vertex a border vertex."""
-    n = draw(st.integers(1, 10))
+    n = draw(st.integers(1, max_n))
     values = draw(st.permutations(range(n)))
     pairs = draw(st.lists(st.tuples(st.integers(0, n - 1),
-                                    st.integers(0, n - 1)), max_size=2 * n))
+                                    st.integers(0, n - 1)),
+                          max_size=pairs_per_vertex * n))
     adjacency = [set() for _ in range(n)]
     for i, j in pairs:
         if i != j:
@@ -431,8 +441,13 @@ def small_graphs(draw):
                       adjacency=[sorted(a) for a in adjacency])
 
 
-@settings(derandomize=True, max_examples=60, deadline=None)
-@given(small_graphs())
+# at most one pair per vertex: isolated vertices (first, inside and last in
+# id order, where CSR rows are empty) and edgeless graphs are common
+SPARSE_GRAPHS = small_graphs(max_n=12, pairs_per_vertex=1)
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(small_graphs() | SPARSE_GRAPHS)
 def test_components_and_distances_match_oracle(g):
     table = distance_table(g)
     sizes, seen = [], set()
@@ -470,8 +485,8 @@ def test_bfs_distances_match_oracle_order_and_cap(g):
                                             if d <= stop]
 
 
-@settings(derandomize=True, max_examples=60, deadline=None)
-@given(small_graphs())
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(small_graphs() | SPARSE_GRAPHS)
 def test_border_depths_match_oracle(g):
     border = g.border_vertices()
     depths = g.border_depths()
@@ -497,3 +512,40 @@ def test_graph_ball_sizes_match_oracle(g):
             else:
                 with pytest.raises(BorderError):
                     ball_sizes(g, x0, m_max)
+
+
+# ---------------------------------------------------------------------------
+# the array walk and the mask boundary against the set walk and the oracles
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(small_graphs() | SPARSE_GRAPHS, st.data())
+def test_csr_layers_match_bfs_layers(g, data):
+    """Layer by layer and in order, from unsorted, repeated or no sources."""
+    indptr, indices = g.csr()
+    assert g.csr()[1] is indices
+    assert indptr.dtype == indices.dtype == np.int32
+    assert not (indptr.flags.writeable or indices.flags.writeable)
+    assert [indices[indptr[v]:indptr[v + 1]].tolist()
+            for v in range(g.n)] == g.adjacency
+    sources = data.draw(st.lists(st.integers(0, g.n - 1), max_size=6))
+    assert [layer.tolist() for layer in csr_layers(indptr, indices, sources)] \
+        == list(bfs_layers(g.neighbors, sources))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(SPARSE_GRAPHS, st.integers(1, 3), st.data())
+def test_c_boundary_matches_literal_on_sparse_graphs(g, c, data):
+    # threshold 0 leaves no border vertex, so every set may be scored
+    g = RoughGraph(lattice=g.lattice, threshold=0.0, adjacency=g.adjacency)
+    A = data.draw(st.sets(st.integers(0, g.n - 1)))
+    assert c_boundary(g, A, c) == literal_c_boundary(g, A, c)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(SPARSE_GRAPHS, st.integers(1, 2))
+def test_greedy_scan_matches_reference_on_sparse_graphs(g, c):
+    g = RoughGraph(lattice=g.lattice, threshold=0.0, adjacency=g.adjacency)
+    schedule = range(0, 4)
+    report = folner_scan(g, c, "greedy_improved", 0.0, schedule)
+    assert list(report.entries) == reference_greedy_scan(g, c, schedule)

@@ -16,6 +16,7 @@ from roughcayley import (
     HyperbolicPlaneModel,
     NearestIndex,
     QiConstants,
+    SpaceModel,
     ZdModel,
     greedy_net,
 )
@@ -213,6 +214,55 @@ def test_batch_kernels_equal_scalar_kernels(name, data):
                       [space._mul(a, b) for _, b in pairs])
     assert space._dist_many(A[:1], B).tobytes() == \
         np.array([space._dist(a, b) for _, b in pairs]).tobytes()
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(data=st.data(), d=st.integers(1, 4), ints=st.booleans())
+def test_euclidean_batch_distances_equal_dist_bit_for_bit(data, d, ints):
+    """R^d distances in arrays round as the scalar kernel does, on integer
+    and on float rows for d = 1..4."""
+    space = EuclideanModel(d)
+    coord = _int if ints else st.floats(-1e6, 1e6, allow_nan=False)
+    rows = st.tuples(*[coord] * d)
+    pairs = data.draw(st.lists(st.tuples(rows, rows), min_size=1,
+                               max_size=12))
+    A = space.coords([a for a, _ in pairs])
+    B = space.coords([b for _, b in pairs])
+    assert space._dist_many(A, B).tobytes() == \
+        np.array([space._dist(a, b) for a, b in pairs]).tobytes()
+    x, ys = pairs[0][0], [b for _, b in pairs]
+    assert space.distances_from(x, ys).tobytes() == \
+        np.array([space._dist(x, y) for y in ys]).tobytes()
+
+
+def test_euclidean_distance_sums_correctly_rounded_squares():
+    # x ** 2 through the C library's pow is one unit in the last place off
+    # x * x for these x on glibc; the distance squares by multiplication
+    for x in (808.608567416492, 559.6125431042153, 6.8721725585465006,
+              4.671361655122579):
+        assert E2.distance((x, 1.0), (0.0, 0.0)) == math.sqrt(x * x + 1.0)
+
+
+SLACK_WINDOWS = {
+    "zd2": (Z2, BallWindow(10)),
+    "free_group2": (F2, BallWindow(4)),
+    "heisenberg": (HEIS, BallWindow(5)),
+    "euclidean2": (E2, BoxWindow((-5.0, -5.0), (5.0, 5.0), 0.5)),
+    "h2": (H2, H2Window(-3.0, 3.0, -1.0, 1.0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SLACK_WINDOWS))
+def test_boundary_slacks_equal_the_scalar_slacks(name):
+    """On window points and on points inside and outside the window."""
+    space, window = SLACK_WINDOWS[name]
+    points = space.enumerate_window(window)[::7] + random_points(
+        space, np.random.default_rng(3), 200)
+    X = space.coords(points)
+    expected = np.array([space.boundary_slack(window, p) for p in points],
+                        dtype=float).tobytes()
+    assert space.boundary_slacks(window, X).tobytes() == expected
+    assert SpaceModel.boundary_slacks(space, window, X).tobytes() == expected
 
 
 def _free_words(k):
