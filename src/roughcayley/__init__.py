@@ -64,7 +64,6 @@ from .spaces import (
     SpaceModel,
     TOL,
     ZdModel,
-    word_ball,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

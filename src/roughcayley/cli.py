@@ -183,9 +183,8 @@ def cmd_graph_build(args):
     config = _config(args)
     lattice = _load(args.lattice, nets.QuasiLattice)
     graph = graphs.build_graph(lattice, threshold=args.threshold)
-    stats = graphs.graph_stats(graph)
-    print(f"graph: {stats['vertices']} vertices, {stats['edges']} edges, "
-          f"threshold {graph.threshold:g}, max degree {stats['max_degree']}")
+    print(f"graph: {graph.n} vertices, {graph.n_edges()} edges, "
+          f"threshold {graph.threshold:g}, max degree {graph.degree_bound_M}")
     _write_json(args.out, config, graph.to_json())
     print(f"wrote {args.out}")
     return 0

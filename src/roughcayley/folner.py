@@ -174,23 +174,16 @@ def folner_ratio(graph, A, c) -> float:
 
 
 class _ZdEngine:
-    def __init__(self, d, word_span):
-        self.d = d
+    def __init__(self, space, word_span):
+        self.space, self.d = space, space.d
         self.side = 2 * word_span + 3
         self.half = word_span + 1
-        self.bases = [self.side ** i for i in range(d)]
-        self.shifts = np.array(self.bases + [-b for b in self.bases],
-                               dtype=np.int64)
+        self.bases = self.side ** np.arange(self.d, dtype=np.int64)
+        self.shifts = np.concatenate([self.bases, -self.bases])
 
     def pack(self, pts):
         arr = np.asarray(pts, dtype=np.int64).reshape(-1, self.d)
-        out = np.zeros(len(arr), dtype=np.int64)
-        for i, b in enumerate(self.bases):
-            out += (arr[:, i] + self.half) * b
-        return out
-
-    def origin(self):
-        return self.pack([(0,) * self.d])
+        return (arr + self.half) @ self.bases
 
     def expand(self, arr):
         return (arr[:, None] + self.shifts[None, :]).ravel()
@@ -201,9 +194,13 @@ class _ZdEngine:
         pts = np.stack([g.ravel() for g in grids], axis=1)
         return np.sort(self.pack(pts))
 
+    def ball(self, r):
+        return np.sort(self.pack(self.space._ball(r)))
+
 
 class _HeisenbergEngine:
-    def __init__(self, word_span):
+    def __init__(self, space, word_span):
+        self.space = space
         self.L = word_span + 2
         self.Q = word_span * word_span // 4 + word_span + 2
         self.side = 2 * self.L + 1
@@ -213,9 +210,6 @@ class _HeisenbergEngine:
         return ((arr[:, 0] + self.L)
                 + self.side * ((arr[:, 1] + self.L)
                                + self.side * (arr[:, 2] + self.Q)))
-
-    def origin(self):
-        return self.pack([(0, 0, 0)])
 
     def expand(self, arr):
         a = arr % self.side - self.L
@@ -231,6 +225,9 @@ class _HeisenbergEngine:
         pts = np.stack([x.ravel() for x in g], axis=1)
         return np.sort(self.pack(pts))
 
+    def ball(self, r):
+        return np.sort(self.pack(self.space._ball(r)))
+
 
 class _FreeEngine:
     """The free group of rank k on shortlex ranks: the words of length L
@@ -244,8 +241,8 @@ class _FreeEngine:
         self.q = 2 * k - 1
         self.starts = np.array(starts, dtype=np.int64)
 
-    def origin(self):
-        return np.zeros(1, dtype=np.int64)
+    def ball(self, r):
+        return np.arange(self.starts[r + 1])
 
     def expand(self, arr):
         S = self.starts
@@ -264,9 +261,9 @@ def _packed_engine(graph, word_span):
         return None
     space = graph.space
     if isinstance(space, ZdModel):
-        return _ZdEngine(space.d, word_span)
+        return _ZdEngine(space, word_span)
     if isinstance(space, HeisenbergModel):
-        return _HeisenbergEngine(word_span)
+        return _HeisenbergEngine(space, word_span)
     if isinstance(space, FreeGroupModel):
         starts = [0, *space.ball_sizes(word_span)]
         if starts[-1] <= np.iinfo(np.int64).max:
@@ -298,19 +295,6 @@ def _packed_boundary_size(engine, a_sorted, word_steps):
     igrow = _packed_closure(engine, outer, word_steps)
     inner = np.intersect1d(igrow, a_sorted, assume_unique=True)
     return len(outer) + len(inner)
-
-
-def _packed_ball(engine, word_radius):
-    """Sorted packed word ball, layer by layer: the generators are
-    symmetric, so L(k+1) = N(L(k)) minus L(k) and L(k-1)."""
-    layers = [np.empty(0, dtype=np.int64), engine.origin()]
-    for _ in range(int(word_radius)):
-        nb = _uniq(engine.expand(layers[-1]))
-        known = np.concatenate(layers[-2:])
-        layers.append(nb[~np.isin(nb, known, assume_unique=True)])
-    ball = np.concatenate(layers)
-    ball.sort()  # in place: no second copy of the whole ball
-    return ball
 
 
 # ---------------------------------------------------------------------------
@@ -495,8 +479,8 @@ def _greedy_improve(graph, c, A, depths):
 def _scan_implicit(graph, c, family, epsilon, schedule):
     if family == "greedy_improved":
         raise DomainError("greedy_improved needs a finite windowed graph")
-    hop = int(getattr(graph, "threshold", 1))
     horo = isinstance(graph, HorocyclicGraph)
+    hop = 1 if horo else int(getattr(graph, "threshold", 1))
     balls = family == "metric_balls"
     entries = []
     for size in schedule:
@@ -507,11 +491,10 @@ def _scan_implicit(graph, c, family, epsilon, schedule):
             raise DomainError(f"no exact engine reaches word length {span}")
         if not balls and engine.box is None:
             raise DomainError("box candidates are undefined for this graph")
+        A = engine.ball(size * hop) if balls else engine.box(size)
         if horo:
-            A = engine.ball(size) if balls else engine.box(size)
             n, bsize = engine.size(A), engine.boundary_size(A, c)
         else:
-            A = _packed_ball(engine, size * hop) if balls else engine.box(size)
             n, bsize = len(A), _packed_boundary_size(engine, A, int(c) * hop)
         entries.append((f"{'ball' if balls else 'box'}:{size}", n, bsize,
                         bsize / n))

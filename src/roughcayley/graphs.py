@@ -38,13 +38,13 @@ from .errors import (
 )
 from .nets import HOROCYCLIC_DENSITY_RADIUS, QuasiLattice
 from .spaces import (
+    BallWindow,
     HyperbolicPlaneModel,
     QiConstants,
     TOL,
     _num,
     csr_layers,
     hyperbolic_distance_arrays,
-    word_ball,
 )
 
 
@@ -226,9 +226,10 @@ def _edges_group_ball(lattice, threshold):
     space = lattice.space
     X = lattice.coords()
     n, w = len(X), max(X.shape[1], 1)
-    ball = word_ball(space, int(math.floor(threshold + TOL)))
-    hops = space.coords(list(ball)[1:])
-    lengths = np.array(list(ball.values())[1:], dtype=float)
+    hops = space.coords(space.enumerate_window(
+        BallWindow(int(math.floor(threshold + TOL)))))
+    lengths = space.distances_from(space.identity(), hops)
+    hops, lengths = hops[lengths > 0], lengths[lengths > 0]
     keys = _row_bytes(X, w)
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
@@ -470,7 +471,7 @@ class CayleyGraph:
     """Implicit Cayley graph of a discrete group model (no window).
 
     Vertices are all group elements; x ~ y when the word distance is at most
-    ``threshold`` (default 1: the standard Cayley graph).  Neighborhoods are
+    ``threshold`` >= 1 (default 1: the Cayley graph).  Neighborhoods are
     generated on demand by right multiplication, so finite computations on
     it are exact, free of window-border effects.  ``neighbors`` checks the
     vertex it is given once and multiplies with the unchecked kernel.
@@ -481,7 +482,10 @@ class CayleyGraph:
             raise DomainError("CayleyGraph needs a discrete group model")
         self.space = space
         self.threshold = int(threshold)
-        self._hops = list(word_ball(space, self.threshold))[1:]
+        if self.threshold < 1:
+            raise DomainError(f"CayleyGraph threshold {threshold!r} < 1")
+        self._hops = space.enumerate_window(BallWindow(self.threshold))
+        self._hops.remove(space.identity())
 
     def neighbors(self, p):
         self.space.check_point(p)

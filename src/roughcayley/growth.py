@@ -1,7 +1,8 @@
 """Ball-growth series, growth classification, and growth comparison.
 
-``ball_sizes`` counts |N_m(x0)| for group models (word balls) and rough
-graphs (hop balls).  ``classify_growth`` applies a fixed, documented
+``ball_sizes`` counts |N_m(x0)| for group models (word balls, the same
+about every x0, counted by ``space.ball_sizes``) and rough graphs (hop
+balls).  ``classify_growth`` applies a fixed, documented
 decision rule on the tail m >= 4: the centred log-log fit
 log V(m) ~ d log(m + 1/2) + c whose residual RMS is below 0.1 yields a
 polynomial verdict with the fitted degree d, an estimate of the
@@ -28,7 +29,7 @@ import numpy as np
 
 from .errors import BorderError, DomainError, SchemaError
 from .graphs import RoughGraph
-from .spaces import FreeGroupModel, SpaceModel, bfs_layers, csr_layers
+from .spaces import SpaceModel, csr_layers
 
 MIN_LEN = 8          # shortest series ``classify_growth`` classifies
 ALPHA_MAX = BETA_MAX = GAMMA_MAX = 8   # the sandwich constants searched
@@ -115,19 +116,7 @@ def _group_ball_sizes(space, x0, m_max) -> GrowthSeries:
     if x0 is None:
         x0 = space.identity()
     space.check_point(x0)
-    if isinstance(space, FreeGroupModel):
-        return GrowthSeries(space.model_id, x0, space.ball_sizes(m_max))
-    gens = space.generators()
-    layers = bfs_layers(lambda p: [space._mul(p, g) for g in gens], [x0])
-    return GrowthSeries(space.model_id, x0, _ball_counts(layers, m_max))
-
-
-def _ball_counts(layers, m_max):
-    """|N_m(x0)| for m = 0..m_max, read off the BFS layers about x0."""
-    values = [len(next(layers))]
-    for _ in range(m_max):
-        values.append(values[-1] + len(next(layers, ())))
-    return tuple(values)
+    return GrowthSeries(space.model_id, x0, space.ball_sizes(m_max))
 
 
 def _graph_ball_sizes(graph, x0, m_max) -> GrowthSeries:
@@ -144,8 +133,12 @@ def _graph_ball_sizes(graph, x0, m_max) -> GrowthSeries:
             f"maximal safe radius from this base vertex is {safe}",
             max_safe=safe,
         )
+    layers = csr_layers(*graph.csr(), [x0])
+    values = [len(next(layers))]
+    for _ in range(m_max):
+        values.append(values[-1] + len(next(layers, ())))
     return GrowthSeries(f"graph:{graph.space.model_id}", graph.point(x0),
-                        _ball_counts(csr_layers(*graph.csr(), [x0]), m_max))
+                        tuple(values))
 
 
 # ---------------------------------------------------------------------------

@@ -33,11 +33,13 @@ scalar results bit for bit on every model.  ``boundary_slacks`` does the
 same for ``boundary_slack`` where an array form is exact (Z^d, free
 groups).
 
-Two breadth-first walks serve the package, both layer by layer with the
-same sources rule and FIFO order.  ``bfs_layers`` walks any neighbour
-function over hashable vertices: word balls and the implicit graphs.
-``csr_layers`` walks a finite graph in CSR arrays (``RoughGraph.csr``):
-hop balls, border depths, components, distances and c-neighbourhoods.
+Each discrete group builds its word ball N_r(e) with no walk (``_ball`` on
+Z^d and Heisenberg) and counts it in closed form (``ball_sizes``).  Two
+breadth-first walks serve the rest, both layer by layer with the same
+sources rule and FIFO order.  ``bfs_layers`` walks any neighbour
+function over hashable vertices: the implicit graphs.  ``csr_layers``
+walks a finite graph in CSR arrays (``RoughGraph.csr``): hop balls, border
+depths, components, distances and c-neighbourhoods.
 
 Each model owns its JSON form: ``tag`` names it in files and on the
 command line, ``to_json`` adds its ``params``, and ``point_to_json`` and
@@ -317,7 +319,8 @@ class SpaceModel:
                         f"{self.window_kind!r}, not {kind!r}")
 
     def enumerate_window(self, window):
-        """Deterministic (lexicographic) finite enumeration of a window."""
+        """Deterministic finite enumeration of a window: lexicographic, or
+        shortlex for free groups."""
         raise NotImplementedError
 
     def window_contains(self, window, x) -> bool:
@@ -342,7 +345,7 @@ class SpaceModel:
 
     def _points(self, A):
         """The rows of a point array as points: the inverse of ``coords``."""
-        return map(tuple, A.tolist())
+        return zip(*A.T.tolist())
 
     def _mul_many(self, A, B):
         """Row-wise products of two point arrays; a single row broadcasts.
@@ -370,6 +373,14 @@ class SpaceModel:
 
 # ---------------------------------------------------------------------------
 # Z^d
+
+
+def _expand(prefix, lo, hi):
+    """Rows (p, v) for each row p of prefix and lo <= v <= hi, in order."""
+    n = hi - lo + 1
+    rows = np.column_stack([prefix, lo]).repeat(n, axis=0)
+    rows[:, -1] += np.arange(len(rows)) - (n.cumsum() - n).repeat(n)
+    return rows
 
 
 class ZdModel(SpaceModel):
@@ -436,21 +447,22 @@ class ZdModel(SpaceModel):
 
     def enumerate_window(self, window):
         self.check_window(window)
-        m = window.radius
-        if m < 0:
-            return []
-        out = []
+        return list(self._points(self._ball(window.radius)))
 
-        def rec(prefix, budget):
-            if len(prefix) == self.d - 1:
-                for v in range(-budget, budget + 1):
-                    out.append(prefix + (v,))
-                return
-            for v in range(-budget, budget + 1):
-                rec(prefix + (v,), budget - abs(v))
+    def _ball(self, r):
+        """N_r(e) as a point array in lexicographic order, built axis by
+        axis: a prefix of L1 norm s takes the values |v| <= r - s next."""
+        ball = np.zeros((int(r >= 0), 0), dtype=np.int64)
+        for _ in range(self.d):
+            room = r - np.abs(ball).sum(axis=1)
+            ball = _expand(ball, -room, room)
+        return ball
 
-        rec((), m)
-        return out
+    def ball_sizes(self, m):
+        """|N_r(e)| for r = 0..max(m, 0): sum_k 2^k C(d, k) C(r, k)."""
+        return tuple(sum(2 ** k * math.comb(self.d, k) * math.comb(r, k)
+                         for k in range(self.d + 1))
+                     for r in range(max(m, 0) + 1))
 
     def window_contains(self, window, x):
         return sum(abs(v) for v in x) <= window.radius
@@ -577,21 +589,12 @@ class FreeGroupModel(SpaceModel):
     def enumerate_window(self, window):
         """Word ball in shortlex order (length first, then letters -k..-1,1..k)."""
         self.check_window(window)
-        if window.radius < 0:
-            return []
-        out = [()]
-        layer = [()]
         letters = self._letters()
+        layers = [[()]] if window.radius >= 0 else []
         for _ in range(window.radius):
-            nxt = []
-            for w in layer:
-                for g in letters:
-                    if w and w[-1] == -g:
-                        continue
-                    nxt.append(w + (g,))
-            out.extend(nxt)
-            layer = nxt
-        return out
+            layers.append([w + (g,) for w in layers[-1] for g in letters
+                           if not w or w[-1] != -g])
+        return list(itertools.chain.from_iterable(layers))
 
     def ball_sizes(self, m):
         """|N_r(e)| for r = 0..m: each reduced word of length r >= 1 has
@@ -681,7 +684,8 @@ class HeisenbergModel(SpaceModel):
     * 2 s - a - b                    otherwise, s = ceil(2 sqrt(cc)).
 
     The values of c reached by paths of length a + b + 2k form an interval
-    whose top is reached by a box-shaped path.
+    whose top is reached by a box-shaped path.  So N_r(e) meets each line
+    over (a, b) in one interval of c, with closed-form ends (``_fibers``).
     """
 
     tag = "heisenberg"
@@ -748,8 +752,39 @@ class HeisenbergModel(SpaceModel):
 
     def enumerate_window(self, window):
         self.check_window(window)
-        ball = word_ball(self, window.radius)
-        return sorted(ball)
+        return list(self._points(self._ball(window.radius)))
+
+    def _fibers(self, r):
+        """Arrays (a, b, lo, hi) over |a| + |b| <= r in lexicographic
+        order: N_r(e) is the union of the fibres lo <= c <= hi.  Proof:
+        fold the signs to A, B >= 0, M = max(A, B), m = min(A, B).
+        The length of the class notes never falls as cc = max(c, AB - c)
+        grows (where the third branch starts, cc = M^2 + 1, it steps from
+        3M - m to 3M - m + 2), so the fibre is [AB - C, C] for the largest
+        cc = C of length <= r.  Lengths have the parity of A + B, so that
+        bound is A + B + 2k, k = (r - A - B) // 2.  If k <= M - m, the
+        second branch reaches it at C = AB + kM and the third starts above
+        it.  Otherwise the first two lie below it, and the third needs
+        ceil(2 sqrt(cc)) <= t = (r + A + B) // 2: C = floor(t^2 / 4).
+        Unfolding a sign when a b < 0 maps c to -c.
+        """
+        a, b = ZdModel(2)._ball(r).T
+        A, B = np.abs(a), np.abs(b)
+        M = np.maximum(A, B)
+        k, t = (r - A - B) // 2, (r + A + B) // 2
+        C = np.where(k <= M - np.minimum(A, B), A * B + k * M, t * t // 4)
+        lo = np.where(a * b < 0, -C, A * B - C)
+        return a, b, lo, lo + 2 * C - A * B
+
+    def _ball(self, r):
+        """N_r(e) in lexicographic order: the fibres of ``_fibers`` as rows."""
+        a, b, lo, hi = self._fibers(r)
+        return _expand(np.column_stack([a, b]), lo, hi)
+
+    def ball_sizes(self, m):
+        """|N_r(e)| for r = 0..max(m, 0): the fibre widths summed."""
+        return tuple(int((hi - lo + 1).sum()) for _, _, lo, hi in
+                     map(self._fibers, range(max(m, 0) + 1)))
 
     def window_contains(self, window, x):
         return self._dist(self.base_point, x) <= window.radius + TOL
@@ -797,19 +832,6 @@ def csr_layers(indptr, indices, sources, seen=None):
         at += np.arange(len(at))
         cand = indices.take(at).astype(np.intp)
         cand = cand[~seen.take(cand)]
-
-
-def word_ball(space, radius):
-    """BFS word ball N_radius(e) of a discrete group model, as a dict
-    point -> word length in discovery order (the identity first)."""
-    gens = space.generators()
-    mul = space._mul
-    layers = bfs_layers(lambda p: [mul(p, g) for g in gens],
-                        [space.identity()])
-    dist = {}
-    for depth, layer in enumerate(itertools.islice(layers, radius + 1)):
-        dist.update(dict.fromkeys(layer, depth))
-    return dist
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,10 @@
 Everything here is deliberately naive: plain BFS over generators, the
 boundary definition read off an all-pairs distance table, full pairwise
 scans.  None of it shares code with the library paths it certifies; the
-quasi-action oracles take only their samples (targets, pairs, balls) and
-the least-squares fit from the library and redo every per-element loop.
+Heisenberg box filter takes the closed-form word lengths, which the tests
+check against BFS, and the quasi-action oracles take only their samples
+(targets, pairs, balls) and the least-squares fit from the library and
+redo every per-element loop.
 """
 
 import itertools
@@ -21,6 +23,7 @@ from roughcayley.actions import (
     _pair_sample,
 )
 from roughcayley.errors import CertificationError
+from roughcayley.spaces import _heis_lengths
 
 
 def bfs_ball_depths(space, radius):
@@ -39,6 +42,35 @@ def bfs_ball_depths(space, radius):
                     nxt.append(q)
         frontier = nxt
     return depth
+
+
+def packed_bfs_balls(engine, origin, r_max):
+    """The sorted word balls of radius 0..r_max of a packed Folner engine,
+    by a layered BFS over its ``expand`` from ``origin``, the code of the
+    identity: the generators are symmetric, so layer k + 1 is the expansion
+    of layer k less layers k and k - 1."""
+    layers = [np.empty(0, dtype=np.int64), np.array([origin], dtype=np.int64)]
+    yield layers[1]
+    for _ in range(r_max):
+        nb = np.unique(engine.expand(layers[-1]))
+        layers.append(nb[~np.isin(nb, np.concatenate(layers[-2:]))])
+        yield np.sort(np.concatenate(layers))
+
+
+def heisenberg_balls_by_box(r_max):
+    """N_r(e) of the Heisenberg group for r = 0..r_max as (n, 3) arrays in
+    lexicographic order: the points of the box |a|, |b| <= r_max,
+    |c| <= r_max^2 / 4 whose closed-form length is at most r.  The box
+    holds N_r_max(e): a word with p letters x^+-1 and q letters y^+-1 keeps
+    |a| <= p, and each y letter moves c by a, so |c| <= p q <= r_max^2 / 4."""
+    R, Q = r_max, r_max * r_max // 4
+    b, c = (g.ravel() for g in np.meshgrid(
+        np.arange(-R, R + 1), np.arange(-Q, Q + 1), indexing="ij"))
+    lengths = np.stack([_heis_lengths(np.full(len(b), a), b, c)
+                        for a in range(-R, R + 1)]).astype(np.int16)
+    lengths = lengths.reshape(2 * R + 1, 2 * R + 1, 2 * Q + 1)
+    for r in range(r_max + 1):
+        yield np.argwhere(lengths <= r) - [R, R, Q]
 
 
 def free_reduce(letters):

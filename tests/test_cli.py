@@ -42,7 +42,11 @@ def test_pipeline_and_reproducibility(tmp_path, capsys):
     assert lat.read_text() == first  # byte-identical rerun
 
     g = tmp_path / "g.json"
+    capsys.readouterr()
     assert run("graph", "build", "--lattice", str(lat), "--out", str(g)) == 0
+    assert capsys.readouterr().out == (
+        "graph: 221 vertices, 2044 edges, threshold 8, max degree 22\n"
+        f"wrote {g}\n")
     assert run("graph", "stats", "--graph", str(g)) == 0
     out = capsys.readouterr().out
     assert "vertices" in out and "components: 1" in out
@@ -74,6 +78,15 @@ def test_pipeline_and_reproducibility(tmp_path, capsys):
                "--c", "1") == 0
     assert capsys.readouterr().out == (
         f"ball radius 10 (221 vertices): ratio {84 / 221:.6f}\n")
+
+
+@pytest.mark.parametrize("space", [["zd", "--d", "2"], ["free_group"],
+                                   ["heisenberg"]])
+def test_group_ball_of_negative_radius_is_empty(tmp_path, capsys, space):
+    out = tmp_path / "lat.json"
+    assert run("lattice", "build", "--space", *space, "--group-ball",
+               "--radius", "-2", "--probes", "0", "--out", str(out)) == 0
+    assert json.loads(out.read_text())["points"] == []
 
 
 def test_growth_pipeline(tmp_path, capsys):

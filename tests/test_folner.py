@@ -33,7 +33,6 @@ from roughcayley.folner import (
     _FreeEngine,
     _finite_box,
     _local_boundary,
-    _packed_ball,
     _packed_boundary_size,
     _packed_engine,
     _uniq,
@@ -41,7 +40,12 @@ from roughcayley.folner import (
 )
 
 from conftest import make_even_lattice
-from oracles import bfs_ball_depths, literal_c_boundary, reference_greedy_scan
+from oracles import (
+    bfs_ball_depths,
+    literal_c_boundary,
+    packed_bfs_balls,
+    reference_greedy_scan,
+)
 
 
 @pytest.fixture(scope="module")
@@ -215,10 +219,23 @@ def test_free_engine_matches_python_sets(k, threshold, c, radius):
     engine = _packed_engine(cay, (radius + 2 * c + 1) * threshold)
     assert isinstance(engine, _FreeEngine)
     A = _within(cay, {()}, radius)
-    packed = _packed_ball(engine, radius * threshold)
+    packed = engine.ball(radius * threshold)
     assert len(packed) == len(A)
     assert _packed_boundary_size(engine, packed, c * threshold) == \
         len(_local_boundary(cay, A, c))
+
+
+@pytest.mark.parametrize("space, r_max", [
+    (ZdModel(1), 30), (ZdModel(2), 20), (ZdModel(3), 12),
+    (HeisenbergModel(), 25),
+    (FreeGroupModel(1), 20), (FreeGroupModel(2), 10), (FreeGroupModel(3), 7),
+], ids=["zd1", "zd2", "zd3", "heisenberg", "free1", "free2", "free3"])
+def test_engine_balls_match_the_packed_bfs(space, r_max):
+    engine = _packed_engine(CayleyGraph(space), r_max + 1)
+    origin = (0 if isinstance(engine, _FreeEngine)
+              else engine.pack([space.identity()])[0])
+    for r, ball in enumerate(packed_bfs_balls(engine, origin, r_max)):
+        assert np.array_equal(engine.ball(r), ball)
 
 
 def test_free_group_boxes_still_rejected():

@@ -33,12 +33,12 @@ from roughcayley import (
     group_ball_lattice,
     horocyclic_lattice,
     to_dot,
-    word_ball,
 )
 from roughcayley.errors import (
     BorderError,
     CertificationError,
     DisconnectedGraphError,
+    DomainError,
     SchemaError,
     UnreachableError,
 )
@@ -394,6 +394,13 @@ def test_implicit_cayley_graph_neighbors():
     assert nbrs == [(-1, 0), (0, -1), (0, 1), (1, 0)]
     cay2 = CayleyGraph(ZdModel(1), threshold=2)
     assert sorted(cay2.neighbors((0,))) == [(-2,), (-1,), (1,), (2,)]
+
+
+@pytest.mark.parametrize("space, threshold", [
+    (ZdModel(2), 0), (FreeGroupModel(2), 0), (HeisenbergModel(), -2)])
+def test_cayley_graph_threshold_below_one_is_a_domain_error(space, threshold):
+    with pytest.raises(DomainError, match="threshold"):
+        CayleyGraph(space, threshold)
 
 
 def test_implicit_horocyclic_matches_rough_graph():

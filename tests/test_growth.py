@@ -35,9 +35,20 @@ def oracle_ball_counts(space, m_max):
 def test_group_ball_counts_against_bfs_oracle():
     assert ball_sizes(ZdModel(2), m_max=2).values == (1, 5, 13)
     assert ball_sizes(FreeGroupModel(2), m_max=2).values == (1, 5, 17)
-    for space in (ZdModel(1), ZdModel(2), ZdModel(3), FreeGroupModel(2),
-                  HeisenbergModel()):
-        assert ball_sizes(space, m_max=6).values == oracle_ball_counts(space, 6)
+    # free balls grow like (2k - 1)^m, so their BFS stops earlier
+    for space, m in ((ZdModel(1), 10), (ZdModel(2), 10), (ZdModel(3), 10),
+                     (HeisenbergModel(), 10), (FreeGroupModel(1), 10),
+                     (FreeGroupModel(2), 8), (FreeGroupModel(3), 5)):
+        assert ball_sizes(space, m_max=m).values == \
+            oracle_ball_counts(space, m)
+
+
+@pytest.mark.parametrize("space", [ZdModel(1), ZdModel(2), ZdModel(3),
+                                   HeisenbergModel()],
+                         ids=["zd1", "zd2", "zd3", "heisenberg"])
+def test_ball_sizes_count_the_model_balls(space):
+    assert space.ball_sizes(30) == tuple(len(space._ball(r))
+                                         for r in range(31))
 
 
 def test_heisenberg_ball_values():
@@ -47,6 +58,8 @@ def test_heisenberg_ball_values():
 
 def test_zero_radius_series():
     assert ball_sizes(ZdModel(3), m_max=0).values == (1,)
+    for space in (ZdModel(3), FreeGroupModel(2), HeisenbergModel()):
+        assert ball_sizes(space, m_max=-1).values == (1,)
 
 
 def test_graph_ball_sizes_match_naive_filter():
@@ -143,7 +156,7 @@ def zd_ball_counts(d, m_max):
 
 def test_zd_closed_form_matches_ball_sizes():
     for d in (1, 2, 3):
-        assert zd_ball_counts(d, 8) == ball_sizes(ZdModel(d), m_max=8).values
+        assert zd_ball_counts(d, 8) == oracle_ball_counts(ZdModel(d), 8)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])

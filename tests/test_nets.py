@@ -22,7 +22,6 @@ from roughcayley import (
     horocyclic_lattice,
     sample_probes,
     verify_quasilattice,
-    word_ball,
 )
 from roughcayley.errors import BorderError, DomainError
 
@@ -204,7 +203,7 @@ def test_group_ball_lattice_counts():
     interior = [p for p in lat.points if z2.boundary_slack(lat.window, p) >= 3]
     _, profile = verify_quasilattice(lat, interior, [1.0, 2.0, 3.0])
     for r in (1, 2, 3):
-        assert profile.at(float(r)) == len(word_ball(z2, r))
+        assert profile.at(float(r)) == len(z2.enumerate_window(BallWindow(r)))
 
 
 def test_greedy_density_certificate_below_delta():

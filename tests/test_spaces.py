@@ -29,7 +29,7 @@ from roughcayley.errors import (
 )
 from roughcayley.spaces import space_from_json, window_from_json
 
-from oracles import bfs_ball_depths, free_reduce
+from oracles import bfs_ball_depths, free_reduce, heisenberg_balls_by_box
 
 Z1, Z2 = ZdModel(1), ZdModel(2)
 F2 = FreeGroupModel(2)
@@ -392,6 +392,16 @@ def test_heisenberg_ball_is_sorted_and_exact():
     pts = HEIS.enumerate_window(BallWindow(3))
     assert pts == sorted(pts)
     assert len(pts) == 53
+
+
+def test_heisenberg_ball_matches_the_box_filter():
+    for r, ball in enumerate(heisenberg_balls_by_box(40)):
+        assert np.array_equal(HEIS._ball(r), ball), r
+
+
+@pytest.mark.parametrize("space", [Z2, F2, HEIS], ids=["zd2", "f2", "heis"])
+def test_negative_ball_radius_enumerates_nothing(space):
+    assert space.enumerate_window(BallWindow(-2)) == []
 
 
 def test_window_slack_and_membership():
