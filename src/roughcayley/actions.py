@@ -221,16 +221,19 @@ def _ball(space, radius):
     return space.enumerate_window(BallWindow(radius))
 
 
+def _core_radius(space, radius, fits):
+    """The largest m <= radius whose word ball size passes ``fits``, else 0;
+    the sizes are the model's closed-form ``ball_sizes``."""
+    space.check_window(BallWindow(radius))
+    sizes = space.ball_sizes(radius)
+    return next((m for m in range(radius, -1, -1) if fits(sizes[m])), 0)
+
+
 def _pair_sample(space, radius, core_cap, n_extra, seed, ordered=True):
     """Deterministic pair sample: the full pair set of the largest word ball
     whose pair count fits ``core_cap``, plus seeded extra pairs from the full
     radius.  Samples at smaller radii are therefore nested in larger ones."""
-    m_core = 0
-    for m in range(radius, -1, -1):
-        ball = _ball(space, m)
-        if len(ball) ** 2 <= core_cap:
-            m_core = m
-            break
+    m_core = _core_radius(space, radius, lambda n: n * n <= core_cap)
     core = _ball(space, m_core)
     if ordered:
         pairs = [(s, t) for s in core for t in core]
@@ -483,11 +486,8 @@ def quasi_conjugacy_defect(qa1: QuasiAction, qa2: QuasiAction, phi12=None,
     targets = _central_targets(qa1.lattice, margin, n_targets)
     elements = _ball(space, group_radius)
     if len(elements) * len(targets) > pair_core_cap + n_extra:
-        core = []
-        for m in range(group_radius, -1, -1):
-            core = _ball(space, m)
-            if len(core) * len(targets) <= pair_core_cap:
-                break
+        core = _ball(space, _core_radius(
+            space, group_radius, lambda n: n * len(targets) <= pair_core_cap))
         rng = np.random.default_rng(seed)
         extra_idx = rng.integers(0, len(elements), size=n_extra)
         elements = core + [elements[i] for i in extra_idx]

@@ -21,6 +21,7 @@ from .errors import (
     BorderError,
     CertificationError,
     DisconnectedGraphError,
+    DomainError,
     OutOfWindowError,
     RoughCayleyError,
     SchemaError,
@@ -329,6 +330,8 @@ def cmd_growth_compare(args):
 
 def cmd_folner_ratio(args):
     graph = _load(args.graph, graphs.RoughGraph)
+    if args.ball < 0:
+        raise DomainError(f"negative ball radius {args.ball}")
     center = graph.deepest_vertex(graph.border_depths())
     A = folner._within(graph, {center}, args.ball)
     ratio = folner.folner_ratio(graph, A, args.c)

@@ -15,10 +15,14 @@ On finite windowed graphs every candidate must keep graph distance > c
 from the border vertices, so the windowed boundary equals the boundary in
 the unwindowed object; there vertex sets are boolean masks, and N_c is c
 mask steps over the graph's CSR arrays.  On the implicit infinite graphs
-(``CayleyGraph``, ``HorocyclicGraph``) boundaries are exact as computed.
-Cayley graphs of Z^d, Heisenberg and free groups get a vectorised engine
-on int64 codes (packed coordinates; for free groups the shortlex rank of
-the word) that handles candidate sets with millions of vertices.
+(``CayleyGraph``, ``HorocyclicGraph``) boundaries are exact as computed,
+by one of four vectorised engines on sorted int64 codes: packed
+coordinates for Z^d and the Heisenberg group, the shortlex rank of the
+word for free groups, and m L + n + N for the horocyclic vertex (m, n).
+Each engine is sized for the scanned radius, and all share one boundary
+routine that handles candidate sets with millions of vertices.  Its inner
+closure grows only inside N_c(A): a path of at most c hops from outer to
+some a in A stays within c of a, so the work is bounded by |N_c(A)|.
 """
 
 from __future__ import annotations
@@ -170,7 +174,8 @@ def folner_ratio(graph, A, c) -> float:
 
 
 # ---------------------------------------------------------------------------
-# packed engines for the Cayley graphs of Z^d, Heisenberg and free groups
+# packed engines: Cayley graphs of Z^d, Heisenberg and free groups, and the
+# horocyclic graph
 
 
 class _ZdEngine:
@@ -255,8 +260,50 @@ class _FreeEngine:
         return nb.ravel()
 
 
+class _HoroEngine:
+    """The horocyclic graph on the codes m L + n + N of its vertices (m, n).
+    A hop changes the level n by at most ``dn_max`` and a box of size j
+    spans the levels -j..j, so within ``word_span`` hops of level 0 or of
+    such a box the levels lie in [-N, N], N = word_span max(dn_max, 1), and
+    L = 2N + 1 keeps them apart.  Balls, boxes and their neighbourhoods
+    meet each level in an interval of m about 0, so |m| stays below the
+    set's size and the codes cannot overflow int64 in memory."""
+
+    def __init__(self, graph, word_span):
+        self.N = word_span * max(graph._dn_max, 1)
+        self.L = 2 * self.N + 1
+        self.reach = [(dn, math.exp(dn), b) for dn, b in graph.reach.items()]
+
+    def _codes(self, lo, hi, level):
+        """m L + level for lo <= m <= hi, row by row, with one ``repeat``."""
+        w = np.maximum(hi - lo + 1, 0)
+        first = np.cumsum(w) - w
+        return (np.repeat((lo - first) * self.L + level, w)
+                + np.arange(w.sum(), dtype=np.int64) * self.L)
+
+    def expand(self, arr):
+        # at level offset dn the neighbours of m are one closed-form interval
+        m, level = np.divmod(arr, self.L)
+        return np.concatenate([_uniq(self._codes(
+            np.ceil((m - b) / s - 1e-9).astype(np.int64),
+            np.floor((m + b) / s + 1e-9).astype(np.int64), level + dn))
+            for dn, s, b in self.reach])
+
+    def ball(self, k):
+        return _packed_closure(self, np.array([self.N]), k)
+
+    def box(self, j):
+        n = np.arange(-j, j + 1)
+        m_max = np.array([math.floor(math.exp(j - v) + TOL) for v in n],
+                         dtype=np.int64)
+        return np.sort(self._codes(-m_max, m_max, n + self.N))
+
+
 def _packed_engine(graph, word_span):
-    """The engine for words up to length ``word_span``, or None."""
+    """The engine for words (hops, on the horocyclic graph) up to length
+    ``word_span``, or None."""
+    if isinstance(graph, HorocyclicGraph):
+        return _HoroEngine(graph, word_span)
     if not isinstance(graph, CayleyGraph):
         return None
     space = graph.space
@@ -282,86 +329,29 @@ def _uniq(arr):
     return arr[keep]
 
 
-def _packed_closure(engine, arr, steps):
+def _packed_closure(engine, arr, steps, within=None):
+    """N_steps(arr) as sorted distinct codes: each step adds the engine
+    expansion of the whole set so far.  With ``within`` (sorted distinct,
+    not empty) each step keeps only the codes found in it."""
     out = arr
     for _ in range(int(steps)):
         out = _uniq(np.concatenate([out, engine.expand(out)]))
+        if within is not None:
+            i = np.searchsorted(within, out).clip(max=len(within) - 1)
+            out = out[within[i] == out]
     return out
 
 
 def _packed_boundary_size(engine, a_sorted, word_steps):
+    """|outer| + |inner| for the sorted distinct codes of A; the inner
+    closure grows only inside grown = N_c(A) (see the module docstring)."""
     grown = _packed_closure(engine, a_sorted, word_steps)
     outer = np.setdiff1d(grown, a_sorted, assume_unique=True)
-    igrow = _packed_closure(engine, outer, word_steps)
-    inner = np.intersect1d(igrow, a_sorted, assume_unique=True)
+    # the last step needs no bound: its codes are intersected with A
+    igrow = _packed_closure(engine, outer, word_steps - 1, within=grown)
+    inner = np.intersect1d(_packed_closure(engine, igrow, 1), a_sorted,
+                           assume_unique=True)
     return len(outer) + len(inner)
-
-
-# ---------------------------------------------------------------------------
-# vectorised engine for the horocyclic implicit graph: vertex sets live as
-# {level n: sorted array of m}; one hop expands each level through the
-# closed-form integer intervals of the adjacency rule
-
-
-class _HoroEngine:
-    def __init__(self, graph: HorocyclicGraph):
-        self.reach = graph.reach
-
-    @staticmethod
-    def size(levels):
-        return sum(len(a) for a in levels.values())
-
-    def expand(self, levels):
-        out = {n: [arr] for n, arr in levels.items()}
-        for n, arr in levels.items():
-            if not len(arr):
-                continue
-            for dn, b in self.reach.items():
-                s = math.exp(dn)
-                lo = np.ceil((arr - b) / s - 1e-9).astype(np.int64)
-                hi = np.floor((arr + b) / s + 1e-9).astype(np.int64)
-                wmax = int((hi - lo).max())
-                if wmax < 0:
-                    continue
-                offs = np.arange(wmax + 1, dtype=np.int64)
-                cand = lo[:, None] + offs[None, :]
-                vals = cand[cand <= hi[:, None]]
-                if len(vals):
-                    out.setdefault(n + dn, []).append(vals)
-        return {n: _uniq(np.concatenate(parts)) for n, parts in out.items()}
-
-    @staticmethod
-    def levelwise(op, A, B):
-        """``op`` (``np.setdiff1d`` or ``np.intersect1d``) of A and B level
-        by level; empty levels are dropped."""
-        empty = np.empty(0, dtype=np.int64)
-        out = {n: op(arr, B.get(n, empty), assume_unique=True)
-               for n, arr in A.items()}
-        return {n: arr for n, arr in out.items() if len(arr)}
-
-    def ball(self, k):
-        levels = {0: np.zeros(1, dtype=np.int64)}
-        for _ in range(int(k)):
-            levels = self.expand(levels)
-        return levels
-
-    def box(self, j):
-        out = {}
-        for n in range(-j, j + 1):
-            m_max = int(math.floor(math.exp(j - n) + TOL))
-            out[n] = np.arange(-m_max, m_max + 1, dtype=np.int64)
-        return out
-
-    def boundary_size(self, A, c):
-        grown = A
-        for _ in range(int(c)):
-            grown = self.expand(grown)
-        outer = self.levelwise(np.setdiff1d, grown, A)
-        igrow = outer
-        for _ in range(int(c)):
-            igrow = self.expand(igrow)
-        inner = self.levelwise(np.intersect1d, igrow, A)
-        return self.size(outer) + self.size(inner)
 
 
 # ---------------------------------------------------------------------------
@@ -384,14 +374,17 @@ def folner_scan(graph, c, family, epsilon, schedule,
     the schedule lists ball radii or box sizes.  Evaluation stops early once
     a ratio beats epsilon.  Candidates that do not fit the certified
     interior of a finite graph are skipped; if none fits at all the scan
-    raises ``WindowTooSmallError``.  Implicit graphs, vertex-transitive,
-    ignore ``center`` and raise ``DomainError`` past their exact engine.
+    raises ``WindowTooSmallError``.  A negative size is a ``DomainError`` on
+    every graph.  Implicit graphs, vertex-transitive, ignore ``center`` and
+    raise ``DomainError`` past their exact engine.
     """
     if family not in ("metric_balls", "boxes", "greedy_improved"):
         raise DomainError(f"unknown Folner family {family!r}")
     schedule = sorted(int(s) for s in schedule)
     if not schedule:
         raise WindowTooSmallError("empty candidate schedule")
+    if schedule[0] < 0:
+        raise DomainError(f"negative candidate size {schedule[0]}")
     if isinstance(graph, RoughGraph):
         if center is not None:
             center, = graph.vertex_ids([center])
@@ -479,23 +472,21 @@ def _greedy_improve(graph, c, A, depths):
 def _scan_implicit(graph, c, family, epsilon, schedule):
     if family == "greedy_improved":
         raise DomainError("greedy_improved needs a finite windowed graph")
-    horo = isinstance(graph, HorocyclicGraph)
-    hop = 1 if horo else int(getattr(graph, "threshold", 1))
+    hop = 1 if isinstance(graph, HorocyclicGraph) \
+        else int(getattr(graph, "threshold", 1))
     balls = family == "metric_balls"
     entries = []
     for size in schedule:
-        # codes reach 2c hops past the candidate, and expand reads one more
+        # codes stay within c hops of the candidate, and expand reads one
+        # more; the span leaves room for 2c + 1
         span = (size + 2 * int(c) + 1) * hop
-        engine = _HoroEngine(graph) if horo else _packed_engine(graph, span)
+        engine = _packed_engine(graph, span)
         if engine is None:
             raise DomainError(f"no exact engine reaches word length {span}")
         if not balls and engine.box is None:
             raise DomainError("box candidates are undefined for this graph")
         A = engine.ball(size * hop) if balls else engine.box(size)
-        if horo:
-            n, bsize = engine.size(A), engine.boundary_size(A, c)
-        else:
-            n, bsize = len(A), _packed_boundary_size(engine, A, int(c) * hop)
+        n, bsize = len(A), _packed_boundary_size(engine, A, int(c) * hop)
         entries.append((f"{'ball' if balls else 'box'}:{size}", n, bsize,
                         bsize / n))
         if bsize / n < epsilon:

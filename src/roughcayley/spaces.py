@@ -613,9 +613,11 @@ class FreeGroupModel(SpaceModel):
 
 
 def _prefix(A, B):
-    """Per row, the common prefix length of two free-group point arrays."""
-    w = max(A.shape[1], B.shape[1])
-    A, B = (np.pad(X, ((0, 0), (0, w - X.shape[1]))) for X in (A, B))
+    """Per row, the common prefix length of two free-group point arrays.
+    Only the first min(width) columns are compared: past the narrower
+    array's width its letters are 0, which no common prefix contains."""
+    w = min(A.shape[1], B.shape[1])
+    A, B = A[:, :w], B[:, :w]
     return np.logical_and.accumulate((A == B) & (A != 0), axis=1).sum(axis=1)
 
 

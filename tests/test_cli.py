@@ -136,6 +136,24 @@ def test_qaction_commands(tmp_path, capsys):
                "--lattice2", str(lat), "--group-radius", "4") == 0
 
 
+@pytest.mark.parametrize("command, message", [
+    (["ratio", "--ball", "-2"], "negative ball radius -2"),
+    (["scan", "--epsilon", "0.1", "--sizes", "-1..2"],
+     "negative candidate size -1"),
+], ids=["ratio", "scan"])
+def test_negative_folner_sizes_exit_with_domain_error(tmp_path, capsys,
+                                                      command, message):
+    lat, g = tmp_path / "ball.json", tmp_path / "g.json"
+    assert run("lattice", "build", "--space", "zd", "--d", "2",
+               "--group-ball", "--radius", "8", "--probes", "0",
+               "--out", str(lat)) == 0
+    assert run("graph", "build", "--lattice", str(lat), "--threshold", "1",
+               "--out", str(g)) == 0
+    capsys.readouterr()
+    assert run("folner", command[0], "--graph", str(g), *command[1:]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("radii", ["0", "0,0"])
 def test_orbit_qi_without_pairs_exits_with_domain_error(tmp_path, capsys,
                                                          radii):

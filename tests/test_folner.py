@@ -34,6 +34,7 @@ from roughcayley.folner import (
     _finite_box,
     _local_boundary,
     _packed_boundary_size,
+    _packed_closure,
     _packed_engine,
     _uniq,
     _within,
@@ -286,13 +287,75 @@ def test_packed_engine_matches_python_sets():
     assert ball[2] == len(_local_boundary(heis, set(dist), 1))
 
 
-def test_horocyclic_engine_matches_python_sets():
-    hg = HorocyclicGraph()
-    report = folner_scan(hg, 1, "metric_balls", 1e-9, [1, 2])
-    sizes = {int(d.split(":")[1]): (s, b) for d, s, b, _ in report.entries}
-    ball1 = set(hg.neighbors((0, 0))) | {(0, 0)}
-    assert sizes[1][0] == len(ball1)
-    assert sizes[1][1] == len(_local_boundary(hg, ball1, 1))
+def _horocyclic_box(j):
+    return {(m, n) for n in range(-j, j + 1)
+            for w in [math.floor(math.exp(j - n) + 1e-9)]
+            for m in range(-w, w + 1)}
+
+
+@pytest.mark.parametrize("hg, family, size, vertices", [
+    (HorocyclicGraph(), "metric_balls", 1,
+     lambda hg: _within(hg, {(0, 0)}, 1)),
+    (HorocyclicGraph(), "boxes", 1, lambda hg: _horocyclic_box(1)),
+    (HorocyclicGraph(), "boxes", 2, lambda hg: _horocyclic_box(2)),
+    # no hop changes the level, but the box spans five of them
+    (HorocyclicGraph(0.5), "boxes", 2, lambda hg: _horocyclic_box(2)),
+], ids=["ball1", "box1", "box2", "box2-level-hops-0"])
+def test_horocyclic_engine_matches_python_sets(hg, family, size, vertices):
+    A = vertices(hg)
+    (_, n, boundary, _), = folner_scan(hg, 1, family, 1e-9, [size]).entries
+    assert n == len(A)
+    assert boundary == len(_local_boundary(hg, A, 1))
+
+
+@pytest.mark.parametrize("c, family, pinned", [
+    (1, "metric_balls", {1: (69, 1276), 2: (1277, 22156)}),
+    (1, "boxes", {1: (23, 495), 2: (173, 3095), 3: (1277, 22112)}),
+    (2, "metric_balls", {1: (69, 22225)}),
+    (2, "boxes", {1: (23, 8657), 2: (173, 53729)}),
+])
+def test_horocyclic_scan_sizes_are_pinned(c, family, pinned):
+    report = folner_scan(HorocyclicGraph(), c, family, 1e-9, list(pinned))
+    assert {int(d.split(":")[1]): (n, b) for d, n, b, _ in report.entries} \
+        == pinned
+
+
+@pytest.mark.parametrize("graph, c, radius, hop", [
+    (CayleyGraph(FreeGroupModel(2), 2), 2, 2, 2),
+    (CayleyGraph(HeisenbergModel()), 2, 3, 1),
+    (HorocyclicGraph(), 2, 1, 1),
+], ids=["free2-threshold2", "heisenberg", "horocyclic"])
+def test_boundary_closures_stay_inside_the_c_neighbourhood(graph, c, radius,
+                                                           hop):
+    """No expansion of either closure reads more codes than |N_c(A)|: the
+    inner closure grows only inside it, not outward from the outer shell."""
+    engine = _packed_engine(graph, (radius + 2 * c + 1) * hop)
+    A = engine.ball(radius * hop)
+    grown = _packed_closure(engine, A, c * hop)
+    expand, read = engine.expand, []
+
+    def counted(arr):
+        read.append(len(arr))
+        return expand(arr)
+
+    engine.expand = counted
+    boundary = _packed_boundary_size(engine, A, c * hop)
+    assert boundary == folner_scan(graph, c, "metric_balls", 1e-9,
+                                   [radius]).entries[0][2]
+    assert read and max(read) <= len(grown)
+
+
+@pytest.mark.parametrize("graph", [
+    lambda: build_graph(group_ball_lattice(ZdModel(2), 12), threshold=1.0),
+    lambda: CayleyGraph(ZdModel(2)),
+    lambda: CayleyGraph(HeisenbergModel()),
+    lambda: CayleyGraph(FreeGroupModel(2)),
+    lambda: HorocyclicGraph(),
+], ids=["finite", "zd", "heisenberg", "free", "horocyclic"])
+@pytest.mark.parametrize("family", ["metric_balls", "boxes"])
+def test_negative_candidate_sizes_are_domain_errors(graph, family):
+    with pytest.raises(DomainError, match="negative candidate size -1"):
+        folner_scan(graph(), 1, family, 0.1, [-1, 2])
 
 
 def test_scan_achieved_and_early_stop(z_line):
