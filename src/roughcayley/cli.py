@@ -333,7 +333,7 @@ def cmd_folner_ratio(args):
     if args.ball < 0:
         raise DomainError(f"negative ball radius {args.ball}")
     center = graph.deepest_vertex(graph.border_depths())
-    A = folner._within(graph, {center}, args.ball)
+    A = folner._finite_ball(graph, center, args.ball)
     ratio = folner.folner_ratio(graph, A, args.c)
     print(f"ball radius {args.ball} ({len(A)} vertices): ratio {ratio:.6f}")
     return 0

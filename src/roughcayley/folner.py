@@ -5,29 +5,32 @@ in the graph metric; the Folner ratio is |boundary| / |A|.  The boundary
 depends on N_c(A) only: it is outer | inner with outer = N_c(A) \\ A and
 inner = A & N_c(outer), because for c >= 1 the first vertex outside A on a
 geodesic from a in A to the complement lies in outer (for c < 1 both are
-empty).  One local rule therefore serves finite and implicit graphs, and
-on an implicit graph never visits the rest of it.  Scans evaluate a
-candidate family in increasing size and stop once the ratio drops below
-the target.  A finite search can only ever report "not achieved over the
-tested family", never non-amenability.
+empty).  Scans evaluate a candidate family in increasing size and stop
+once the ratio drops below the target.  A finite search can only ever
+report "not achieved over the tested family", never non-amenability.
 
-On finite windowed graphs every candidate must keep graph distance > c
-from the border vertices, so the windowed boundary equals the boundary in
-the unwindowed object; there vertex sets are boolean masks, and N_c is c
-mask steps over the graph's CSR arrays.  On the implicit infinite graphs
-(``CayleyGraph``, ``HorocyclicGraph``) boundaries are exact as computed,
-by one of four vectorised engines on sorted int64 codes: packed
-coordinates for Z^d and the Heisenberg group, the shortlex rank of the
-word for free groups, and m L + n + N for the horocyclic vertex (m, n).
-Each engine is sized for the scanned radius, and all share one boundary
-routine that handles candidate sets with millions of vertices.  Its inner
-closure grows only inside N_c(A): a path of at most c hops from outer to
-some a in A stays within c of a, so the work is bounded by |N_c(A)|.
+One family of vectorised engines computes N_c and this boundary on every
+graph kind, with vertex sets as sorted int64 codes.  On a finite windowed
+graph the codes are the vertex ids and a step gathers their CSR rows.  On
+the implicit infinite graphs (``CayleyGraph``, ``HorocyclicGraph``) they
+are packed coordinates for Z^d and the Heisenberg group, the shortlex rank
+of the word for free groups, and m L + n + N for the horocyclic vertex
+(m, n); each such engine is sized for the scanned radius.  All share one
+closure, which expands only the codes its previous step added, and one
+boundary routine that handles candidate sets with millions of vertices.
+Its inner closure grows only inside N_c(A): a path of at most c hops from
+outer to some a in A stays within c of a, so the work is bounded by
+|N_c(A)|.
+
+On finite graphs every candidate must keep graph distance > c from the
+border vertices, so the windowed boundary equals the boundary in the
+unwindowed object.  ``c_boundary`` and ``folner_ratio`` take finite graphs
+only; ``folner_scan`` scores the implicit ones, whose boundaries are exact
+as computed.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -40,14 +43,7 @@ from .errors import (
     WindowTooSmallError,
 )
 from .graphs import CayleyGraph, HorocyclicGraph, RoughGraph
-from .spaces import (
-    FreeGroupModel,
-    HeisenbergModel,
-    TOL,
-    ZdModel,
-    bfs_layers,
-    csr_layers,
-)
+from .spaces import FreeGroupModel, HeisenbergModel, TOL, ZdModel, csr_rows
 
 SWAP_BUDGET_FACTOR = 10   # greedy_improved's swap budget per start vertex
 
@@ -92,90 +88,57 @@ class FolnerReport:
 # finite windowed graphs
 
 
-def _interior_check(A, c, depths):
+def c_boundary(graph, A, c):
+    """Exact c-boundary of A on a finite graph, as sorted vertex ids:
+    vertices within c of both A and its complement.
+
+    Computed locally as outer | inner (see the module docstring).  A must
+    hold vertex ids of the graph (``DomainError`` otherwise) inside the
+    certified interior (graph distance > c from border vertices,
+    ``BorderError`` otherwise).  Implicit graphs raise ``DomainError``:
+    ``folner_scan`` scores their candidates.
+    """
+    if not isinstance(graph, RoughGraph):
+        raise DomainError("c_boundary needs a finite windowed graph; "
+                          "folner_scan scores implicit graphs")
+    A = graph.vertex_ids(A)
+    depths = graph.border_depths()
     bad = [a for a in A if depths[a] <= c]
     if bad:
         raise BorderError(
             f"set vertices within graph distance {int(c)} of the window "
             f"border: {bad[:8]}{'...' if len(bad) > 8 else ''}"
         )
-
-
-def c_boundary(graph, A, c):
-    """Exact c-boundary of A; vertices within c of both A and its complement.
-
-    Computed locally as outer | inner, outer = N_c(A) \\ A and
-    inner = A & N_c(outer): the first vertex outside A on a geodesic from A
-    to its complement lies in outer.  Finite graphs demand vertex ids of
-    the graph (``DomainError`` otherwise) inside the certified interior
-    (graph distance > c from border vertices, ``BorderError`` otherwise) and
-    return sorted vertex ids; implicit graphs return a sorted list of vertex
-    coordinates.
-    """
-    if isinstance(graph, RoughGraph):
-        A = graph.vertex_ids(A)
-        if A:
-            _interior_check(A, c, graph.border_depths())
-        return np.flatnonzero(_mask_boundary(graph, _mask(graph, A), c)
-                              ).tolist()
-    return sorted(_local_boundary(graph, set(A), c))
-
-
-def _local_boundary(graph, a_set, c):
-    outer = _within(graph, a_set, c) - a_set
-    return outer | (_within(graph, outer, c) & a_set)
-
-
-def _within(graph, seeds, c):
-    """N_c(seeds): the vertices at graph distance <= c from ``seeds``, as
-    sorted ids on a finite graph and as a set on an implicit one."""
-    if isinstance(graph, RoughGraph):
-        layers = csr_layers(*graph.csr(), list(seeds))
-        return np.sort(np.concatenate(
-            [np.empty(0, dtype=np.intp),
-             *itertools.islice(layers, int(c) + 1)]))
-    return set().union(
-        *itertools.islice(bfs_layers(graph.neighbors, seeds), int(c) + 1))
-
-
-def _mask(graph, ids):
-    m = np.zeros(graph.n, dtype=bool)
-    m[ids] = True
-    return m
-
-
-def _mask_boundary(graph, m, c):
-    """``_local_boundary`` of the vertex mask m of a finite graph, as a
-    mask."""
-    outer = _grow(graph, m, c) & ~m
-    return outer | (_grow(graph, outer, c) & m)
-
-
-def _grow(graph, m, c):
-    """The mask of N_c of the vertex mask m: c steps, each adding every
-    vertex with a neighbour in the mask."""
-    indptr, indices = graph.csr()
-    # reduceat reads an empty row as the first entry of the next row (and
-    # fails past the end), so only the rows with neighbours are reduced
-    rows = np.flatnonzero(indptr[1:] > indptr[:-1])
-    m = m.copy()
-    for _ in range(int(c)):
-        m[rows] |= np.logical_or.reduceat(m[indices], indptr[rows])
-    return m
+    outer, inner = _packed_boundary(_packed_engine(graph, None),
+                                    np.array(A, dtype=np.intp), int(c))
+    return np.sort(np.concatenate([outer, inner])).tolist()
 
 
 def folner_ratio(graph, A, c) -> float:
-    """|c-boundary of A| / |A| (the vertex set is its own quasi-lattice);
-    a vertex listed twice counts once."""
+    """|c-boundary of A| / |A| on a finite graph (the vertex set is its own
+    quasi-lattice); a vertex listed twice counts once.  Implicit graphs
+    raise ``DomainError``, as in ``c_boundary``."""
     A = set(A)
+    boundary = c_boundary(graph, A, c)
     if not A:
         raise UndefinedRatioError("Folner ratio of the empty set")
-    return len(c_boundary(graph, A, c)) / len(A)
+    return len(boundary) / len(A)
 
 
 # ---------------------------------------------------------------------------
-# packed engines: Cayley graphs of Z^d, Heisenberg and free groups, and the
-# horocyclic graph
+# engines: finite graphs, Cayley graphs of Z^d, Heisenberg and free groups,
+# and the horocyclic graph
+
+
+class _GraphEngine:
+    """A finite rough graph on its vertex ids: a step lays the CSR rows of
+    the ids end to end."""
+
+    def __init__(self, graph):
+        self.csr = graph.csr()
+
+    def expand(self, ids):
+        return csr_rows(*self.csr, ids)
 
 
 class _ZdEngine:
@@ -301,7 +264,9 @@ class _HoroEngine:
 
 def _packed_engine(graph, word_span):
     """The engine for words (hops, on the horocyclic graph) up to length
-    ``word_span``, or None."""
+    ``word_span``, or None; a finite graph's engine ignores the span."""
+    if isinstance(graph, RoughGraph):
+        return _GraphEngine(graph)
     if isinstance(graph, HorocyclicGraph):
         return _HoroEngine(graph, word_span)
     if not isinstance(graph, CayleyGraph):
@@ -329,33 +294,48 @@ def _uniq(arr):
     return arr[keep]
 
 
+def _member(codes, arr):
+    """The mask of the entries of ``arr`` found in the sorted distinct
+    ``codes``, which may be empty only when ``arr`` is."""
+    i = np.searchsorted(codes, arr).clip(max=len(codes) - 1)
+    return codes[i] == arr
+
+
 def _packed_closure(engine, arr, steps, within=None):
-    """N_steps(arr) as sorted distinct codes: each step adds the engine
-    expansion of the whole set so far.  With ``within`` (sorted distinct,
-    not empty) each step keeps only the codes found in it."""
-    out = arr
-    for _ in range(int(steps)):
-        out = _uniq(np.concatenate([out, engine.expand(out)]))
-        if within is not None:
-            i = np.searchsorted(within, out).clip(max=len(within) - 1)
-            out = out[within[i] == out]
+    """N_steps(arr) for sorted distinct codes, as sorted distinct codes:
+    each step adds the engine expansion of the codes the step before
+    added.  With ``within`` (sorted distinct) each step but the last keeps
+    only the codes found in it; the caller bounds the last one."""
+    out = new = arr
+    for left in range(int(steps) - 1, -1, -1):
+        grown = _uniq(np.concatenate([out, engine.expand(new)]))
+        if left:
+            if within is not None:
+                grown = grown[_member(within, grown)]
+            new = grown[~_member(out, grown)]
+        out = grown
     return out
 
 
-def _packed_boundary_size(engine, a_sorted, word_steps):
-    """|outer| + |inner| for the sorted distinct codes of A; the inner
-    closure grows only inside grown = N_c(A) (see the module docstring)."""
+def _packed_boundary(engine, a_sorted, word_steps):
+    """(outer, inner) as sorted codes for the sorted distinct codes of A;
+    the inner closure grows only inside grown = N_c(A) (see the module
+    docstring), and its last step is read inside A."""
     grown = _packed_closure(engine, a_sorted, word_steps)
     outer = np.setdiff1d(grown, a_sorted, assume_unique=True)
-    # the last step needs no bound: its codes are intersected with A
-    igrow = _packed_closure(engine, outer, word_steps - 1, within=grown)
-    inner = np.intersect1d(_packed_closure(engine, igrow, 1), a_sorted,
-                           assume_unique=True)
-    return len(outer) + len(inner)
+    inner = np.intersect1d(
+        _packed_closure(engine, outer, word_steps, within=grown), a_sorted,
+        assume_unique=True)
+    return outer, inner
 
 
 # ---------------------------------------------------------------------------
 # candidate families
+
+
+def _finite_ball(graph: RoughGraph, center, n):
+    return _packed_closure(_packed_engine(graph, None),
+                           np.array([center], dtype=np.intp), n)
 
 
 def _finite_box(graph: RoughGraph, center, n):
@@ -410,19 +390,20 @@ def _scan_finite(graph, c, family, epsilon, schedule, center):
     depths = graph.border_depths()
     if center is None:
         center = graph.deepest_vertex(depths)
+    engine = _packed_engine(graph, None)
     entries = []
     base_family = "metric_balls" if family == "greedy_improved" else family
     best_set = None
     for size in schedule:
         if base_family == "metric_balls":
-            A = _within(graph, {center}, size)
+            A = _finite_ball(graph, center, size)
             desc = f"ball:{size}"
         else:
             A = _finite_box(graph, center, size)
             desc = f"box:{size}"
         if not len(A) or (depths[A] <= c).any():
             continue  # candidate leaks past the certified interior
-        bsize = int(_mask_boundary(graph, _mask(graph, A), c).sum())
+        bsize = sum(map(len, _packed_boundary(engine, A, int(c))))
         ratio = bsize / len(A)
         entries.append((desc, len(A), bsize, ratio))
         if best_set is None or ratio < min(e[3] for e in entries[:-1]):
@@ -430,18 +411,19 @@ def _scan_finite(graph, c, family, epsilon, schedule, center):
         if ratio < epsilon:
             break
     if family == "greedy_improved" and entries and best_set is not None:
-        entries.append(_greedy_improve(graph, c, best_set, depths))
+        entries.append(_greedy_improve(engine, c, best_set, depths))
     return entries
 
 
-def _greedy_improve(graph, c, A, depths):
+def _greedy_improve(engine, c, A, depths):
     """Single-vertex hill climbing from the best ball: first-improvement
     swaps (drop a boundary vertex or adopt an outer one) in deterministic
-    vertex order, with a ``SWAP_BUDGET_FACTOR`` |A| attempt budget."""
-    current, size = _mask(graph, A), len(A)
-    boundary = np.flatnonzero(_mask_boundary(graph, current, c))
-    ratio = len(boundary) / size
-    budget = SWAP_BUDGET_FACTOR * size
+    vertex order, with a ``SWAP_BUDGET_FACTOR`` |A| attempt budget.  The
+    current set is a sorted id array; a trial inserts or deletes one id."""
+    current = A
+    outer, inner = _packed_boundary(engine, current, int(c))
+    ratio = (len(outer) + len(inner)) / len(current)
+    budget = SWAP_BUDGET_FACTOR * len(current)
     improved = True
     while improved and budget > 0:
         improved = False
@@ -449,24 +431,24 @@ def _greedy_improve(graph, c, A, depths):
         # while another remains, so the trial is not empty, and an outer
         # vertex is adopted only at depth > c, so the trial stays inside the
         # certified interior
-        member = current[boundary]
-        inner = boundary[member] if size > 1 else boundary[:0]
-        outer = boundary[~member & (depths[boundary] > c)]
-        for v in np.concatenate([inner, outer]).tolist():
+        drops = len(inner) if len(current) > 1 else 0
+        tries = np.concatenate([inner[:drops], outer[depths[outer] > c]])
+        for k, v in enumerate(tries.tolist()):
             if budget <= 0:
                 break
             budget -= 1
-            trial = current.copy()
-            trial[v] = not current[v]
-            trial_size = size - 1 if current[v] else size + 1
-            trial_boundary = np.flatnonzero(_mask_boundary(graph, trial, c))
-            trial_ratio = len(trial_boundary) / trial_size
+            at = np.searchsorted(current, v)
+            trial = (np.delete(current, at) if k < drops
+                     else np.insert(current, at, v))
+            trial_outer, trial_inner = _packed_boundary(engine, trial, int(c))
+            trial_ratio = (len(trial_outer) + len(trial_inner)) / len(trial)
             if trial_ratio < ratio - TOL:
-                current, size = trial, trial_size
-                boundary, ratio = trial_boundary, trial_ratio
+                current, outer, inner = trial, trial_outer, trial_inner
+                ratio = trial_ratio
                 improved = True
                 break
-    return (f"greedy:{size}", size, len(boundary), ratio)
+    return (f"greedy:{len(current)}", len(current), len(outer) + len(inner),
+            ratio)
 
 
 def _scan_implicit(graph, c, family, epsilon, schedule):
@@ -486,7 +468,8 @@ def _scan_implicit(graph, c, family, epsilon, schedule):
         if not balls and engine.box is None:
             raise DomainError("box candidates are undefined for this graph")
         A = engine.ball(size * hop) if balls else engine.box(size)
-        n, bsize = len(A), _packed_boundary_size(engine, A, int(c) * hop)
+        n = len(A)
+        bsize = sum(map(len, _packed_boundary(engine, A, int(c) * hop)))
         entries.append((f"{'ball' if balls else 'box'}:{size}", n, bsize,
                         bsize / n))
         if bsize / n < epsilon:

@@ -5,9 +5,10 @@ radius r, coarse-geodesic constant c), which makes the graph connected,
 uniformly locally finite and quasi-isometric to the ambient space.  Model
 builders only propose candidate pairs; ``build_graph`` alone keeps edges and
 ``_adjacency`` alone lays out the neighbour lists.  Every walk over a finite
-graph runs ``spaces.csr_layers`` on the graph's CSR arrays (``csr``), one
-array step per breadth-first layer.  ``certify_qi`` checks the two defining
-inequalities
+graph reads the graph's CSR arrays (``csr``): ``spaces.csr_layers`` takes
+one array step per breadth-first layer, and the Folner engine of a finite
+graph gathers the same rows with ``spaces.csr_rows``.  ``certify_qi``
+checks the two defining inequalities
 
     d(x, y) <= (2r + c + 1) d_graph(x, y)
     d_graph(x, y) <= d(x, y) + c + 1
@@ -17,7 +18,8 @@ on sampled interior vertex pairs.
 Two implicit (infinite, window-free) graphs are also provided for analyses
 that would otherwise drown in window-border effects: ``CayleyGraph`` over a
 whole discrete group and ``HorocyclicGraph`` over the full horocyclic
-lattice of the upper half-plane.
+lattice of the upper half-plane.  Their ``neighbors`` is the literal edge
+rule; Folner scans on them run the closed-form engines of ``folner``.
 """
 
 from __future__ import annotations
@@ -114,12 +116,11 @@ class RoughGraph:
         return np.flatnonzero(slacks < self.threshold - TOL).tolist()
 
     def border_depths(self) -> np.ndarray:
-        """Graph distance of every vertex to the border vertex set (-1 if it
-        reaches none; the largest int64 everywhere if there is no border)."""
+        """Graph distance of every vertex to the border vertex set; the
+        largest int64 where it reaches none, as everywhere on a graph with
+        no border, since no window can cut that vertex's balls."""
         border = self.border_vertices()
-        if not border:
-            return np.full(self.n, np.iinfo(np.int64).max, dtype=np.int64)
-        depths = np.full(self.n, -1, dtype=np.int64)
+        depths = np.full(self.n, np.iinfo(np.int64).max, dtype=np.int64)
         for depth, layer in enumerate(csr_layers(*self.csr(), border)):
             depths[layer] = depth
         return depths

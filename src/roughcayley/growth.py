@@ -126,8 +126,7 @@ def _graph_ball_sizes(graph, x0, m_max) -> GrowthSeries:
     else:
         x0, = graph.vertex_ids([x0])
     safe = int(depths[x0])
-    # -1: no border vertex in x0's component, so no window truncates it
-    if 0 <= safe < m_max:
+    if safe < m_max:
         raise BorderError(
             f"ball of radius {m_max} is truncated by the window border; "
             f"maximal safe radius from this base vertex is {safe}",

@@ -34,12 +34,12 @@ same for ``boundary_slack`` where an array form is exact (Z^d, free
 groups).
 
 Each discrete group builds its word ball N_r(e) with no walk (``_ball`` on
-Z^d and Heisenberg) and counts it in closed form (``ball_sizes``).  Two
-breadth-first walks serve the rest, both layer by layer with the same
-sources rule and FIFO order.  ``bfs_layers`` walks any neighbour
-function over hashable vertices: the implicit graphs.  ``csr_layers``
-walks a finite graph in CSR arrays (``RoughGraph.csr``): hop balls, border
-depths, components, distances and c-neighbourhoods.
+Z^d and Heisenberg) and counts it in closed form (``ball_sizes``).  One
+breadth-first primitive serves the rest: ``csr_layers`` walks a finite
+graph in CSR arrays (``RoughGraph.csr``) layer by layer, for hop balls,
+border depths, components and distances.  ``csr_rows`` is its one step,
+the neighbour rows of a vertex array laid end to end, which the finite
+Folner engine reads too.
 
 Each model owns its JSON form: ``tag`` names it in files and on the
 command line, ``to_json`` adds its ``params``, and ``point_to_json`` and
@@ -795,23 +795,24 @@ class HeisenbergModel(SpaceModel):
         return float(window.radius) - self._dist(self.base_point, x)
 
 
-def bfs_layers(neighbors, sources):
-    """Breadth-first layers about ``sources``: the distinct sources, then
-    each list of newly reached vertices in discovery order, until none is
-    left.  A layer is built only when the consumer asks for it."""
-    layer = list(dict.fromkeys(sources))
-    seen = set(layer)
-    while layer:
-        yield layer
-        layer = [w for v in layer for w in neighbors(v)
-                 if w not in seen and not seen.add(w)]
+def csr_rows(indptr, indices, ids):
+    """The neighbour rows ``indices[indptr[v]:indptr[v + 1]]`` of the
+    vertices ``ids`` (an intp array) laid end to end, as intp ids.
+    ``take`` and intp ids spare NumPy an index conversion per call."""
+    lo = indptr.take(ids)
+    cnt = indptr.take(ids + 1) - lo
+    at = (lo - cnt.cumsum() + cnt).repeat(cnt)
+    at += np.arange(len(at))
+    return indices.take(at).astype(np.intp)
 
 
 def csr_layers(indptr, indices, sources, seen=None):
-    """``bfs_layers`` of a finite graph in CSR form, whose vertex v has the
-    neighbours ``indices[indptr[v]:indptr[v + 1]]``: the same layers in the
-    same order, as intp arrays.  A vertex set in the boolean array ``seen``
-    is never reached; the walk sets every vertex it yields there."""
+    """Breadth-first layers of a finite graph in CSR form, whose vertex v
+    has the neighbours ``indices[indptr[v]:indptr[v + 1]]``: the distinct
+    sources, then each array of newly reached vertices in discovery order,
+    until none is left, as intp arrays.  A layer is built only when the
+    consumer asks for it.  A vertex set in the boolean array ``seen`` is
+    never reached; the walk sets every vertex it yields there."""
     n = len(indptr) - 1
     if seen is None:
         seen = np.zeros(n, dtype=bool)
@@ -825,14 +826,7 @@ def csr_layers(indptr, indices, sources, seen=None):
         layer = cand[pos.take(cand) == k]
         seen[layer] = True
         yield layer
-        # the rows of the layer, laid end to end (``take`` and intp ids
-        # spare NumPy an index conversion per step)
-        lo = indptr.take(layer)
-        cnt = indptr.take(layer + 1) - lo
-        ends = cnt.cumsum()
-        at = (lo - ends + cnt).repeat(cnt)
-        at += np.arange(len(at))
-        cand = indices.take(at).astype(np.intp)
+        cand = csr_rows(indptr, indices, layer)
         cand = cand[~seen.take(cand)]
 
 

@@ -1,12 +1,13 @@
 """Independent brute-force oracles the tests check library results against.
 
-Everything here is deliberately naive: plain BFS over generators, the
-boundary definition read off an all-pairs distance table, full pairwise
-scans.  None of it shares code with the library paths it certifies; the
-Heisenberg box filter takes the closed-form word lengths, which the tests
-check against BFS, and the quasi-action oracles take only their samples
-(targets, pairs, balls) and the least-squares fit from the library and
-redo every per-element loop.
+Everything here is deliberately naive: plain BFS over generators or
+neighbour functions, the boundary definition read off an all-pairs
+distance table or walked on Python sets, full pairwise scans.  None of it
+shares code with the library paths it certifies; the Heisenberg box filter
+takes the closed-form word lengths, which the tests check against BFS, and
+the quasi-action oracles take only their samples (targets, pairs, balls)
+and the least-squares fit from the library and redo every per-element
+loop.
 """
 
 import itertools
@@ -42,6 +43,32 @@ def bfs_ball_depths(space, radius):
                     nxt.append(q)
         frontier = nxt
     return depth
+
+
+def bfs_layers(neighbors, sources):
+    """Breadth-first layers about ``sources`` over any neighbour function:
+    the distinct sources, then each list of newly reached vertices in
+    discovery order, until none is left."""
+    layer = list(dict.fromkeys(sources))
+    seen = set(layer)
+    while layer:
+        yield layer
+        layer = [w for v in layer for w in neighbors(v)
+                 if w not in seen and not seen.add(w)]
+
+
+def set_within(graph, seeds, c):
+    """N_c(seeds) as a set, by the layered set walk over ``neighbors``."""
+    return set().union(
+        *itertools.islice(bfs_layers(graph.neighbors, seeds), int(c) + 1))
+
+
+def local_boundary(graph, a_set, c):
+    """The c-boundary of the vertex set ``a_set`` by set walks: outer | inner
+    with outer = N_c(A) minus A and inner = A & N_c(outer).  It visits only
+    N_2c(A), so it serves the implicit infinite graphs too."""
+    outer = set_within(graph, a_set, c) - a_set
+    return outer | (set_within(graph, outer, c) & a_set)
 
 
 def packed_bfs_balls(engine, origin, r_max):

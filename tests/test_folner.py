@@ -22,6 +22,7 @@ from roughcayley import (
     greedy_net,
     group_ball_lattice,
 )
+from roughcayley import folner
 from roughcayley.errors import (
     BorderError,
     DomainError,
@@ -32,20 +33,21 @@ from roughcayley.folner import (
     FolnerReport,
     _FreeEngine,
     _finite_box,
-    _local_boundary,
-    _packed_boundary_size,
+    _packed_boundary,
     _packed_closure,
     _packed_engine,
     _uniq,
-    _within,
 )
 
 from conftest import make_even_lattice
 from oracles import (
     bfs_ball_depths,
+    distance_table,
     literal_c_boundary,
+    local_boundary,
     packed_bfs_balls,
     reference_greedy_scan,
+    set_within,
 )
 
 
@@ -108,6 +110,15 @@ def test_boundary_preconditions(z_line):
         c_boundary(z_line, [lat.index_of((20,))], 1)
 
 
+@pytest.mark.parametrize("graph", [CayleyGraph(ZdModel(2)), HorocyclicGraph()],
+                         ids=["cayley", "horocyclic"])
+def test_c_boundary_and_ratio_take_finite_graphs_only(graph):
+    # (0, 0) is a vertex of both graphs
+    for score in (c_boundary, folner_ratio):
+        with pytest.raises(DomainError, match="folner_scan"):
+            score(graph, [(0, 0)], 1)
+
+
 @pytest.mark.parametrize("ids", [[-20, -19], [44], [0, 41]])
 def test_c_boundary_rejects_ids_outside_the_graph(z_line, ids):
     # z_line has vertices 0..40; numpy would wrap -20 onto vertex 21
@@ -134,9 +145,11 @@ def test_matches_literal_double_loop():
         build_graph(make_even_lattice(30)),
         build_graph(group_ball_lattice(ZdModel(2), 7)),
     ]
+    tables = [distance_table(g) for g in graphs]
     checked = 0
     while checked < 6:
-        g = graphs[rng.integers(0, len(graphs))]
+        k = rng.integers(0, len(graphs))
+        g = graphs[k]
         c = int(rng.integers(1, 3))
         depths = g.border_depths()
         deep = [i for i in range(g.n) if depths[i] > c]
@@ -144,7 +157,7 @@ def test_matches_literal_double_loop():
             continue
         size = int(rng.integers(1, max(2, len(deep) // 2)))
         A = sorted(int(v) for v in rng.choice(deep, size=size, replace=False))
-        assert c_boundary(g, A, c) == literal_c_boundary(g, A, c)
+        assert c_boundary(g, A, c) == literal_c_boundary(g, A, c, tables[k])
         checked += 1
 
 
@@ -154,15 +167,21 @@ def z2_net_graph():
     return build_graph(greedy_net(ZdModel(2), BallWindow(24), 3.0))
 
 
+@pytest.fixture(scope="module")
+def z2_net_table(z2_net_graph):
+    return distance_table(z2_net_graph)
+
+
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(st.integers(1, 2), st.sets(st.integers(0, 10 ** 6), min_size=1,
                                   max_size=40))
-def test_c_boundary_matches_literal_on_net_graph(z2_net_graph, c, picks):
+def test_c_boundary_matches_literal_on_net_graph(z2_net_graph, z2_net_table,
+                                                 c, picks):
     g = z2_net_graph
     depths = g.border_depths()
     deep = [i for i in range(g.n) if depths[i] > c]
     A = sorted({deep[k % len(deep)] for k in picks})
-    assert c_boundary(g, A, c) == literal_c_boundary(g, A, c)
+    assert c_boundary(g, A, c) == literal_c_boundary(g, A, c, z2_net_table)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -182,15 +201,15 @@ def test_packed_heisenberg_ball_boundary_matches_sets(radius, c):
     (_, size, boundary, _), = folner_scan(cay, c, "metric_balls", 1e-9,
                                           [radius]).entries
     assert size == len(ball)
-    assert boundary == len(_local_boundary(cay, ball, c))
+    assert boundary == len(local_boundary(cay, ball, c))
 
 
 def test_translation_invariance_on_implicit_lattice():
     cay = CayleyGraph(ZdModel(2))
     box = {(x, y) for x in range(-4, 5) for y in range(-4, 5)}
     shifted = {(x + 3, y + 5) for x, y in box}
-    r1 = len(_local_boundary(cay, box, 1)) / len(box)
-    r2 = len(_local_boundary(cay, shifted, 1)) / len(shifted)
+    r1 = len(local_boundary(cay, box, 1)) / len(box)
+    r2 = len(local_boundary(cay, shifted, 1)) / len(shifted)
     assert r1 == r2
 
 
@@ -219,11 +238,11 @@ def test_free_engine_matches_python_sets(k, threshold, c, radius):
     cay = CayleyGraph(FreeGroupModel(k), threshold)
     engine = _packed_engine(cay, (radius + 2 * c + 1) * threshold)
     assert isinstance(engine, _FreeEngine)
-    A = _within(cay, {()}, radius)
+    A = set_within(cay, {()}, radius)
     packed = engine.ball(radius * threshold)
     assert len(packed) == len(A)
-    assert _packed_boundary_size(engine, packed, c * threshold) == \
-        len(_local_boundary(cay, A, c))
+    assert sum(map(len, _packed_boundary(engine, packed, c * threshold))) \
+        == len(local_boundary(cay, A, c))
 
 
 @pytest.mark.parametrize("space, r_max", [
@@ -269,7 +288,7 @@ def test_packed_engine_matches_python_sets():
     desc, size, boundary, _ = report.entries[0]
     box = {(x, y) for x in range(-4, 5) for y in range(-4, 5)}
     assert size == len(box)
-    assert boundary == len(_local_boundary(cay, box, 1))
+    assert boundary == len(local_boundary(cay, box, 1))
     heis = CayleyGraph(HeisenbergModel())
     rep_b = folner_scan(heis, 1, "metric_balls", 1e-9, [3])
     ball = rep_b.entries[0]
@@ -284,7 +303,7 @@ def test_packed_engine_matches_python_sets():
                     nxt.append(q)
         frontier = nxt
     assert ball[1] == len(dist) == 53
-    assert ball[2] == len(_local_boundary(heis, set(dist), 1))
+    assert ball[2] == len(local_boundary(heis, set(dist), 1))
 
 
 def _horocyclic_box(j):
@@ -295,7 +314,7 @@ def _horocyclic_box(j):
 
 @pytest.mark.parametrize("hg, family, size, vertices", [
     (HorocyclicGraph(), "metric_balls", 1,
-     lambda hg: _within(hg, {(0, 0)}, 1)),
+     lambda hg: set_within(hg, {(0, 0)}, 1)),
     (HorocyclicGraph(), "boxes", 1, lambda hg: _horocyclic_box(1)),
     (HorocyclicGraph(), "boxes", 2, lambda hg: _horocyclic_box(2)),
     # no hop changes the level, but the box spans five of them
@@ -305,7 +324,7 @@ def test_horocyclic_engine_matches_python_sets(hg, family, size, vertices):
     A = vertices(hg)
     (_, n, boundary, _), = folner_scan(hg, 1, family, 1e-9, [size]).entries
     assert n == len(A)
-    assert boundary == len(_local_boundary(hg, A, 1))
+    assert boundary == len(local_boundary(hg, A, 1))
 
 
 @pytest.mark.parametrize("c, family, pinned", [
@@ -326,23 +345,35 @@ def test_horocyclic_scan_sizes_are_pinned(c, family, pinned):
     (HorocyclicGraph(), 2, 1, 1),
 ], ids=["free2-threshold2", "heisenberg", "horocyclic"])
 def test_boundary_closures_stay_inside_the_c_neighbourhood(graph, c, radius,
-                                                           hop):
+                                                           hop, monkeypatch):
     """No expansion of either closure reads more codes than |N_c(A)|: the
-    inner closure grows only inside it, not outward from the outer shell."""
+    inner closure grows only inside it, not outward from the outer shell.
+    Each closure expands only the codes its previous step added, so no
+    code reaches ``expand`` twice within one closure."""
     engine = _packed_engine(graph, (radius + 2 * c + 1) * hop)
     A = engine.ball(radius * hop)
     grown = _packed_closure(engine, A, c * hop)
-    expand, read = engine.expand, []
+    (_, _, expected, _), = folner_scan(graph, c, "metric_balls", 1e-9,
+                                       [radius]).entries
+    expand, closures = engine.expand, []
+
+    def closure(*args, **kwargs):
+        closures.append([])
+        return _packed_closure(*args, **kwargs)
 
     def counted(arr):
-        read.append(len(arr))
+        closures[-1].append(arr.copy())
         return expand(arr)
 
+    monkeypatch.setattr(folner, "_packed_closure", closure)
     engine.expand = counted
-    boundary = _packed_boundary_size(engine, A, c * hop)
-    assert boundary == folner_scan(graph, c, "metric_balls", 1e-9,
-                                   [radius]).entries[0][2]
+    assert sum(map(len, _packed_boundary(engine, A, c * hop))) == expected
+    assert len(closures) == 2
+    read = [len(arr) for passed in closures for arr in passed]
     assert read and max(read) <= len(grown)
+    for passed in closures:
+        codes = np.concatenate(passed)
+        assert len(np.unique(codes)) == len(codes)
 
 
 @pytest.mark.parametrize("graph", [

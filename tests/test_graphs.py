@@ -43,10 +43,11 @@ from roughcayley.errors import (
     UnreachableError,
 )
 from roughcayley.graphs import _qi_sample, bfs_distances, component_sizes
-from roughcayley.spaces import bfs_layers, csr_layers
+from roughcayley.spaces import csr_layers
 
 from conftest import make_even_lattice
 from oracles import (
+    bfs_layers,
     distance_table,
     graph_distances_from,
     literal_c_boundary,
@@ -498,11 +499,9 @@ def test_border_depths_match_oracle(g):
     border = g.border_vertices()
     depths = g.border_depths()
     assert depths.dtype == np.int64
-    if border:
-        nearest = distance_table(g)[border].min(axis=0)
-        expected = np.where(nearest == UNREACHED, -1, nearest)
-    else:
-        expected = np.full(g.n, UNREACHED)
+    # a vertex that reaches no border vertex, as on a graph with no border,
+    # reads UNREACHED
+    expected = distance_table(g)[border].min(axis=0, initial=UNREACHED)
     assert depths.tolist() == expected.tolist()
 
 
@@ -512,8 +511,9 @@ def test_graph_ball_sizes_match_oracle(g):
     depths = g.border_depths()
     for x0 in range(g.n):
         for m_max in range(4):
-            # a component without border vertices (depth -1) is never cut
-            if depths[x0] < 0 or m_max <= depths[x0]:
+            # a component without border vertices (depth UNREACHED) is
+            # never cut
+            if m_max <= depths[x0]:
                 assert ball_sizes(g, x0, m_max).values == \
                     naive_ball_sizes(g, x0, m_max)
             else:
@@ -521,8 +521,25 @@ def test_graph_ball_sizes_match_oracle(g):
                     ball_sizes(g, x0, m_max)
 
 
+def test_vertices_that_reach_no_border_are_never_cut():
+    # Z^1 ball 10 at threshold 1 less the edges (-3, -2) and (2, 3): the
+    # path -2..2 reaches no border vertex
+    g = build_graph(group_ball_lattice(ZdModel(1), 10), threshold=1.0)
+    idx = {p: i for i, p in enumerate(g.lattice.points)}
+    cut = [{idx[(-3,)], idx[(-2,)]}, {idx[(2,)], idx[(3,)]}]
+    doc = g.to_json()
+    doc["edges"] = [e for e in doc["edges"] if set(e) not in cut]
+    h, o = RoughGraph.from_json(doc), idx[(0,)]
+    assert h.border_depths()[o] == UNREACHED
+    assert ball_sizes(h, o, 3).values == (1, 3, 5, 5)
+    assert c_boundary(h, [o], 1) == sorted(idx[(v,)] for v in (-1, 0, 1))
+    report = folner_scan(h, 1, "metric_balls", 1e-9, [0, 1, 2, 3], center=o)
+    assert report.entries == (("ball:0", 1, 3, 3.0), ("ball:1", 3, 4, 4 / 3),
+                              ("ball:2", 5, 0, 0.0))
+
+
 # ---------------------------------------------------------------------------
-# the array walk and the mask boundary against the set walk and the oracles
+# the array walk and the engine boundary against the set walk and the oracles
 
 
 @settings(derandomize=True, max_examples=120, deadline=None)
