@@ -50,7 +50,6 @@ from .nets import (
     horocyclic_lattice,
     sample_probes,
     verify_quasilattice,
-    with_density_radius,
 )
 from .spaces import (
     BallWindow,

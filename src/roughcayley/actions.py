@@ -30,12 +30,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CertificationError, DomainError, OutOfWindowError
-from .nets import Grid, QuasiLattice
+from .nets import QuasiLattice
 from .spaces import BallWindow, QiConstants, SpaceModel, TOL
 
 
@@ -103,6 +104,37 @@ def _sup(values):
 
 # ---------------------------------------------------------------------------
 # nearest-lattice-point engine
+
+
+class Grid:
+    """Items bucketed by the coordinate cell of a point, cells of side
+    ``cell``.  On a ``grid_metric`` model, ``ring(key, k)`` holds only
+    points more than (k - 1) * cell from the cell ``key``."""
+
+    _ring_offsets = {}   # (dimension, k) -> cell offsets of ring k
+
+    def __init__(self, cell):
+        self.cell = cell
+        self.cells = {}
+
+    def key(self, p):
+        return tuple(math.floor(v / self.cell) for v in p)
+
+    def add(self, p, item):
+        self.cells.setdefault(self.key(p), []).append(item)
+
+    def ring(self, key, k):
+        """The items of the cells at Chebyshev distance k from ``key``, in
+        lexicographic order of offset."""
+        offsets = Grid._ring_offsets.get((len(key), k))
+        if offsets is None:
+            offsets = Grid._ring_offsets[len(key), k] = [
+                off for off in itertools.product(range(-k, k + 1),
+                                                 repeat=len(key))
+                if max(map(abs, off)) == k]
+        cells = self.cells
+        return [item for off in offsets
+                for item in cells.get(tuple(map(operator.add, key, off)), ())]
 
 
 class NearestIndex:

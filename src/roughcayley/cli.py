@@ -16,6 +16,8 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from . import actions, folner, graphs, growth, nets
 from .errors import (
     BorderError,
@@ -333,7 +335,8 @@ def cmd_folner_ratio(args):
     if args.ball < 0:
         raise DomainError(f"negative ball radius {args.ball}")
     center = graph.deepest_vertex(graph.border_depths())
-    A = folner._finite_ball(graph, center, args.ball)
+    A = folner._packed_closure(folner._packed_engine(graph, None),
+                               np.array([center], dtype=np.intp), args.ball)
     ratio = folner.folner_ratio(graph, A, args.c)
     print(f"ball radius {args.ball} ({len(A)} vertices): ratio {ratio:.6f}")
     return 0

@@ -333,11 +333,6 @@ def _packed_boundary(engine, a_sorted, word_steps):
 # candidate families
 
 
-def _finite_ball(graph: RoughGraph, center, n):
-    return _packed_closure(_packed_engine(graph, None),
-                           np.array([center], dtype=np.intp), n)
-
-
 def _finite_box(graph: RoughGraph, center, n):
     space = graph.space
     if not space.grid_metric:
@@ -394,9 +389,12 @@ def _scan_finite(graph, c, family, epsilon, schedule, center):
     entries = []
     base_family = "metric_balls" if family == "greedy_improved" else family
     best_set = None
+    # each ball grows from the one before: N_a(N_b(x)) = N_(a+b)(x)
+    ball, radius = np.array([center], dtype=np.intp), 0
     for size in schedule:
         if base_family == "metric_balls":
-            A = _finite_ball(graph, center, size)
+            A = ball = _packed_closure(engine, ball, size - radius)
+            radius = size
             desc = f"ball:{size}"
         else:
             A = _finite_box(graph, center, size)

@@ -2,13 +2,15 @@
 
 ``build_graph`` connects lattice points at distance <= 2r + c + 1 (density
 radius r, coarse-geodesic constant c), which makes the graph connected,
-uniformly locally finite and quasi-isometric to the ambient space.  Model
-builders only propose candidate pairs; ``build_graph`` alone keeps edges and
-``_adjacency`` alone lays out the neighbour lists.  Every walk over a finite
-graph reads the graph's CSR arrays (``csr``): ``spaces.csr_layers`` takes
-one array step per breadth-first layer, and the Folner engine of a finite
-graph gathers the same rows with ``spaces.csr_rows``.  ``certify_qi``
-checks the two defining inequalities
+uniformly locally finite and quasi-isometric to the ambient space.  One
+dispatch, ``_candidates``, picks the model's generator of candidate pairs
+(coordinate cells, hyperbolic rows or group-ball hops); ``build_graph``
+alone keeps edges from them, ``nets.greedy_net`` reads the same pairs as
+its conflicts, and ``_adjacency`` alone lays out the neighbour lists.
+Every walk over a finite graph reads the graph's CSR arrays (``csr``):
+``spaces.csr_layers`` takes one array step per breadth-first layer, and
+the Folner engine of a finite graph gathers the same rows with
+``spaces.csr_rows``.  ``certify_qi`` checks the two defining inequalities
 
     d(x, y) <= (2r + c + 1) d_graph(x, y)
     d_graph(x, y) <= d(x, y) + c + 1
@@ -186,10 +188,9 @@ def _expand(I, lo, hi, order):
         yield I[k], order[t]
 
 
-def _edges_grid(lattice, threshold):
+def _edges_grid(space, X, threshold):
     # the neighbours of a point lie in the 3^d cells of side threshold about
     # its own (see ``SpaceModel.grid_metric``), found by bisection in the keys
-    X = lattice.coords()
     n, d = X.shape
     cells = np.floor(X / threshold).astype(np.int64)
     keys = _row_bytes(cells, d)
@@ -199,14 +200,14 @@ def _edges_grid(lattice, threshold):
         q = _row_bytes(cells + off, d)
         for i, j in _expand(np.arange(n), np.searchsorted(keys, q, "left"),
                             np.searchsorted(keys, q, "right"), order):
-            yield i, j, lattice.space._dist_many(X[i], X[j])
+            yield i, j, space._dist_many(X[i], X[j])
 
 
-def _edges_h2(lattice, threshold):
+def _edges_h2(space, X, threshold):
     # rows of log a of height threshold hold every neighbour of a point in
     # its own row or the next; in a row, sorted by u, the neighbours of
     # (u, a) have |du| <= (a + the row's largest a) * stretch
-    u, a = lattice.coords().T
+    u, a = X.T
     rows = np.floor(np.log(a) / threshold).astype(np.int64)
     order = np.lexsort((u, rows))
     stretch = (math.exp(threshold) - 1.0) / 2.0
@@ -221,11 +222,9 @@ def _edges_h2(lattice, threshold):
             yield i, j, hyperbolic_distance_arrays(u[i], a[i], u[j], a[j])
 
 
-def _edges_group_ball(lattice, threshold):
+def _edges_group_ball(space, X, threshold):
     # p_j = p_i g for a hop g, at distance |g|; the products are found by
-    # bisection in the lattice rows, sorted once as raw bytes (exact)
-    space = lattice.space
-    X = lattice.coords()
+    # bisection in the rows of X, sorted once as raw bytes (exact)
     n, w = len(X), max(X.shape[1], 1)
     hops = space.coords(space.enumerate_window(
         BallWindow(int(math.floor(threshold + TOL)))))
@@ -242,6 +241,16 @@ def _edges_group_ball(lattice, threshold):
         at = np.minimum(np.searchsorted(keys, q), n - 1)
         hit = (keys[at] == q) & ~P[:, w:].any(axis=1)
         yield i[hit], order[at[hit]], lengths[k[hit] // n]
+
+
+def _candidates(space, X, threshold):
+    """Blocks (i, j, d) of row pairs of the point array X (``space.coords``)
+    and their distances d.  If the rows are distinct, every pair at most
+    ``threshold`` apart comes at least once in each order, among pairs
+    farther apart; a group ball pairs no row with an equal one."""
+    propose = (_edges_grid if space.grid_metric else _edges_h2
+               if space.tag == "h2" else _edges_group_ball)
+    return propose(space, X, threshold)
 
 
 def _row_bytes(A, w):
@@ -282,10 +291,8 @@ def build_graph(lattice: QuasiLattice, threshold=None) -> RoughGraph:
     """
     if threshold is None:
         threshold = default_threshold(lattice)
-    propose = (_edges_grid if lattice.space.grid_metric else _edges_h2
-               if lattice.space.tag == "h2" else _edges_group_ball)
-    adjacency = _adjacency(len(lattice),
-                           _kept(propose(lattice, threshold), threshold))
+    adjacency = _adjacency(len(lattice), _kept(
+        _candidates(lattice.space, lattice.coords(), threshold), threshold))
     graph = RoughGraph(lattice, float(threshold), adjacency,
                        max(map(len, adjacency), default=0))
     sizes = component_sizes(graph)
@@ -311,22 +318,12 @@ def component_sizes(graph) -> list:
 # graph metric
 
 
-def bfs_distances(graph, source, max_nodes=None):
-    """Hop distances from a source vertex.
-
-    Returns ``(dist, completed_depth)`` where ``dist`` maps vertex -> hops
-    in BFS discovery order and ``completed_depth`` is the depth of its last
-    layer.  With ``max_nodes`` the walk stops after the first complete
-    layer whose running count exceeds ``max_nodes``; every kept layer is
-    complete, so the distances of retained vertices are exact.
-    """
-    ids, depths = _bfs_arrays(graph, source, max_nodes)
-    return dict(zip(ids.tolist(), depths.tolist())), int(depths[-1])
-
-
 def _bfs_arrays(graph, source, max_nodes=None):
-    """``bfs_distances`` as two arrays: the vertex ids in discovery order
-    and their hop distances."""
+    """Hop distances from a source vertex as two arrays: the vertex ids in
+    breadth-first discovery order and their distances.  With ``max_nodes``
+    the walk stops after the first complete layer whose running count
+    exceeds ``max_nodes``; every kept layer is complete, so the distances
+    of the vertices it returns are exact."""
     layers, count = [], 0
     for layer in csr_layers(*graph.csr(), [source]):
         layers.append(layer)

@@ -3,16 +3,20 @@ lattice in the upper half-plane, group balls, and empirical density /
 multiplicity certification.
 
 A quasi-lattice is a coarsely dense point set whose R-neighborhood counts
-are uniformly bounded.  Construction is sequential (greedy selection is
-order-dependent); verification is pure and can be parallelised over probes.
+are uniformly bounded.  A greedy delta-net keeps a point exactly when no
+point kept before it lies closer than delta - 1e-9, so it is the greedy
+independent set, in enumeration order, of the conflict graph joining the
+points that close.  ``greedy_net`` finds the conflicts with the candidate
+pairs that the rough graph's edges come from (``graphs._candidates`` at
+threshold delta), then takes the set in one forward pass in which each
+kept point blocks its later conflicts.  Verification is pure and can be
+parallelised over probes.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -145,101 +149,54 @@ class MultiplicityProfile:
 
 
 # ---------------------------------------------------------------------------
-# point indexes: the coordinate grid, and the greedy construction's test
-
-
-class Grid:
-    """Items bucketed by the coordinate cell of a point, cells of side
-    ``cell``.  On a ``grid_metric`` model, ``near(p)`` holds every point
-    within ``cell`` of p, and ``ring(key, k)`` only points more than
-    (k - 1) * cell from the cell ``key``."""
-
-    _ring_offsets = {}   # (dimension, k) -> cell offsets of ring k
-
-    def __init__(self, cell):
-        self.cell = cell
-        self.cells = {}
-
-    def key(self, p):
-        return tuple(math.floor(v / self.cell) for v in p)
-
-    def add(self, p, item):
-        self.cells.setdefault(self.key(p), []).append(item)
-
-    def near(self, p):
-        """The items of p's cell and of every cell next to it."""
-        cells = self.cells
-        return [item for key in itertools.product(
-                    *[range(k - 1, k + 2) for k in self.key(p)])
-                for item in cells.get(key, ())]
-
-    def ring(self, key, k):
-        """The items of the cells at Chebyshev distance k from ``key``, in
-        lexicographic order of offset."""
-        offsets = Grid._ring_offsets.get((len(key), k))
-        if offsets is None:
-            offsets = Grid._ring_offsets[len(key), k] = [
-                off for off in itertools.product(range(-k, k + 1),
-                                                 repeat=len(key))
-                if max(map(abs, off)) == k]
-        cells = self.cells
-        return [item for off in offsets
-                for item in cells.get(tuple(map(operator.add, key, off)), ())]
-
-
-def _near_test(space, delta, enumeration):
-    """(add, has_near): ``add(p)`` keeps p, ``has_near(p)`` tells whether
-    a kept point lies closer than delta to p, by a grid of side delta or by
-    one vectorised scan of a point array that doubles when full, its rows
-    as wide as the longest point (free-group words are zero-padded)."""
-    dist = space._dist
-    if space.grid_metric:
-        grid = Grid(delta)
-        return (lambda p: grid.add(p, p),
-                lambda p: any(dist(p, q) < delta - TOL for q in grid.near(p)))
-    width = max(map(len, enumeration), default=0)
-    buf, n = np.zeros((16, width), dtype=space.coord_dtype), 0
-
-    def add(p):
-        nonlocal buf, n
-        if n == len(buf):
-            buf = np.concatenate([buf, np.zeros_like(buf)])
-        buf[n, :len(p)] = p
-        n += 1
-
-    def has_near(p):
-        return n > 0 and bool(
-            (space.distances_from(p, buf[:n]) < delta - TOL).any())
-
-    return add, has_near
-
-
-# ---------------------------------------------------------------------------
 # constructions
 
 
 def greedy_net(space, window, delta, enumeration=None) -> QuasiLattice:
     """Greedy maximal delta-separated net over a window enumeration.
 
-    Scans the enumeration in order and keeps every point at distance >= delta
-    from all points kept so far.  Maximality makes the result delta-dense
+    Keeps each point of the enumeration, in order, that lies at distance
+    >= delta (less 1e-9) from every point kept before it; a repeated point
+    counts at its first copy only.  The conflicts, pairs of points closer
+    than that, come from the edge builders' candidate pairs at threshold
+    delta, and one forward pass takes the greedy independent set of the
+    conflict graph.  Maximality makes the result delta-dense
     within the window, so the density radius certificate is delta itself.
     The default enumeration is ``space.enumerate_window(window)``
-    (lexicographic); pass ``enumeration`` to use another deterministic order.
+    (lexicographic); pass ``enumeration`` to use another deterministic
+    order, whose points are checked against the model one by one.
     """
+    # graphs imports this module, so its candidate dispatch is imported here
+    from .graphs import _candidates
+
     if delta <= 0:
         raise DomainError("separation delta must be positive")
     if enumeration is None:
-        enumeration = space.enumerate_window(window)
+        enumeration = points = space.enumerate_window(window)
     else:
         for p in enumeration:
             space.check_point(p)
-    add, has_near = _near_test(space, delta, enumeration)
-    chosen = []
-    for p in enumeration:
-        if not has_near(p):
-            chosen.append(p)
-            add(p)
+        points = list(dict.fromkeys(enumeration))
+    # the conflicts (i, j), i < j, as keys i n + j from candidate blocks
+    # filtered one at a time; sorted and taken mod n, the later conflicts
+    # of i are J[ends[i - 1]:ends[i]]
+    n = len(points)
+    keys = [np.empty(0, dtype=np.int64)]
+    for I, J, d in _candidates(space, space.coords(points), delta):
+        hit = (I < J) & (d < delta - TOL)
+        keys.append(I[hit] * n + J[hit])
+    J = np.concatenate(keys)
+    J.sort()
+    ends = np.searchsorted(J, np.arange(1, n + 1) * n).tolist()
+    J %= n
+    # the greedy independent set: each kept point blocks its later conflicts
+    blocked = np.zeros(n, dtype=bool)
+    chosen, start = [], 0
+    for i, end in enumerate(ends):
+        if not blocked[i]:
+            chosen.append(points[i])
+            blocked[J[start:end]] = True
+        start = end
     certificates = {"kind": "greedy", "delta": delta, "n_candidates": len(enumeration)}
     if not enumeration:
         certificates["vacuous"] = True
@@ -376,11 +333,3 @@ def verify_quasilattice(lattice: QuasiLattice, probes, r_list, seed=None):
         "max_min_distance": worst,
     }
     return cert, MultiplicityProfile(tuple(zip(r_list, counts)))
-
-
-def with_density_radius(lattice: QuasiLattice, r, note=None) -> QuasiLattice:
-    """Copy of the lattice with a refined density radius certificate."""
-    certificates = dict(lattice.certificates)
-    if note:
-        certificates["density_note"] = note
-    return replace(lattice, density_radius_r=float(r), certificates=certificates)

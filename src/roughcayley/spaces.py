@@ -54,7 +54,8 @@ corners have its dimension; ``check_window`` rejects any other window.
 
 ``grid_metric`` marks the models whose distance is at least every
 coordinate gap (Z^d, R^d): there the points within r of p lie in the
-cells of side r about p's cell, which ``nets.Grid`` buckets.
+cells of side r about p's cell, which ``graphs._candidates`` and
+``actions.Grid`` bucket.
 """
 
 from __future__ import annotations

@@ -284,6 +284,16 @@ def naive_edges(lattice, threshold):
     return adjacency
 
 
+def scalar_greedy_net(space, enumeration, delta):
+    """The points a greedy delta-net keeps, by one scalar distance per
+    enumerated point and point kept before it."""
+    chosen = []
+    for p in enumeration:
+        if all(space.distance(p, q) >= delta - 1e-9 for q in chosen):
+            chosen.append(p)
+    return chosen
+
+
 def pairwise_min_distance(space, points):
     best = None
     for i, p in enumerate(points):

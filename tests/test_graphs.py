@@ -42,7 +42,7 @@ from roughcayley.errors import (
     SchemaError,
     UnreachableError,
 )
-from roughcayley.graphs import _qi_sample, bfs_distances, component_sizes
+from roughcayley.graphs import _bfs_arrays, _qi_sample, component_sizes
 from roughcayley.spaces import csr_layers
 
 from conftest import make_even_lattice
@@ -376,6 +376,13 @@ def test_exports():
     assert len(lines) - 1 == g.n_edges()
     stats = graph_stats(g)
     assert stats["vertices"] == g.n and stats["components"] == 1
+
+
+def bfs_distances(g, source, max_nodes=None):
+    """The vertex -> hops map of ``_bfs_arrays`` in discovery order, and the
+    depth of its last layer."""
+    ids, depths = _bfs_arrays(g, source, max_nodes)
+    return dict(zip(ids.tolist(), depths.tolist())), int(depths[-1])
 
 
 def test_bfs_distance_cap_keeps_exact_layers():

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from roughcayley import (
     BallWindow,
@@ -26,7 +28,7 @@ from roughcayley import (
 from roughcayley.errors import BorderError, DomainError
 
 from conftest import make_even_lattice
-from oracles import pairwise_min_distance
+from oracles import pairwise_min_distance, scalar_greedy_net
 
 
 def test_greedy_on_explicit_enumeration():
@@ -68,13 +70,46 @@ def test_greedy_hyperbolic_separated_and_dense():
     (EuclideanModel(2), BoxWindow((-3.0, -2.0), (3.0, 2.5), 0.25), 1.0),
 ])
 def test_greedy_matches_plain_scalar_scan(space, window, delta):
-    # the grid and vectorised indexes keep exactly the points a scalar scan
-    # keeps
-    chosen = []
-    for p in space.enumerate_window(window):
-        if all(space.distance(p, q) >= delta - 1e-9 for q in chosen):
-            chosen.append(p)
+    # the conflict pass keeps exactly the points a scalar scan keeps
+    chosen = scalar_greedy_net(space, space.enumerate_window(window), delta)
     assert greedy_net(space, window, delta).points == chosen
+
+
+# one small window per model, and a separation with ties at delta
+NET_CASES = [
+    (ZdModel(2), BallWindow(6), 2.0),
+    (HeisenbergModel(), BallWindow(3), 2.0),
+    (FreeGroupModel(2), BallWindow(3), 2.0),
+    (EuclideanModel(2), BoxWindow((-2.0, -2.0), (2.0, 1.5), 0.5), 1.0),
+    (HyperbolicPlaneModel(), H2Window(-2.0, 2.0, -1.0, 1.0, 0.25), 0.5),
+]
+
+
+@pytest.mark.parametrize("space,window,delta", [
+    case for case in NET_CASES if case[0].tag != "euclidean"])
+def test_greedy_keeps_the_first_copy_of_a_repeated_point(space, window,
+                                                         delta):
+    # a group ball pairs no point with a copy of itself; each later copy
+    # must still be dropped, and block no point the first copy does not
+    points = space.enumerate_window(window)
+    for enumeration in (points[:10] + points, points + points[::3]):
+        net = greedy_net(space, window, delta, enumeration=enumeration)
+        assert net.points == scalar_greedy_net(space, enumeration, delta)
+        assert net.certificates["n_candidates"] == len(enumeration)
+    net = greedy_net(space, window, delta, enumeration=[])
+    assert net.points == [] and net.certificates["vacuous"] is True
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.sampled_from(NET_CASES), st.randoms(use_true_random=False),
+       st.integers(0, 40))
+def test_greedy_matches_scalar_scan_on_shuffled_repeats(case, rnd, n_repeats):
+    space, window, delta = case
+    enumeration = space.enumerate_window(window)
+    enumeration += [rnd.choice(enumeration) for _ in range(n_repeats)]
+    rnd.shuffle(enumeration)
+    net = greedy_net(space, window, delta, enumeration=enumeration)
+    assert net.points == scalar_greedy_net(space, enumeration, delta)
 
 
 def test_greedy_is_deterministic():
