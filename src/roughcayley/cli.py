@@ -3,9 +3,11 @@
 Every run is reproducible from its recorded configuration: all randomness
 sits behind one seed (flag ``--seed``, overridden by the environment
 variable ``COARSE_SEED``), and every output file embeds the configuration
-that produced it.  Exit codes: 0 success, 2 schema/argument errors
-(a file that cannot be opened among them), 3 window or border errors,
-4 certification failures.
+that produced it.  Every JSON file it writes is exactly
+``json.dumps(doc, sort_keys=True, indent=1) + "\\n"``: sorted keys, one
+space of indent per level, ASCII only, and a final newline.  Exit codes:
+0 success, 2 schema/argument errors (a file that cannot be opened among
+them), 3 window or border errors, 4 certification failures.
 """
 
 from __future__ import annotations
@@ -15,6 +17,9 @@ import dataclasses
 import json
 import os
 import sys
+from itertools import chain
+from operator import itemgetter
+from json.encoder import encode_basestring_ascii as _json_str
 
 import numpy as np
 
@@ -57,11 +62,155 @@ def _config(args, skip=("func", "out", "dot", "csv")):
 
 
 def _write_json(path, config, payload):
+    """Write ``{"config": ..., **payload}`` to ``path`` in the CLI's layout:
+    exactly ``json.dumps(doc, sort_keys=True, indent=1) + "\\n"``, that is
+    sorted keys, one space per level, ASCII only and a final newline.  The
+    text is written chunk by chunk as ``_json_chunks`` makes it."""
     doc = {"config": config.to_json()}
     doc.update(payload)
     with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
+        fh.writelines(_json_chunks(doc, 0))
         fh.write("\n")
+
+
+# ``json.dumps(..., indent=1)`` runs the pure-Python encoder, one generator
+# step per item.  ``_json_chunks`` writes the same text from ``%``
+# templates, ``_BLOCK`` list items per chunk:
+# - a list of equal-length rows of plain ints is filled from one ``%d`` row
+#   template;
+# - a run of list items of one shape shares one template, whose slots
+#   ``_columns`` fills column by column; a block that mixes shapes is halved
+#   until each part is one run.
+# A value no template fits (a non-str key, an int or float subclass, an
+# unknown type, or anything nested deeper than ``_DEEP``, where ``json``
+# finds cycles) is written by ``json.dumps`` itself, so its text, or its
+# error, is the same.
+
+_BLOCK = 1024
+_DEEP = 64
+_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_BOOL_WORDS = {True: "true", False: "false"}
+
+
+def _fallback(o, level):
+    """``json.dumps`` of ``o``, its later lines indented by ``level``."""
+    return json.dumps(o, sort_keys=True, indent=1).replace(
+        "\n", "\n" + " " * level)
+
+
+def _columns(values, level):
+    """``(template, columns)``: one ``%`` template that writes each of
+    ``values`` at indent ``level``, and the values of its slots, one column
+    per slot.  None if the values differ in shape or a template cannot
+    write them."""
+    types = set(map(type, values))
+    if len(types) != 1:
+        return None
+    t = types.pop()
+    if t is str:
+        return "%s", [list(map(_json_str, values))]
+    if t is int:
+        return "%d", [values]
+    if t is float:
+        texts = list(map(float.__repr__, values))
+        if not _FLOAT_WORDS.keys().isdisjoint(texts):
+            texts = [_FLOAT_WORDS.get(s, s) for s in texts]
+        return "%s", [texts]
+    if t is bool:
+        return "%s", [list(map(_BOOL_WORDS.__getitem__, values))]
+    if t is type(None):
+        return "null", []
+    if level >= _DEEP:
+        return None
+    if t is list or t is tuple:
+        lengths = set(map(len, values))
+        if len(lengths) != 1:
+            return None
+        width = lengths.pop()
+        if not width:
+            return "[]", []
+        brackets, heads, columns = "[]", [""] * width, zip(*values)
+    elif t is dict:
+        if not set(map(type, chain.from_iterable(values))) <= {str}:
+            return None
+        keys = set(map(tuple, map(sorted, values)))
+        if len(keys) != 1:
+            return None
+        keys = keys.pop()
+        if not keys:
+            return "{}", []
+        brackets = "{}"
+        heads = [_json_str(k).replace("%", "%%") + ": " for k in keys]
+        columns = [list(map(itemgetter(k), values)) for k in keys]
+    else:
+        return None
+    parts = [_columns(col, level + 1) for col in columns]
+    if None in parts:
+        return None
+    inner = "\n" + " " * (level + 1)
+    return (brackets[0] + inner
+            + ("," + inner).join(h + tmpl for h, (tmpl, _) in zip(heads, parts))
+            + "\n" + " " * level + brackets[1],
+            [col for _, cols in parts for col in cols])
+
+
+def _runs(items, level, sep):
+    """The text of ``items`` written at indent ``level`` and joined by
+    ``sep``, one chunk per run of one shape."""
+    found = _columns(items, level)
+    if found is not None:
+        tmpl, cols = found
+        yield sep.join([tmpl] * len(items)) % tuple(
+            chain.from_iterable(zip(*cols)))
+    elif len(items) == 1:
+        yield _fallback(items[0], level)
+    else:
+        half = len(items) // 2
+        yield from _runs(items[:half], level, sep)
+        yield sep
+        yield from _runs(items[half:], level, sep)
+
+
+def _int_rows(items):
+    """Length of the rows if ``items`` are equal-length lists of plain
+    ints, else 0."""
+    if not set(map(type, items)) <= {list, tuple}:
+        return 0
+    lengths = set(map(len, items))
+    if len(lengths) != 1 or set(map(type, chain.from_iterable(items))) != {int}:
+        return 0
+    return lengths.pop()
+
+
+def _json_chunks(o, level):
+    """Chunks that join to ``json.dumps(o, sort_keys=True, indent=1)`` with
+    every line after the first indented by ``level`` more spaces."""
+    t = type(o)
+    inner = "\n" + " " * (level + 1)
+    if t is dict and o and level < _DEEP and set(map(type, o)) == {str}:
+        head = "{" + inner
+        for key in sorted(o):
+            yield head + _json_str(key) + ": "
+            yield from _json_chunks(o[key], level + 1)
+            head = "," + inner
+        yield "\n" + " " * level + "}"
+    elif (t is list or t is tuple) and o and level < _DEEP:
+        sep = "," + inner
+        k = _int_rows(o)
+        if k:
+            row = ("[" + inner + " " + ("," + inner + " ").join(["%d"] * k)
+                   + inner + "]")
+        for start in range(0, len(o), _BLOCK):
+            block = o[start:start + _BLOCK]
+            yield sep if start else "[" + inner
+            if k:
+                yield sep.join([row] * len(block)) % tuple(
+                    chain.from_iterable(block))
+            else:
+                yield from _runs(block, level + 1, sep)
+        yield "\n" + " " * level + "]"
+    else:
+        yield from _runs([o], level, "")
 
 
 def _write_text(path, config, text, comment_prefix="#"):

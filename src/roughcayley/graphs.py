@@ -193,11 +193,11 @@ def _edges_grid(space, X, threshold):
     # its own (see ``SpaceModel.grid_metric``), found by bisection in the keys
     n, d = X.shape
     cells = np.floor(X / threshold).astype(np.int64)
-    keys = _row_bytes(cells, d)
+    keys, key = _row_keys(cells)
     order = np.argsort(keys)
     keys = keys[order]
     for off in itertools.product((-1, 0, 1), repeat=d):
-        q = _row_bytes(cells + off, d)
+        q = key(cells + off)
         for i, j in _expand(np.arange(n), np.searchsorted(keys, q, "left"),
                             np.searchsorted(keys, q, "right"), order):
             yield i, j, space._dist_many(X[i], X[j])
@@ -224,20 +224,20 @@ def _edges_h2(space, X, threshold):
 
 def _edges_group_ball(space, X, threshold):
     # p_j = p_i g for a hop g, at distance |g|; the products are found by
-    # bisection in the rows of X, sorted once as raw bytes (exact)
+    # bisection in the keys of the rows of X, sorted once
     n, w = len(X), max(X.shape[1], 1)
     hops = space.coords(space.enumerate_window(
         BallWindow(int(math.floor(threshold + TOL)))))
     lengths = space.distances_from(space.identity(), hops)
     hops, lengths = hops[lengths > 0], lengths[lengths > 0]
-    keys = _row_bytes(X, w)
+    keys, key = _row_keys(_width(X, w))
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
     for lo in range(0, len(hops) * n, _BLOCK):
         k = np.arange(lo, min(lo + _BLOCK, len(hops) * n))
         i = k % n
         P = space._mul_many(X[i], hops[k // n])
-        q = _row_bytes(P, w)
+        q = key(_width(P, w))
         at = np.minimum(np.searchsorted(keys, q), n - 1)
         hit = (keys[at] == q) & ~P[:, w:].any(axis=1)
         yield i[hit], order[at[hit]], lengths[k[hit] // n]
@@ -253,11 +253,43 @@ def _candidates(space, X, threshold):
     return propose(space, X, threshold)
 
 
-def _row_bytes(A, w):
-    """Each row of A, cut or zero-padded to w columns, as one bytes value."""
+def _width(A, w):
+    """A with its rows cut or zero-padded to w columns."""
     out = np.zeros((len(A), w), dtype=A.dtype)
     out[:, :min(A.shape[1], w)] = A[:, :w]
-    return out.view(f"V{out.itemsize * w}").ravel()
+    return out
+
+
+def _row_keys(K):
+    """Sort keys of the rows of the integer array K, and the function that
+    keys query rows of K's width and dtype: a query and a row of K have
+    equal keys iff they are equal.  The keys are mixed-radix int64 codes
+    over the column ranges of K, widened to take in 0 (so an empty K has
+    them too), and a query outside them is coded -1.  Where a code could
+    overflow, the keys are the rows' raw bytes, which NumPy compares more
+    slowly."""
+    lo = K.min(axis=0, initial=0).astype(np.int64)
+    hi = K.max(axis=0, initial=0).astype(np.int64)
+    spans = [int(b) - int(a) + 1 for a, b in zip(lo, hi)]
+    if math.prod(spans) >> 63:
+        def key(Q):
+            Q = np.ascontiguousarray(Q)
+            return Q.view(f"V{Q.itemsize * Q.shape[1]}").ravel()
+    else:
+        def key(Q):
+            # column by column, so no int64 copy of a narrower Q is made
+            code = np.zeros(len(Q), dtype=np.int64)
+            outside = np.zeros(len(Q), dtype=bool)
+            for c, span in enumerate(spans):
+                col = Q[:, c]
+                outside |= col < lo[c]
+                outside |= col > hi[c]
+                code *= span
+                code += col
+                code -= lo[c]
+            code[outside] = -1
+            return code
+    return key(K), key
 
 
 def _adjacency(n, pairs):

@@ -122,7 +122,8 @@ class QuasiLattice:
         return cls(
             space=space,
             window=window,
-            points=[space.point_from_json(p) for p in obj["points"]],
+            # checked against the model once, by ``__post_init__``
+            points=[space._unchecked_point(p) for p in obj["points"]],
             separation_delta=float(obj["separation_delta"]),
             density_radius_r=float(obj["density_radius_r"]),
             construction=obj["construction"],

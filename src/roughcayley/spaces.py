@@ -241,13 +241,18 @@ class SpaceModel:
 
     def point_from_json(self, obj):
         """The point a ``point_to_json`` object of this model describes."""
+        p = self._unchecked_point(obj)
+        self.check_point(p)
+        return p
+
+    def _unchecked_point(self, obj):
+        """``point_from_json`` without ``check_point``: the tag and the JSON
+        types of the fields are checked, not the point itself."""
         tag = _get(obj, "model", "point")
         if tag != self.tag:
             raise SchemaError(
                 f"point tagged {tag!r} does not match model {self.tag!r}")
-        p = self._point_fields(obj)
-        self.check_point(p)
-        return p
+        return self._point_fields(obj)
 
     def _point_fields(self, obj):
         return _coords(_get(obj, self.point_key, "point"), self.coord_type)

@@ -2,8 +2,10 @@ import json
 import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from roughcayley.cli import main
+from roughcayley.cli import _json_chunks, main
 
 
 def run(*argv):
@@ -353,3 +355,116 @@ def test_box_window_of_another_dimension_exits_2(tmp_path, capsys, corner):
     assert run("graph", "build", "--lattice", str(path),
                "--out", str(tmp_path / "g.json")) == 2
     assert "no points of euclidean(2)" in capsys.readouterr().err
+
+
+# The CLI's JSON layout: every file it writes is exactly
+# ``json.dumps(doc, sort_keys=True, indent=1) + "\n"``.
+
+def assert_cli_layout(path):
+    raw = path.read_text()
+    assert raw == json.dumps(json.loads(raw), sort_keys=True, indent=1) + "\n", \
+        path.name
+
+
+def test_every_json_output_is_in_the_cli_layout(tmp_path, capsys):
+    lattices = {
+        "zd": ["--space", "zd", "--d", "2", "--radius", "25", "--delta", "3",
+               "--probes", "50", "--R", "1,2"],
+        "zd_ball": ["--space", "zd", "--d", "2", "--group-ball",
+                    "--radius", "20", "--probes", "0"],
+        "free_group": ["--space", "free_group", "--k", "2", "--group-ball",
+                       "--radius", "3", "--probes", "0"],
+        "heisenberg": ["--space", "heisenberg", "--radius", "3",
+                       "--delta", "2", "--probes", "20"],
+        "euclidean": ["--space", "euclidean", "--d", "2", "--box",
+                      "-3..3,-3..3", "--pitch", "0.5", "--delta", "1",
+                      "--probes", "20"],
+        "h2": ["--space", "h2", "--u", "-4..4", "--log-a", "-2..2",
+               "--delta", "1", "--probes", "0"],
+        "horocyclic": ["--space", "h2", "--horocyclic", "--n", "-3..3",
+                       "--u", "-20..20", "--probes", "20"],
+    }
+    files = {name: tmp_path / f"{name}.json" for name in lattices}
+    for name, args in lattices.items():
+        assert run("lattice", "build", *args, "--out", str(files[name])) == 0
+    lat, ball = str(files["zd"]), str(files["zd_ball"])
+    for name, argv in {
+        "verify": ["lattice", "verify", "--lattice", lat, "--probes", "30"],
+        "graph": ["graph", "build", "--lattice", lat],
+        "certify": ["qaction", "certify", "--lattice", lat,
+                    "--group-radius", "3", "--targets", "4"],
+        "orbit": ["qaction", "orbit-qi", "--lattice", lat, "--radii", "2,4"],
+        "conjugacy": ["qaction", "conjugacy", "--lattice", lat,
+                      "--lattice2", ball, "--group-radius", "3"],
+    }.items():
+        files[name] = tmp_path / f"{name}.json"
+        assert run(*argv, "--out", str(files[name])) == 0
+    files["scan"] = tmp_path / "scan.json"
+    assert run("folner", "scan", "--graph", str(files["graph"]),
+               "--epsilon", "0.1", "--sizes", "1..4",
+               "--out", str(files["scan"])) == 0
+    for path in files.values():
+        assert_cli_layout(path)
+
+
+TEXT = st.lists(st.sampled_from(
+    ["a", "%", "%s", "%d", '"', "\\", "\n", "\x00", "\x1f", "\x7f", "\u00e9",
+     "\u4e2d", "\ud800", "\U0001f600"]), max_size=4).map("".join)
+LEAVES = (st.none() | st.booleans() | st.integers(-10 ** 20, 10 ** 20)
+          | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324,
+                             1e300, 0.1]) | TEXT)
+# rows of ints with bools mixed in, some ragged or empty
+ROWS = st.lists(st.lists(st.integers(-9, 9) | st.booleans(), max_size=3),
+                max_size=6)
+# runs of dicts whose keys differ now and then
+RUNS = st.lists(st.fixed_dictionaries(
+    {"model": st.sampled_from(["zd", "a%sb"])},
+    optional={"x": st.lists(st.integers(-3, 3), min_size=2, max_size=2),
+              "y": LEAVES}), max_size=8)
+DOCS = st.recursive(LEAVES | ROWS | RUNS, lambda inner: (
+    st.lists(inner, max_size=5) | st.dictionaries(TEXT, inner, max_size=4)),
+    max_leaves=30)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(DOCS)
+def test_json_chunks_join_to_the_json_layout(doc):
+    assert "".join(_json_chunks(doc, 0)) == json.dumps(doc, sort_keys=True,
+                                                       indent=1)
+
+
+class _Int(int):
+    pass
+
+
+def _cycle():
+    doc = {"a": [1]}
+    doc["a"].append(doc)
+    return doc
+
+
+@pytest.mark.parametrize("doc", [
+    {"a": {1: "x", 2.5: None, True: [1]}},    # keys json converts
+    {"a": [_Int(3), 4], "b": [[1, _Int(2)]]},  # an int subclass
+    {"a": [[0.5, 1.0], [math.nan, 2.0]]},
+    {"edges": [[i, i + 1] for i in range(2100)] + [[1]]},
+    {"points": [{"model": "zd", "x": [i, -i]} for i in range(2100)]
+     + [{"model": "zd", "x": [1]}]},
+], ids=["keys", "int-subclass", "floats", "rows", "runs"])
+def test_json_chunks_write_what_json_writes(doc):
+    assert "".join(_json_chunks(doc, 0)) == json.dumps(doc, sort_keys=True,
+                                                       indent=1)
+
+
+@pytest.mark.parametrize("doc", [
+    {"a": [1, {"b": object()}]},
+    {"a": {"b": {1, 2}}},
+    {"a": {1: "x", "y": 2}},
+    _cycle(),
+], ids=["object", "set", "mixed-keys", "cycle"])
+def test_json_chunks_raise_what_json_raises(doc):
+    with pytest.raises(Exception) as expected:
+        json.dumps(doc, sort_keys=True, indent=1)
+    with pytest.raises(expected.type, match=str(expected.value)):
+        "".join(_json_chunks(doc, 0))

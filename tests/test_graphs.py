@@ -42,7 +42,12 @@ from roughcayley.errors import (
     SchemaError,
     UnreachableError,
 )
-from roughcayley.graphs import _bfs_arrays, _qi_sample, component_sizes
+from roughcayley.graphs import (
+    _bfs_arrays,
+    _qi_sample,
+    _row_keys,
+    component_sizes,
+)
 from roughcayley.spaces import csr_layers
 
 from conftest import make_even_lattice
@@ -291,6 +296,44 @@ def test_grid_edges_match_all_pairs_oracle(space, window, delta, threshold):
         threshold = default_threshold(lattice)
     graph = build_graph(lattice, threshold=threshold)
     assert graph.adjacency == naive_edges(lattice, threshold)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(st.data())
+def test_row_keys_are_equal_iff_rows_are(data):
+    """Int64 codes where the column ranges allow them, raw bytes where a
+    code would overflow: a query row and a key row have equal keys iff
+    they are equal, also for a query outside the keys' ranges."""
+    width = data.draw(st.integers(1, 3))
+    dtype = data.draw(st.sampled_from([np.int8, np.int64]))  # int8: words
+
+    def rows():
+        bound = 100 if dtype is np.int8 else data.draw(
+            st.sampled_from([3, 1 << 62]))
+        return data.draw(st.lists(st.lists(
+            st.integers(-bound, bound), min_size=width, max_size=width),
+            min_size=1, max_size=8))
+
+    K = np.array(rows(), dtype=dtype)
+    Q = np.array(rows() + K.tolist(), dtype=dtype)
+    keys, key = _row_keys(K)
+    equal = (Q[:, None, :] == K[None, :, :]).all(axis=2)
+    assert ((key(Q)[:, None] == keys[None, :]) == equal).all()
+
+
+def test_grid_edges_of_far_points_fall_back_to_byte_keys():
+    """Cells too far apart for an int64 code are bisected as raw bytes, and
+    the graph keeps the same edges."""
+    z2 = ZdModel(2)
+    points = [(x + (1 << 40), y - (1 << 40)) for x in range(-6, 7, 2)
+              for y in range(-6, 7, 2)]
+    lattice = QuasiLattice(space=z2, window=BallWindow(1 << 42), points=points,
+                           separation_delta=2.0, density_radius_r=2.0,
+                           construction="greedy")
+    cells = np.floor(lattice.coords() / 5.0).astype(np.int64)
+    assert _row_keys(cells)[0].dtype.kind == "V"
+    graph = build_graph(lattice, threshold=5.0)
+    assert graph.adjacency == naive_edges(lattice, 5.0)
 
 
 @settings(derandomize=True, max_examples=30, deadline=None)

@@ -94,6 +94,38 @@ def test_quasi_lattice_rejects_malformed_point_at_construction(space, good,
 
 
 @pytest.mark.parametrize("space,good,bad,exc", MODELS, ids=IDS)
+def test_lattice_checks_each_point_once_when_loaded_or_constructed(
+        monkeypatch, space, good, bad, exc):
+    """Reading a lattice file checks each point against the model once, as
+    constructing the lattice directly does; a bad point raises the model's
+    own error either way, and a wrong tag a schema error."""
+    lat = small_lattice(space)
+    doc = lat.to_json()
+    check = type(space).check_point
+    calls = [0]
+
+    def counted(self, x):
+        calls[0] += 1
+        return check(self, x)
+
+    monkeypatch.setattr(type(space), "check_point", counted)
+    assert QuasiLattice.from_json(doc).points == lat.points
+    assert calls[0] == len(lat)
+    calls[0] = 0
+    QuasiLattice(space=space, window=lat.window, points=lat.points,
+                 separation_delta=lat.separation_delta,
+                 density_radius_r=lat.density_radius_r,
+                 construction=lat.construction)
+    assert calls[0] == len(lat)
+    doc["points"][-1] = space.point_to_json(bad)
+    with pytest.raises(exc):
+        QuasiLattice.from_json(doc)
+    doc["points"][-1] = dict(space.point_to_json(good), model="other")
+    with pytest.raises(SchemaError):
+        QuasiLattice.from_json(doc)
+
+
+@pytest.mark.parametrize("space,good,bad,exc", MODELS, ids=IDS)
 def test_nearest_index_rejects_malformed_query(space, good, bad, exc):
     index = NearestIndex(small_lattice(space))
     with pytest.raises(exc):
