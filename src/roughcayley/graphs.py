@@ -4,9 +4,11 @@
 radius r, coarse-geodesic constant c), which makes the graph connected,
 uniformly locally finite and quasi-isometric to the ambient space.  One
 dispatch, ``_candidates``, picks the model's generator of candidate pairs
-(coordinate cells, hyperbolic rows or group-ball hops); ``build_graph``
-alone keeps edges from them, ``nets.greedy_net`` reads the same pairs as
-its conflicts, and ``_adjacency`` alone lays out the neighbour lists.
+(coordinate cells, hyperbolic rows or group-ball hops) between query rows
+and point rows; ``build_graph`` alone keeps edges from them,
+``nets.greedy_net`` reads the same pairs as its conflicts,
+``nets.verify_quasilattice`` reads probe-lattice pairs from them, and
+``_adjacency`` alone lays out the neighbour lists.
 Every walk over a finite graph reads the graph's CSR arrays (``csr``):
 ``spaces.csr_layers`` takes one array step per breadth-first layer, and
 the Folner engine of a finite graph gathers the same rows with
@@ -188,44 +190,57 @@ def _expand(I, lo, hi, order):
         yield I[k], order[t]
 
 
-def _edges_grid(space, X, threshold):
-    # the neighbours of a point lie in the 3^d cells of side threshold about
-    # its own (see ``SpaceModel.grid_metric``), found by bisection in the keys
-    n, d = X.shape
-    cells = np.floor(X / threshold).astype(np.int64)
-    keys, key = _row_keys(cells)
+def _edges_grid(space, Q, X, threshold):
+    # the neighbours of a query lie in the 3^d cells of side threshold about
+    # its own (see ``SpaceModel.grid_metric``), found by bisection in the
+    # keys of the cells of X; the side is widened by twice the tolerance,
+    # so a gap of up to threshold + 1e-9 never spans two cell borders
+    side = threshold + 2 * TOL
+    keys, key = _row_keys(np.floor(X / side).astype(np.int64))
     order = np.argsort(keys)
     keys = keys[order]
-    for off in itertools.product((-1, 0, 1), repeat=d):
+    cells, I = np.floor(Q / side).astype(np.int64), np.arange(len(Q))
+    for off in itertools.product((-1, 0, 1), repeat=X.shape[1]):
         q = key(cells + off)
-        for i, j in _expand(np.arange(n), np.searchsorted(keys, q, "left"),
+        for i, j in _expand(I, np.searchsorted(keys, q, "left"),
                             np.searchsorted(keys, q, "right"), order):
-            yield i, j, space._dist_many(X[i], X[j])
+            yield i, j, space._dist_many(Q[i], X[j])
 
 
-def _edges_h2(space, X, threshold):
-    # rows of log a of height threshold hold every neighbour of a point in
-    # its own row or the next; in a row, sorted by u, the neighbours of
-    # (u, a) have |du| <= (a + the row's largest a) * stretch
+def _edges_h2(space, Q, X, threshold):
+    # rows of log a of height threshold (widened as in ``_edges_grid``) hold
+    # every neighbour of a query in its own row or the next; in a row of X,
+    # sorted by u, the neighbours of (u, a) have
+    # |du| <= (a + the row's largest a) * stretch
+    side = threshold + 2 * TOL
     u, a = X.T
-    rows = np.floor(np.log(a) / threshold).astype(np.int64)
+    rows = np.floor(np.log(a) / side).astype(np.int64)
     order = np.lexsort((u, rows))
-    stretch = (math.exp(threshold) - 1.0) / 2.0
+    sorted_rows = rows[order]
+    qu, qa = Q.T
+    q_rows = np.floor(np.log(qa) / side).astype(np.int64)
+    try:
+        stretch = (math.exp(side) - 1.0) / 2.0
+    except OverflowError:   # a threshold past about 709 reaches every u
+        stretch = math.inf
     for k in np.unique(rows):
-        s, e = np.searchsorted(rows[order], [k, k + 1])
+        s, e = np.searchsorted(sorted_rows, [k, k + 1])
         row_u = u[order[s:e]]
-        Q = np.flatnonzero(np.abs(rows - k) <= 1)
-        w = (a[Q] + a[order[s:e]].max()) * stretch
-        for i, j in _expand(Q, s + np.searchsorted(row_u, u[Q] - w, "left"),
-                            s + np.searchsorted(row_u, u[Q] + w, "right"),
+        I = np.flatnonzero(np.abs(q_rows - k) <= 1)
+        w = (qa[I] + a[order[s:e]].max()) * stretch
+        for i, j in _expand(I, s + np.searchsorted(row_u, qu[I] - w, "left"),
+                            s + np.searchsorted(row_u, qu[I] + w, "right"),
                             order):
-            yield i, j, hyperbolic_distance_arrays(u[i], a[i], u[j], a[j])
+            yield i, j, hyperbolic_distance_arrays(qu[i], qa[i], u[j], a[j])
 
 
-def _edges_group_ball(space, X, threshold):
-    # p_j = p_i g for a hop g, at distance |g|; the products are found by
-    # bisection in the keys of the rows of X, sorted once
-    n, w = len(X), max(X.shape[1], 1)
+def _edges_group_ball(space, Q, X, threshold):
+    # q g = x for a hop g, at distance |g|, and q = x at distance 0: the
+    # queries and their products are found by bisection in the keys of the
+    # rows of X, sorted once, and each run of equal keys is taken whole
+    n, m, w = len(X), len(Q), max(X.shape[1], 1)
+    if not n:
+        return
     hops = space.coords(space.enumerate_window(
         BallWindow(int(math.floor(threshold + TOL)))))
     lengths = space.distances_from(space.identity(), hops)
@@ -233,24 +248,40 @@ def _edges_group_ball(space, X, threshold):
     keys, key = _row_keys(_width(X, w))
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
-    for lo in range(0, len(hops) * n, _BLOCK):
-        k = np.arange(lo, min(lo + _BLOCK, len(hops) * n))
-        i = k % n
-        P = space._mul_many(X[i], hops[k // n])
+    runs = np.searchsorted(keys, keys, "right")   # where each key's run ends
+    distinct = (runs == np.arange(1, n + 1)).all()
+
+    def found(I, P, D):
         q = key(_width(P, w))
         at = np.minimum(np.searchsorted(keys, q), n - 1)
-        hit = (keys[at] == q) & ~P[:, w:].any(axis=1)
-        yield i[hit], order[at[hit]], lengths[k[hit] // n]
+        hit = np.flatnonzero((keys[at] == q) & ~P[:, w:].any(axis=1))
+        if distinct:
+            yield I[hit], order[at[hit]], D[hit]
+        else:
+            for b, j in _expand(hit, at[hit], runs[at[hit]], order):
+                yield I[b], j, D[b]
+
+    # the zero-length hop; a row of X with no copy equals only itself
+    if Q is not X or not distinct:
+        yield from found(np.arange(m), Q, np.zeros(m))
+    for lo in range(0, len(hops) * m, _BLOCK):
+        k = np.arange(lo, min(lo + _BLOCK, len(hops) * m))
+        I = k % m
+        yield from found(I, space._mul_many(Q[I], hops[k // m]),
+                         lengths[k // m])
 
 
-def _candidates(space, X, threshold):
-    """Blocks (i, j, d) of row pairs of the point array X (``space.coords``)
-    and their distances d.  If the rows are distinct, every pair at most
-    ``threshold`` apart comes at least once in each order, among pairs
-    farther apart; a group ball pairs no row with an equal one."""
+def _candidates(space, Q, X, threshold):
+    """Blocks (i, j, d) of a row i of the query array Q, a row j of the
+    point array X (both ``space.coords``) and their distance d.  Every pair
+    at most ``threshold`` + 1e-9 apart comes exactly once, among pairs
+    farther apart that come at most once.  Equal rows are pairs at
+    distance 0, and a row that X repeats pairs with a query once per copy.
+    Pass ``X, X`` for the pairs of one point array: each pair of two of
+    its rows comes in both orders, and a row with itself may come too."""
     propose = (_edges_grid if space.grid_metric else _edges_h2
                if space.tag == "h2" else _edges_group_ball)
-    return propose(space, X, threshold)
+    return propose(space, Q, X, threshold)
 
 
 def _width(A, w):
@@ -323,8 +354,9 @@ def build_graph(lattice: QuasiLattice, threshold=None) -> RoughGraph:
     """
     if threshold is None:
         threshold = default_threshold(lattice)
+    X = lattice.coords()
     adjacency = _adjacency(len(lattice), _kept(
-        _candidates(lattice.space, lattice.coords(), threshold), threshold))
+        _candidates(lattice.space, X, X, threshold), threshold))
     graph = RoughGraph(lattice, float(threshold), adjacency,
                        max(map(len, adjacency), default=0))
     sizes = component_sizes(graph)

@@ -9,8 +9,11 @@ independent set, in enumeration order, of the conflict graph joining the
 points that close.  ``greedy_net`` finds the conflicts with the candidate
 pairs that the rough graph's edges come from (``graphs._candidates`` at
 threshold delta), then takes the set in one forward pass in which each
-kept point blocks its later conflicts.  Verification is pure and can be
-parallelised over probes.
+kept point blocks its later conflicts.  ``verify_quasilattice`` reads the
+same generators with the probes as queries: one pass over the probe-lattice
+pairs within T = max(max R, r) gives each probe's nearest distance and its
+counts within each R, and only a probe with no lattice point within T is
+scanned against the whole lattice.
 """
 
 from __future__ import annotations
@@ -183,7 +186,8 @@ def greedy_net(space, window, delta, enumeration=None) -> QuasiLattice:
     # of i are J[ends[i - 1]:ends[i]]
     n = len(points)
     keys = [np.empty(0, dtype=np.int64)]
-    for I, J, d in _candidates(space, space.coords(points), delta):
+    X = space.coords(points)
+    for I, J, d in _candidates(space, X, X, delta):
         hit = (I < J) & (d < delta - TOL)
         keys.append(I[hit] * n + J[hit])
     J = np.concatenate(keys)
@@ -302,35 +306,71 @@ def sample_probes(space, window, n, margin, seed):
 def verify_quasilattice(lattice: QuasiLattice, probes, r_list, seed=None):
     """Empirical density certificate and multiplicity profile over probes.
 
-    Probes must keep boundary slack >= max(r_list) so neighbor counts are not
-    truncated by the window border.  Returns ``(certificate, profile)`` where
-    the certificate records the worst probe-to-lattice distance.
+    Each probe that is not a lattice point is checked against the model,
+    and every probe must keep boundary slack >= max(r_list) so neighbor
+    counts are not truncated by the window border; a radius that is not a
+    finite number raises ``DomainError``.  Returns ``(certificate,
+    profile)`` where the certificate records the worst probe-to-lattice
+    distance and the profile the largest count of lattice points within
+    each radius R (plus 1e-9) of a probe.
+
+    Both come from one pass over the edge builders' candidate pairs
+    (``graphs._candidates``) between the probes and the lattice, at
+    T = max(max R, density radius r).  A probe with no lattice point within
+    T (plus 1e-9) is scanned against the whole lattice instead, so T sets
+    the speed, never the result.  Where T, which a lattice file may set to
+    any float, is not a positive finite number, or exceeds the radius of a
+    ball window, past which a group model's hop ball would outgrow the
+    window, every probe is scanned in full.
     """
+    # graphs imports this module, so its candidate dispatch is imported here
+    from .graphs import _candidates
+
     r_list = sorted(float(r) for r in r_list)
+    for r in r_list:
+        if not math.isfinite(r):
+            raise DomainError(f"multiplicity radius {r!r} is not finite")
     required = r_list[-1] if r_list else 0.0
     space = lattice.space
     for p in probes:
-        if space.boundary_slack(lattice.window, p) < required - TOL:
-            raise BorderError(
-                f"probe {p!r} is within {required} of the window border"
-            )
-    if not probes:
+        if not (isinstance(p, tuple) and lattice.contains_point(p)):
+            space.check_point(p)
+    Q = space.coords(probes)
+    far = np.flatnonzero(space.boundary_slacks(lattice.window, Q)
+                         < required - TOL)
+    if len(far):
+        raise BorderError(
+            f"probe {probes[far[0]]!r} is within {required} of the window "
+            f"border")
+    if not len(probes):
         cert = {"vacuous": True, "n_probes": 0, "seed": seed,
                 "max_min_distance": None}
         profile = MultiplicityProfile(tuple((r, 0) for r in r_list))
         return cert, profile
-    worst = 0.0
-    counts = [0] * len(r_list)
-    coords = lattice.coords()
-    for p in probes:
-        d = space.distances_from(p, coords)
-        worst = max(worst, float(d.min()) if len(d) else math.inf)
-        for j, r in enumerate(r_list):
-            counts[j] = max(counts[j], int((d <= r + TOL).sum()))
+    X, R = lattice.coords(), np.array(r_list)
+    # per probe: the nearest lattice distance and the count within each R
+    near = np.full(len(Q), math.inf)
+    counts = np.zeros((len(R), len(Q)), dtype=np.int64)
+    covered = -math.inf   # a probe nearer the lattice than this is done
+    reach = max(required, lattice.density_radius_r)
+    limit = (lattice.window.radius if isinstance(lattice.window, BallWindow)
+             else math.inf)
+    if len(X) and 0.0 < reach < math.inf and reach <= limit:
+        for i, j, d in _candidates(space, Q, X, reach):
+            np.minimum.at(near, i, d)
+            for k, r in enumerate(r_list):
+                counts[k] += np.bincount(i[d <= r + TOL], minlength=len(Q))
+        covered = reach + TOL
+    # an empty lattice leaves every probe at distance inf
+    for i in np.flatnonzero(~(near <= covered)).tolist() if len(X) else ():
+        d = space.distances_from(probes[i], X)
+        near[i] = d.min()
+        counts[:, i] = (d <= R[:, None] + TOL).sum(axis=1)
     cert = {
         "vacuous": False,
         "n_probes": len(probes),
         "seed": seed,
-        "max_min_distance": worst,
+        "max_min_distance": max(0.0, float(near.max())),
     }
-    return cert, MultiplicityProfile(tuple(zip(r_list, counts)))
+    return cert, MultiplicityProfile(
+        tuple(zip(r_list, counts.max(axis=1).tolist())))

@@ -24,6 +24,7 @@ from roughcayley.actions import (
     _pair_sample,
 )
 from roughcayley.errors import CertificationError
+from roughcayley.nets import MultiplicityProfile
 from roughcayley.spaces import _heis_lengths
 
 
@@ -282,6 +283,28 @@ def naive_edges(lattice, threshold):
             adjacency[i].append(j)
             adjacency[j].append(i)
     return adjacency
+
+
+def literal_quasilattice_certificate(lattice, probes, r_list, seed=None):
+    """``verify_quasilattice`` by one full ``distances_from`` scan of the
+    lattice per probe, without its point and border checks: the worst
+    nearest distance and, per radius R, the largest count within R + 1e-9."""
+    r_list = sorted(float(r) for r in r_list)
+    if not probes:
+        return ({"vacuous": True, "n_probes": 0, "seed": seed,
+                 "max_min_distance": None},
+                MultiplicityProfile(tuple((r, 0) for r in r_list)))
+    worst = 0.0
+    counts = [0] * len(r_list)
+    coords = lattice.coords()
+    for p in probes:
+        d = lattice.space.distances_from(p, coords)
+        worst = max(worst, float(d.min()) if len(d) else math.inf)
+        for j, r in enumerate(r_list):
+            counts[j] = max(counts[j], int((d <= r + 1e-9).sum()))
+    return ({"vacuous": False, "n_probes": len(probes), "seed": seed,
+             "max_min_distance": worst},
+            MultiplicityProfile(tuple(zip(r_list, counts))))
 
 
 def scalar_greedy_net(space, enumeration, delta):

@@ -32,6 +32,23 @@ def test_horocyclic_lattice_build(tmp_path, capsys):
     assert len(doc["points"]) > 1000
 
 
+@pytest.mark.parametrize("radii", ["nan", "1,nan", "inf"])
+def test_lattice_commands_reject_a_radius_that_is_not_finite(tmp_path,
+                                                             capsys, radii):
+    """A radius that is not finite exits 1 and writes no file: NaN is no
+    JSON value, and a profile over nan has no order."""
+    lat, out = tmp_path / "lat.json", tmp_path / "out.json"
+    args = ["--space", "zd", "--d", "2", "--radius", "10", "--delta", "2",
+            "--probes", "20"]
+    assert run("lattice", "build", *args, "--R", radii, "--out", str(lat)) == 1
+    assert "multiplicity radius" in capsys.readouterr().err
+    assert not lat.exists()
+    assert run("lattice", "build", *args, "--out", str(lat)) == 0
+    assert run("lattice", "verify", "--lattice", str(lat), "--probes", "20",
+               "--R", radii, "--out", str(out)) == 1
+    assert not out.exists()
+
+
 def test_pipeline_and_reproducibility(tmp_path, capsys):
     lat = tmp_path / "lat.json"
     assert run("--seed", "3", "lattice", "build", "--space", "zd", "--d", "2",

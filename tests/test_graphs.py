@@ -44,6 +44,7 @@ from roughcayley.errors import (
 )
 from roughcayley.graphs import (
     _bfs_arrays,
+    _candidates,
     _qi_sample,
     _row_keys,
     component_sizes,
@@ -54,6 +55,7 @@ from conftest import make_even_lattice
 from oracles import (
     bfs_layers,
     distance_table,
+    free_reduce,
     graph_distances_from,
     literal_c_boundary,
     literal_qi_pairs,
@@ -348,6 +350,71 @@ def test_group_ball_edges_match_all_pairs_oracle(k, radius, threshold):
     assert graph.adjacency == naive_edges(lattice, threshold)
 
 
+def _model_points(data, model):
+    """A model and a strategy for its points: small integer boxes, floats on
+    a quarter grid or anywhere in a box, half-plane points over a range of
+    log a, and reduced words of length up to 4."""
+    if model.startswith("zd"):
+        d = int(model[2:])
+        return ZdModel(d), st.tuples(*[st.integers(-6, 6)] * d)
+    if model == "heisenberg":
+        return HeisenbergModel(), st.tuples(
+            st.integers(-3, 3), st.integers(-3, 3), st.integers(-6, 6))
+    if model.startswith("free"):
+        k = int(model[4:])
+        letters = st.sampled_from([g for g in range(-k, k + 1) if g])
+        return FreeGroupModel(k), st.lists(letters, max_size=6).map(
+            free_reduce).filter(lambda w: len(w) <= 4)
+    coord = st.one_of(st.integers(-12, 12).map(lambda v: v / 4.0),
+                      st.floats(-3.0, 3.0))
+    if model == "r2":
+        return EuclideanModel(2), st.tuples(coord, coord)
+    log_a = st.one_of(st.integers(-4, 4).map(lambda v: v / 2.0),
+                      st.floats(-2.0, 2.0))
+    return HyperbolicPlaneModel(), st.tuples(coord, log_a.map(math.exp))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(data=st.data(),
+       model=st.sampled_from(["zd1", "zd2", "zd3", "r2", "h2", "heisenberg",
+                              "free2", "free3"]),
+       threshold=st.sampled_from([0.5, 1.0, 1.5, 2.0, 2.5, 3.0]))
+def test_candidates_of_queries_match_brute_force(data, model, threshold):
+    """Every (query, point) pair at most threshold + 1e-9 apart comes once,
+    with the distance a full scan gives, also for repeated points, queries
+    equal to points and words longer than every point; no pair comes
+    twice."""
+    space, point = _model_points(data, model)
+    queries = data.draw(st.lists(point, min_size=1, max_size=12))
+    points = data.draw(st.lists(point, max_size=25))
+    if points and data.draw(st.booleans()):
+        queries += data.draw(st.lists(st.sampled_from(points), max_size=4))
+    Q, X = space.coords(queries), space.coords(points)
+    found = {}
+    for I, J, D in _candidates(space, Q, X, threshold):
+        for i, j, d in zip(I.tolist(), J.tolist(), D.tolist()):
+            assert (i, j) not in found
+            found[i, j] = d
+    for i, q in enumerate(queries):
+        dist = space.distances_from(q, X)
+        for j in np.flatnonzero(dist <= threshold + 1e-9).tolist():
+            assert found.get((i, j)) == dist[j], (q, points[j])
+
+
+@pytest.mark.parametrize("space", [ZdModel(2), HeisenbergModel(),
+                                   FreeGroupModel(2)],
+                         ids=["zd2", "heisenberg", "free2"])
+def test_a_point_listed_twice_gets_the_edges_of_each_copy(space):
+    """Each copy of a repeated lattice point is joined to the other and to
+    every neighbour, by the group-ball builder as by the grid one."""
+    ball = group_ball_lattice(space, 3)
+    lattice = QuasiLattice(space, ball.window, ball.points + ball.points[2:5],
+                           1.0, 0.0, "group_ball")
+    graph = build_graph(lattice)
+    assert graph.adjacency == naive_edges(lattice, graph.threshold)
+    assert len(ball.points) in graph.neighbors(2)   # the copy of point 2
+
+
 @pytest.mark.parametrize("make,n,edges", [
     (lambda: horocyclic_lattice((-6.0, 6.0), (-2, 2)), 141, 1639),
     (lambda: greedy_net(HyperbolicPlaneModel(),
@@ -360,6 +427,31 @@ def test_h2_edges_match_all_pairs_oracle(make, n, edges):
     graph = build_graph(lattice)
     assert (graph.n, graph.n_edges()) == (n, edges)
     assert graph.adjacency == naive_edges(lattice, graph.threshold)
+
+
+@pytest.mark.parametrize("space,points", [
+    (EuclideanModel(1), [(-2e-10,), (1.0000000003,)]),
+    (HyperbolicPlaneModel(), [(0.0, math.exp(-2e-10)),
+                              (0.0, math.exp(1.0000000003))]),
+], ids=["r1", "h2"])
+def test_an_edge_within_the_tolerance_across_two_cell_borders(space, points):
+    """Two points 1 + 5e-10 apart, so joined at threshold 1 by the 1e-9
+    tolerance, whose coordinate (or log a) sits on either side of two cell
+    borders of side 1: the cells are widened so that the pair still
+    comes."""
+    assert abs(space.distance(*points) - (1.0 + 5e-10)) < 1e-15
+    X = space.coords(points)
+    pairs = {(i, j) for I, J, _ in _candidates(space, X, X, 1.0)
+             for i, j in zip(I.tolist(), J.tolist())}
+    assert {(0, 1), (1, 0)} <= pairs
+
+
+def test_h2_edges_at_a_threshold_past_the_range_of_exp():
+    """Past about 709, e^threshold overflows a float: every u is then in
+    reach, and every pair is an edge."""
+    lattice = horocyclic_lattice((-4.0, 4.0), (-1, 1))
+    graph = build_graph(lattice, threshold=1000.0)
+    assert graph.n_edges() == graph.n * (graph.n - 1) // 2
 
 
 def test_heisenberg_net_edges_match_all_pairs_oracle():

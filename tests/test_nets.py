@@ -25,10 +25,14 @@ from roughcayley import (
     sample_probes,
     verify_quasilattice,
 )
-from roughcayley.errors import BorderError, DomainError
+from roughcayley.errors import BorderError, DomainError, ModelMismatchError
 
 from conftest import make_even_lattice
-from oracles import pairwise_min_distance, scalar_greedy_net
+from oracles import (
+    literal_quasilattice_certificate,
+    pairwise_min_distance,
+    scalar_greedy_net,
+)
 
 
 def test_greedy_on_explicit_enumeration():
@@ -271,3 +275,110 @@ def test_nearest_lexicographic_tie():
     lat = make_even_lattice(10)
     idx, dist = lat.nearest((3,))
     assert lat.points[idx] == (2,) and dist == 1.0
+
+
+def _ball_case(data, space, radius, lattice_radius):
+    """A lattice in BallWindow(radius): a greedy net, the group ball or a
+    sublist (repeats allowed) of N_lattice_radius(e); probes from the ball
+    the multiplicity radii leave, and lattice points among them."""
+    window = BallWindow(radius)
+    kind = data.draw(st.sampled_from(["greedy", "ball", "sublist"]))
+    if kind == "greedy":
+        lat = greedy_net(space, window,
+                         data.draw(st.sampled_from([1.0, 2.0, 3.0])))
+    elif kind == "ball":
+        lat = group_ball_lattice(space, radius)
+    else:
+        pool = space.enumerate_window(BallWindow(lattice_radius))
+        lat = QuasiLattice(space, window, data.draw(st.lists(
+            st.sampled_from(pool), max_size=40)), 1.0, 1.0, "greedy")
+    r_list = data.draw(st.lists(st.sampled_from(
+        [r for r in [0.0, 0.5, 1.0, 2.0, 3.0] if r <= radius]), max_size=3))
+    inner = space.enumerate_window(
+        BallWindow(int(radius - max(r_list, default=0.0))))
+    probes = data.draw(st.lists(st.sampled_from(inner), min_size=1,
+                                max_size=30))
+    return lat, probes, r_list
+
+
+def _exactness_case(data, model):
+    if model == "zd":
+        d = data.draw(st.integers(1, 3))
+        return _ball_case(data, ZdModel(d), 8 - 2 * d, 6 - 2 * d)
+    if model == "heisenberg":
+        return _ball_case(data, HeisenbergModel(), 4, 3)
+    if model == "free":
+        # probe words may be longer than every lattice word
+        return _ball_case(data, FreeGroupModel(2), 5, 2)
+    r_list = data.draw(st.lists(st.sampled_from([0.5, 1.0, 1.5]),
+                                max_size=3))
+    margin = max(r_list, default=0.0)
+    if model == "r2":
+        space = EuclideanModel(2)
+        window = BoxWindow((-3.0, -3.0), (3.0, 3.0), 0.5)
+        lat = greedy_net(space, window, data.draw(
+            st.sampled_from([0.5, 1.0, 1.3, 2.0])))
+        coord = st.floats(-3.0 + margin, 3.0 - margin)
+        probes = data.draw(st.lists(st.tuples(coord, coord), max_size=20))
+    else:
+        if data.draw(st.booleans()):
+            lat = horocyclic_lattice((-6.0, 6.0), (-2, 2))
+        else:
+            lat = greedy_net(HyperbolicPlaneModel(),
+                             H2Window(-3.0, 3.0, -1.5, 1.5, 0.5), 0.8)
+        space, window = lat.space, lat.window
+        probes = sample_probes(space, window, data.draw(st.integers(0, 20)),
+                               margin, data.draw(st.integers(0, 99)))
+    probes += [p for p in data.draw(st.lists(st.sampled_from(lat.points),
+                                             max_size=5))
+               if space.boundary_slack(window, p) >= margin]
+    return lat, probes, r_list
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(data=st.data(),
+       model=st.sampled_from(["zd", "r2", "h2", "heisenberg", "free"]))
+def test_verify_quasilattice_matches_the_full_scan_oracle(data, model):
+    """The candidate pass gives the certificate and profile of one full
+    scan per probe, float for float, also where the lattice lists points
+    twice, and whatever density radius r it claims: r = 0 sends probes to
+    the full scan, 1e9 and inf scan every probe in full."""
+    lat, probes, r_list = _exactness_case(data, model)
+    r = data.draw(st.sampled_from([lat.density_radius_r, 0.0, 1e9, math.inf]))
+    # a lattice file may list a point twice
+    twice = data.draw(st.lists(st.sampled_from(lat.points), max_size=8)
+                      if lat.points else st.just([]))
+    lat = QuasiLattice(lat.space, lat.window, lat.points + twice,
+                       lat.separation_delta, r, lat.construction)
+    if data.draw(st.booleans()):
+        probes = probes + probes[:3]
+    cert, profile = verify_quasilattice(lat, probes, r_list, seed=7)
+    want, want_profile = literal_quasilattice_certificate(lat, probes, r_list,
+                                                          seed=7)
+    assert repr(cert) == repr(want)
+    assert repr(profile.entries) == repr(want_profile.entries)
+
+
+@pytest.mark.parametrize("space,probe,error", [
+    (ZdModel(2), (1.5, 2.7), ModelMismatchError),
+    (ZdModel(2), (1, 2, 3), ModelMismatchError),
+    (HyperbolicPlaneModel(), (0.0, -1.0), DomainError),
+    (HyperbolicPlaneModel(), (0.0, 0.0), DomainError),
+], ids=["zd2-float", "zd2-dimension", "h2-negative-a", "h2-zero-a"])
+def test_verify_quasilattice_checks_probes(space, probe, error):
+    """A probe that is no point of the model raises the model's error,
+    where an unchecked Z^2 probe (1.5, 2.7) would be cast to (1, 2)."""
+    if space.tag == "h2":
+        lat = horocyclic_lattice((-6.0, 6.0), (-2, 2))
+    else:
+        lat = greedy_net(space, BallWindow(10), 2.0)
+    with pytest.raises(error):
+        verify_quasilattice(lat, [space.base_point, probe], [1.0])
+
+
+@pytest.mark.parametrize("r_list", [[math.nan], [1.0, math.nan], [math.inf],
+                                    [-math.inf, 1.0]])
+def test_verify_quasilattice_rejects_a_radius_that_is_not_finite(r_list):
+    lat = make_even_lattice(10)
+    with pytest.raises(DomainError, match="multiplicity radius"):
+        verify_quasilattice(lat, [(0,)], r_list)

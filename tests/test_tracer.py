@@ -7,6 +7,8 @@ import json
 import sys
 from pathlib import Path
 
+import pytest
+
 from roughcayley import cli, graphs
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -68,3 +70,32 @@ def test_traced_cli_runs_write_the_cli_layout(tmp_path, capsys):
         raw = path.read_text()
         assert raw == json.dumps(json.loads(raw), sort_keys=True,
                                  indent=1) + "\n"
+
+
+@pytest.mark.parametrize("space", [
+    ["--horocyclic", "--n", "-2..2", "--u", "-8..8"],
+    ["--space", "heisenberg", "--radius", "5", "--delta", "2"],
+], ids=["horocyclic", "heisenberg"])
+def test_traced_lattice_builds_certify_as_untraced_ones(tmp_path, capsys,
+                                                        space):
+    """The recorder replaces ``graphs.hyperbolic_distance_arrays`` and
+    ``nets.verify_quasilattice``, which the density certificate reaches
+    through the edge builders' candidate pairs: a traced ``lattice build
+    --probes`` must still run and write the certificate an untraced one
+    writes."""
+    argv = ["--seed", "5", "lattice", "build", *space, "--probes", "200",
+            "--margin", "1.5", "--R", "1,1.5"]
+    plain, traced = tmp_path / "plain.json", tmp_path / "traced.json"
+    assert cli.main(argv + ["--out", str(plain)]) == 0
+    tracer = load_tracer()
+    rec = tracer.Recorder("t")
+    try:
+        rec.install()
+        assert cli.main(argv + ["--out", str(traced)]) == 0
+    finally:
+        rec.uninstall()
+    assert "nets.verify_quasilattice" in {span[1] for span in rec.spans}
+    certificates = [json.loads(path.read_text())["certificates"]
+                    for path in (plain, traced)]
+    assert certificates[0] == certificates[1]
+    assert certificates[0]["density"]["n_probes"] == 200
