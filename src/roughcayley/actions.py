@@ -14,12 +14,14 @@ window escapes raise instead of clamping so defect statistics stay honest.
 Batches and checks.  The certifiers work on point arrays (``space.coords``)
 through ``QuasiAction.act_many`` and the model's batch kernels
 ``_mul_many`` and ``_dist_many``.  ``act_many`` calls psi once per distinct
-row of X, then phi once per distinct product row, and checks each result
-before it enters an array; ``NearestIndex`` checks a query the first time
-it sees it, and its answers are lattice points, which are trusted.  Rows
-of S are trusted group elements and are not checked.  A point the caller
-hands in (``x0`` of ``orbit_map_qi``) and each result of a caller's
-``phi12`` are checked the same way.  The public ``act`` checks s and
+row of X and checks each result before it enters an array.  The products
+are the library's own and trusted: a ``NearestIndex`` phi checks only that
+each distinct product lies in the lattice window, then answers them all
+with one ``QuasiLattice.nearest_many`` batch on the edge builders'
+candidate pairs; any other phi is called once per distinct product, and
+each result is checked.  Rows of S are trusted group elements.  A point the
+caller hands in (``x0`` of ``orbit_map_qi``) and each result of a caller's
+``phi12`` are checked against the model.  The public ``act`` checks s and
 psi(x) on every call.  One ``act_many`` call gives the values the same
 loop over ``act`` gives, and raises ``OutOfWindowError`` for its first
 escaping row in row order; a certifier that makes several calls raises for
@@ -30,7 +32,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,7 +55,10 @@ def _distinct_rows(space, Q):
 
 def _map_rows(space, f, Q):
     """f applied to the distinct rows of the point array Q, in order of
-    first occurrence, spread back over every row."""
+    first occurrence, spread back over every row; a ``NearestIndex``
+    answers them in one batch."""
+    if isinstance(f, NearestIndex):
+        return f.many(Q)
     rows, inverse = _distinct_rows(space, Q)
     return space.coords([f(q) for q in rows])[inverse]
 
@@ -103,90 +107,38 @@ def _sup(values):
 
 
 # ---------------------------------------------------------------------------
-# nearest-lattice-point engine
-
-
-class Grid:
-    """Items bucketed by the coordinate cell of a point, cells of side
-    ``cell``.  On a ``grid_metric`` model, ``ring(key, k)`` holds only
-    points more than (k - 1) * cell from the cell ``key``."""
-
-    _ring_offsets = {}   # (dimension, k) -> cell offsets of ring k
-
-    def __init__(self, cell):
-        self.cell = cell
-        self.cells = {}
-
-    def key(self, p):
-        return tuple(math.floor(v / self.cell) for v in p)
-
-    def add(self, p, item):
-        self.cells.setdefault(self.key(p), []).append(item)
-
-    def ring(self, key, k):
-        """The items of the cells at Chebyshev distance k from ``key``, in
-        lexicographic order of offset."""
-        offsets = Grid._ring_offsets.get((len(key), k))
-        if offsets is None:
-            offsets = Grid._ring_offsets[len(key), k] = [
-                off for off in itertools.product(range(-k, k + 1),
-                                                 repeat=len(key))
-                if max(map(abs, off)) == k]
-        cells = self.cells
-        return [item for off in offsets
-                for item in cells.get(tuple(map(operator.add, key, off)), ())]
+# nearest-lattice-point map
 
 
 class NearestIndex:
-    """Fast nearest-lattice-point queries with lexicographic tie-break.
+    """phi: the nearest lattice point of a group point, lexicographically
+    smallest on ties, from ``QuasiLattice.nearest_many``.
 
-    A query point is checked on its first call, before its answer is
-    remembered; distances to the trusted lattice points use the unchecked
-    kernel.
+    ``many`` answers the rows of a point array, which the library computed
+    and trusts: it checks only that each distinct row lies in the lattice
+    window, in order of first occurrence, so the first escaping row raises
+    ``OutOfWindowError``, then answers them all in one batch.  The call
+    checks a caller's point against the model first.
     """
 
     def __init__(self, lattice: QuasiLattice):
         self.lattice = lattice
         self.space = lattice.space
-        self._answers = {}
-        self._grid = None
-        if self.space.grid_metric and lattice.points:
-            self._grid = Grid(max(lattice.density_radius_r,
-                                  lattice.separation_delta, 1.0))
-            for p in lattice.points:
-                self._grid.add(p, p)
 
     def __call__(self, q):
-        # only in-window queries that passed the check are remembered
-        hit = self._answers.get(q)
-        if hit is not None:
-            return hit
         self.space.check_point(q)
-        if not self.space.window_contains(self.lattice.window, q):
-            raise OutOfWindowError(f"{q!r} is outside the lattice window")
-        if self.lattice.contains_point(q):
-            self._answers[q] = q
-            return q
-        if self._grid is not None:
-            p = self._grid_query(q)
-        else:
-            p = self.lattice.points[self.lattice.nearest(q)[0]]
-        self._answers[q] = p
-        return p
+        return next(iter(self.space._points(self.many([q]))))
 
-    def _grid_query(self, q):
-        key = self._grid.key(q)
-        best, best_d = None, math.inf
-        # the lattice is not empty, so some ring finds a first best
-        for ring in itertools.count():
-            # every candidate from this ring on lies beyond (ring-1)*cell
-            if best_d <= (ring - 1) * self._grid.cell + TOL:
-                return best
-            for p in self._grid.ring(key, ring):
-                d = self.space._dist(q, p)
-                if d < best_d - TOL or (d <= best_d + TOL and
-                                        (best is None or p < best)):
-                    best, best_d = p, d
+    def many(self, points):
+        """The answers to a point list or array, as a point array."""
+        space, lattice = self.space, self.lattice
+        rows, inverse = _distinct_rows(space, space.coords(points))
+        for q in rows:
+            if not space.window_contains(lattice.window, q):
+                raise OutOfWindowError(f"{q!r} is outside the lattice window")
+        index, _ = lattice.nearest_many(space.coords(rows))
+        answers = [lattice.points[i] for i in index.tolist()]
+        return space.coords(answers)[inverse]
 
 
 # ---------------------------------------------------------------------------
@@ -199,9 +151,10 @@ class QuasiAction:
 
     ``act`` applies one element to one point and checks s and psi(x).
     ``act_many`` applies the rows of S to the rows of X (a single row
-    broadcasts): it trusts the rows of S, calls psi once per distinct row
-    of X and phi once per distinct product, and checks each result of psi
-    and of a phi that is not a ``NearestIndex``.
+    broadcasts): it trusts the rows of S and the products, calls psi once
+    per distinct row of X, and checks each result of psi; a
+    ``NearestIndex`` phi answers every product in one batch, and any other
+    phi is called once per distinct product and its results are checked.
     """
 
     group_space: SpaceModel
@@ -447,10 +400,11 @@ def orbit_map_qi(qa: QuasiAction, x0=None, radii=(5, 10, 15),
     if not radii:
         raise DomainError("orbit-map constants need at least one radius")
     if x0 is None:
-        x0 = _checked(space, qa.phi)(space.identity())
+        X0 = _map_rows(space, _checked(space, qa.phi),
+                       space.coords([space.identity()]))
     else:
         space.check_point(x0)
-    X0 = space.coords([x0])
+        X0 = space.coords([x0])
     per_radius = []
     for m in sorted(radii):
         pairs = [(s, t) for s, t in _pair_sample(
@@ -501,17 +455,22 @@ def quasi_conjugacy_defect(qa1: QuasiAction, qa2: QuasiAction, phi12=None,
     """Worst d(phi12(s.x), s.phi12(x)) over a nested deterministic sample.
 
     ``phi12`` defaults to the nearest-point map through the common group:
-    a vertex of the first lattice is read as a group element and sent to
-    its nearest point in the second lattice.  It is called once per
-    distinct point it is applied to, and each result is checked.
+    a vertex of the first lattice is read as a group element by the first
+    psi and sent to its nearest point in the second lattice by the second
+    phi, each mapping the rows in batch as ``act_many`` does.  A caller's
+    ``phi12`` is called once per distinct point it is applied to, and each
+    result is checked.
     """
     if qa1.group_space != qa2.group_space:
         raise DomainError("quasi-conjugacy needs a common acting group")
     space = qa1.group_space
-    if phi12 is None:
-        def phi12(x):
-            return qa2.phi(qa1.psi(x))
-    phi12 = _checked(space, phi12)
+    steps = [_checked(space, f) for f in (
+        (qa1.psi, qa2.phi) if phi12 is None else (phi12,))]
+
+    def map12(Q):
+        for f in steps:
+            Q = _map_rows(space, f, Q)
+        return Q
 
     margin = 2.0 * group_radius + qa1.lattice.density_radius_r \
         + qa2.lattice.density_radius_r + 2.0
@@ -526,6 +485,6 @@ def quasi_conjugacy_defect(qa1: QuasiAction, qa2: QuasiAction, phi12=None,
     # rows (s, x) element-major; phi12 once per distinct point
     elements = space.coords(elements)
     X = space.coords(targets)
-    lhs = _map_rows(space, phi12, _act_outer(qa1, elements, X))
-    rhs = _act_outer(qa2, elements, _map_rows(space, phi12, X))
+    lhs = map12(_act_outer(qa1, elements, X))
+    rhs = _act_outer(qa2, elements, map12(X))
     return _sup(space._dist_many(lhs, rhs))

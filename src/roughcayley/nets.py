@@ -9,11 +9,11 @@ independent set, in enumeration order, of the conflict graph joining the
 points that close.  ``greedy_net`` finds the conflicts with the candidate
 pairs that the rough graph's edges come from (``graphs._candidates`` at
 threshold delta), then takes the set in one forward pass in which each
-kept point blocks its later conflicts.  ``verify_quasilattice`` reads the
-same generators with the probes as queries: one pass over the probe-lattice
-pairs within T = max(max R, r) gives each probe's nearest distance and its
-counts within each R, and only a probe with no lattice point within T is
-scanned against the whole lattice.
+kept point blocks its later conflicts.  ``_near_pairs`` reads the same
+generators with query rows against a lattice, then scans in full each row
+with no lattice point within its reach T.  It is the one near-point search:
+``verify_quasilattice`` (T = max(max R, r)) and ``nearest_many``
+(T = max(r, delta, 1)), the quasi-actions' coarse inverse, read it.
 """
 
 from __future__ import annotations
@@ -74,6 +74,7 @@ class QuasiLattice:
         self._index = None
         self._coords = None
         self._slacks = None
+        self._ranks = None
 
     def index_of(self, p):
         if self._index is None:
@@ -98,13 +99,43 @@ class QuasiLattice:
             self._slacks.setflags(write=False)
         return self._slacks
 
+    def _lex_ranks(self) -> np.ndarray:
+        """Each point's place in the lexicographic order of the points, a
+        repeated point first at its first copy."""
+        if self._ranks is None:
+            self._ranks = np.argsort(sorted(range(len(self.points)),
+                                            key=self.points.__getitem__))
+        return self._ranks
+
+    def nearest_many(self, Q):
+        """(index, distance) arrays of the nearest lattice point to each row
+        of the point array Q: the least distance, then the lexicographically
+        smallest point within 1e-9 of it, from ``_near_pairs`` at
+        T = max(r, delta, 1).  A row nearer than T + 1e-9 has its ties
+        within T + 2e-9, which every candidate generator reaches (cells
+        and rows are widened by 2e-9; group-ball distances are integers)."""
+        if not self.points:
+            raise DomainError("an empty lattice has no nearest point")
+        reach = max(self.density_radius_r, self.separation_delta, 1.0)
+        none = np.empty(0, dtype=np.intp)
+        I, J, D = map(np.concatenate, zip((none, none, np.empty(0)),
+                                          *_near_pairs(self, Q, reach)))
+        best = np.full(len(Q), math.inf)
+        np.minimum.at(best, I, D)
+        tied = D <= best[I] + TOL
+        I, J, D = I[tied], J[tied], D[tied]
+        rank = self._lex_ranks()[J]
+        top = np.full(len(Q), len(self.points))
+        np.minimum.at(top, I, rank)
+        won = rank == top[I]
+        index, dist = np.empty(len(Q), dtype=np.intp), np.empty(len(Q))
+        index[I[won]], dist[I[won]] = J[won], D[won]
+        return index, dist
+
     def nearest(self, x):
         """(index, distance) of the nearest lattice point, lexicographic ties."""
-        d = self.space.distances_from(x, self.coords())
-        dmin = d.min()
-        tied = np.flatnonzero(d <= dmin + TOL)
-        best = min(tied, key=lambda i: self.points[i])
-        return int(best), float(d[best])
+        index, dist = self.nearest_many(self.space.coords([x]))
+        return int(index[0]), float(dist[0])
 
     def to_json(self) -> dict:
         return {
@@ -277,6 +308,10 @@ def sample_probes(space, window, n, margin, seed):
         la_lo, la_hi = window.la_min + margin, window.la_max - margin
         if la_hi < la_lo:
             raise WindowTooSmallError("margin exceeds the log a range")
+        # the pad a sinh(margin) grows with a: the lowest height admits most
+        pad = math.exp(la_lo) * math.sinh(margin)
+        if window.u_max - pad < window.u_min + pad:
+            raise WindowTooSmallError("margin exceeds the u range")
         probes = []
         while len(probes) < n:
             la = rng.uniform(la_lo, la_hi)
@@ -314,18 +349,12 @@ def verify_quasilattice(lattice: QuasiLattice, probes, r_list, seed=None):
     distance and the profile the largest count of lattice points within
     each radius R (plus 1e-9) of a probe.
 
-    Both come from one pass over the edge builders' candidate pairs
-    (``graphs._candidates``) between the probes and the lattice, at
-    T = max(max R, density radius r).  A probe with no lattice point within
-    T (plus 1e-9) is scanned against the whole lattice instead, so T sets
-    the speed, never the result.  Where T, which a lattice file may set to
-    any float, is not a positive finite number, or exceeds the radius of a
-    ball window, past which a group model's hop ball would outgrow the
-    window, every probe is scanned in full.
+    Both come from the probe-lattice pairs of ``_near_pairs`` at
+    T = max(max R, density radius r), the pass that also answers
+    ``QuasiLattice.nearest_many``: the edge builders' candidate pairs,
+    plus a full scan of each probe with no lattice point within T (plus
+    1e-9), so T sets the speed, never the result.
     """
-    # graphs imports this module, so its candidate dispatch is imported here
-    from .graphs import _candidates
-
     r_list = sorted(float(r) for r in r_list)
     for r in r_list:
         if not math.isfinite(r):
@@ -347,25 +376,15 @@ def verify_quasilattice(lattice: QuasiLattice, probes, r_list, seed=None):
                 "max_min_distance": None}
         profile = MultiplicityProfile(tuple((r, 0) for r in r_list))
         return cert, profile
-    X, R = lattice.coords(), np.array(r_list)
-    # per probe: the nearest lattice distance and the count within each R
-    near = np.full(len(Q), math.inf)
-    counts = np.zeros((len(R), len(Q)), dtype=np.int64)
-    covered = -math.inf   # a probe nearer the lattice than this is done
-    reach = max(required, lattice.density_radius_r)
-    limit = (lattice.window.radius if isinstance(lattice.window, BallWindow)
-             else math.inf)
-    if len(X) and 0.0 < reach < math.inf and reach <= limit:
-        for i, j, d in _candidates(space, Q, X, reach):
-            np.minimum.at(near, i, d)
-            for k, r in enumerate(r_list):
-                counts[k] += np.bincount(i[d <= r + TOL], minlength=len(Q))
-        covered = reach + TOL
+    # per probe: the nearest lattice distance and the count within each R;
     # an empty lattice leaves every probe at distance inf
-    for i in np.flatnonzero(~(near <= covered)).tolist() if len(X) else ():
-        d = space.distances_from(probes[i], X)
-        near[i] = d.min()
-        counts[:, i] = (d <= R[:, None] + TOL).sum(axis=1)
+    near = np.full(len(Q), math.inf)
+    counts = np.zeros((len(r_list), len(Q)), dtype=np.int64)
+    for i, j, d in _near_pairs(lattice, Q,
+                               max(required, lattice.density_radius_r)):
+        np.minimum.at(near, i, d)
+        for k, r in enumerate(r_list):
+            counts[k] += np.bincount(i[d <= r + TOL], minlength=len(Q))
     cert = {
         "vacuous": False,
         "n_probes": len(probes),
@@ -374,3 +393,35 @@ def verify_quasilattice(lattice: QuasiLattice, probes, r_list, seed=None):
     }
     return cert, MultiplicityProfile(
         tuple(zip(r_list, counts.max(axis=1).tolist())))
+
+
+def _near_pairs(lattice, Q, reach):
+    """Blocks (i, j, d) of a row i of the point array Q, a lattice point j
+    and their distance d, holding every pair at most ``reach`` + 1e-9
+    apart, and every pair of a row that has no lattice point that near.
+
+    One pass of the edge builders' candidate pairs
+    (``graphs._candidates``) at threshold ``reach`` gives the near pairs;
+    then each row with no lattice point within reach + 1e-9 is scanned
+    against the whole lattice by ``distances_from``.  Where ``reach``, which
+    a lattice file may set to any float, is not a positive finite number,
+    or exceeds the radius of a ball window, past which a group model's hop
+    ball would outgrow the window, every row is scanned in full.  An empty
+    lattice yields nothing.
+    """
+    # graphs imports this module, so its candidate dispatch is imported here
+    from .graphs import _candidates
+
+    space, X = lattice.space, lattice.coords()
+    if not len(X):
+        return
+    covered = np.zeros(len(Q), dtype=bool)
+    limit = (lattice.window.radius if isinstance(lattice.window, BallWindow)
+             else math.inf)
+    if 0.0 < reach < math.inf and reach <= limit:
+        for i, j, d in _candidates(space, Q, X, reach):
+            covered[i[d <= reach + TOL]] = True
+            yield i, j, d
+    for i in np.flatnonzero(~covered).tolist():
+        yield (np.full(len(X), i), np.arange(len(X)),
+               space.distances_from(Q[i], X))

@@ -54,8 +54,7 @@ corners have its dimension; ``check_window`` rejects any other window.
 
 ``grid_metric`` marks the models whose distance is at least every
 coordinate gap (Z^d, R^d): there the points within r of p lie in the
-cells of side r about p's cell, which ``graphs._candidates`` and
-``actions.Grid`` bucket.
+cells of side r about p's cell, which ``graphs._candidates`` buckets.
 """
 
 from __future__ import annotations
@@ -367,6 +366,11 @@ class SpaceModel:
         return np.array([self._dist(a, b) for a, b in
                          zip(self._points(A), self._points(B))], dtype=float)
 
+    def distances_from(self, x, points):
+        """Distances from the trusted point x to each of ``points``."""
+        return self._dist_many(np.asarray(x, dtype=self.coord_dtype),
+                               self.coords(points))
+
     def _key(self):
         return (self.model_id,)
 
@@ -479,10 +483,6 @@ class ZdModel(SpaceModel):
     def boundary_slacks(self, window, X):
         return (window.radius - np.abs(X).sum(axis=1)).astype(float)
 
-    def distances_from(self, x, points):
-        return self._dist_many(np.asarray(x, dtype=self.coord_dtype),
-                               self.coords(points))
-
 
 # ---------------------------------------------------------------------------
 # free group
@@ -572,10 +572,6 @@ class FreeGroupModel(SpaceModel):
         A, B = np.atleast_2d(A), np.atleast_2d(B)
         return (np.count_nonzero(A, axis=1) + np.count_nonzero(B, axis=1)
                 - 2 * _prefix(A, B)).astype(float)
-
-    def distances_from(self, x, points):
-        return self._dist_many(np.asarray(x, dtype=self.coord_dtype),
-                               self.coords(points))
 
     def generators(self):
         return [(g,) for g in self._letters()]
@@ -739,10 +735,6 @@ class HeisenbergModel(SpaceModel):
         b = B[..., 1] - A[..., 1]
         return _heis_lengths(B[..., 0] - A[..., 0], b,
                              B[..., 2] - A[..., 2] - A[..., 0] * b).astype(float)
-
-    def distances_from(self, x, points):
-        return self._dist_many(np.asarray(x, dtype=self.coord_dtype),
-                               self.coords(points))
 
     def _geodesic(self, x, y):
         # greedy descent: some generator always takes the exact distance to
@@ -927,9 +919,6 @@ class EuclideanModel(SpaceModel):
     def boundary_slack(self, window, x):
         return min(min(v - lo, hi - v)
                    for v, lo, hi in zip(x, window.lo, window.hi))
-
-    def distances_from(self, x, points):
-        return self._dist_many(np.asarray(x, dtype=float), self.coords(points))
 
 
 # ---------------------------------------------------------------------------

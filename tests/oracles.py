@@ -10,6 +10,7 @@ and the least-squares fit from the library and redo every per-element
 loop.
 """
 
+import functools
 import itertools
 import math
 from collections import deque
@@ -18,6 +19,7 @@ import numpy as np
 
 from roughcayley.actions import (
     AxiomCertificate,
+    QuasiAction,
     _ball,
     _central_targets,
     _fit_qi,
@@ -333,10 +335,20 @@ def pairwise_min_distance(space, points):
 # a row shows up as a different certificate
 
 
+def _remembering(qa):
+    """qa with each phi answer kept per query point.  The literal loops ask
+    phi about the same products again and again (99,334 calls on 709
+    points in the Z^2 case of the certificate tests), and each call to the
+    library's phi is one nearest-point search."""
+    return QuasiAction(qa.group_space, qa.lattice, functools.cache(qa.phi),
+                       qa.psi, qa.description)
+
+
 def literal_axiom_certificate(qa, group_radius=10, n_targets=8,
                               pair_core_cap=4000, n_extra_pairs=1000,
                               properness_radii=(2.0, 4.0, 6.0),
                               properness_scan=None, seed=0):
+    qa = _remembering(qa)
     space = qa.group_space
     d = space.distance
     r_list = sorted(properness_radii)
@@ -389,6 +401,7 @@ def literal_axiom_certificate(qa, group_radius=10, n_targets=8,
 def literal_orbit_constants(qa, radii, pair_core_cap=10000,
                             n_extra_pairs=3000, seed=0):
     """(radius, C, r, n_pairs) per radius, from ``act(g, x0)`` per pair."""
+    qa = _remembering(qa)
     space = qa.group_space
     x0 = qa.phi(space.identity())
     rows = []
@@ -406,6 +419,7 @@ def literal_orbit_constants(qa, radii, pair_core_cap=10000,
 def literal_conjugacy_defect(qa1, qa2, group_radius=8, n_targets=12,
                              pair_core_cap=4000, n_extra=1000, seed=0):
     """Worst d(phi12(s.x), s.phi12(x)) for the nearest-point phi12."""
+    qa1, qa2 = _remembering(qa1), _remembering(qa2)
     space = qa1.group_space
 
     def phi12(x):

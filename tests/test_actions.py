@@ -11,6 +11,7 @@ from roughcayley import (
     BoxWindow,
     EuclideanModel,
     FreeGroupModel,
+    H2Window,
     HeisenbergModel,
     NearestIndex,
     ZdModel,
@@ -69,14 +70,19 @@ _NEAREST_CASES = {}
 def _nearest_case(name):
     # lattice, its index and the window's points, built once per model
     if name not in _NEAREST_CASES:
-        space, window, delta = {
-            "zd2": (ZdModel(2), BallWindow(20), 3.0),
-            "heisenberg": (HeisenbergModel(), BallWindow(5), 2.0),
-            "zd3": (ZdModel(3), BallWindow(8), 2.0),
-            "r2": (EuclideanModel(2), BoxWindow((-6.0, -6.0), (6.0, 6.0), 0.5),
-                   1.5),
-        }[name]
-        net = greedy_net(space, window, delta)
+        if name == "h2":
+            net = horocyclic_lattice((-10.0, 10.0), (-2, 2))
+            space, window = net.space, net.window
+        else:
+            space, window, delta = {
+                "zd2": (ZdModel(2), BallWindow(20), 3.0),
+                "heisenberg": (HeisenbergModel(), BallWindow(5), 2.0),
+                "zd3": (ZdModel(3), BallWindow(8), 2.0),
+                "r2": (EuclideanModel(2),
+                       BoxWindow((-6.0, -6.0), (6.0, 6.0), 0.5), 1.5),
+                "f2": (FreeGroupModel(2), BallWindow(5), 2.0),
+            }[name]
+            net = greedy_net(space, window, delta)
         if name == "r2":
             # queries on a finer grid, with exact ties between net points
             window = BoxWindow(window.lo, window.hi, 0.25)
@@ -85,13 +91,88 @@ def _nearest_case(name):
     return _NEAREST_CASES[name]
 
 
-@pytest.mark.parametrize("name", ["zd2", "heisenberg", "zd3", "r2"])
+@pytest.mark.parametrize("name", ["zd2", "heisenberg", "zd3", "r2", "f2", "h2"])
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(st.integers(0, 10 ** 6))
 def test_nearest_index_matches_naive_property(name, pick):
     net, phi, pool = _nearest_case(name)
     q = pool[pick % len(pool)]
     assert phi(q) == naive_nearest(net.space, net.points, q)
+
+
+_MANY_CASES = {}
+
+
+def _many_case(name):
+    # a lattice and a pool of query points, built once per case; the pools
+    # reach past the lattice windows, where no lattice point is near
+    if name not in _MANY_CASES:
+        if name == "zd2-net":
+            lat = greedy_net(ZdModel(2), BallWindow(20), 3.0)
+            pool = lat.space.enumerate_window(BallWindow(26))
+        elif name == "zd3-ball":
+            lat = group_ball_lattice(ZdModel(3), 4)
+            pool = lat.space.enumerate_window(BallWindow(7))
+        elif name == "heisenberg-ball":
+            lat = group_ball_lattice(HeisenbergModel(), 3)
+            pool = lat.space.enumerate_window(BallWindow(6))
+        elif name == "f2-net":
+            lat = greedy_net(FreeGroupModel(2), BallWindow(5), 2.0)
+            pool = lat.space.enumerate_window(BallWindow(7))
+        elif name == "r2-ties":
+            # a pitch-1 grid queried on a pitch-0.25 grid: exact ties of
+            # two and four points at every half-integer coordinate
+            lat = greedy_net(EuclideanModel(2),
+                             BoxWindow((-5.0, -5.0), (5.0, 5.0), 1.0), 1.0)
+            pool = lat.space.enumerate_window(
+                BoxWindow((-7.0, -7.0), (7.0, 7.0), 0.25))
+        elif name == "r2-near-ties":
+            # pitch 0.1 is no binary fraction: about one query in eight has
+            # a second point within 1e-9 of its nearest, not at equal float
+            lat = greedy_net(EuclideanModel(2),
+                             BoxWindow((-2.0, -2.0), (2.0, 2.0), 0.1), 0.3)
+            pool = lat.space.enumerate_window(
+                BoxWindow((-2.5, -2.5), (2.5, 2.5), 0.05))
+        elif name == "h2":
+            lat = horocyclic_lattice((-10.0, 10.0), (-2, 2))
+            pool = lat.space.enumerate_window(H2Window(-14.0, 14.0, -3.0, 3.0))
+        else:
+            # a lattice file understating r as 0 (and delta as 1) on a
+            # delta = 6 net: most queries have no lattice point within
+            # max(r, delta, 1) = 1, so the full scan answers them
+            doc = greedy_net(ZdModel(2), BallWindow(20), 6.0).to_json()
+            doc.update(density_radius_r=0.0, separation_delta=1.0)
+            lat = QuasiLattice.from_json(doc)
+            space = lat.space
+            pool = space.enumerate_window(BallWindow(20))
+            # every draw holds the query farthest from the lattice
+            far = max(pool, key=lambda q: min(space.distance(q, p)
+                                              for p in lat.points))
+            pool = [far] + pool
+        _MANY_CASES[name] = lat, pool
+    return _MANY_CASES[name]
+
+
+@pytest.mark.parametrize("name", ["zd2-net", "zd3-ball", "heisenberg-ball",
+                                  "f2-net", "r2-ties", "r2-near-ties", "h2",
+                                  "understated"])
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=30))
+def test_nearest_many_matches_naive_property(name, picks):
+    """Each row's answer is ``naive_nearest``'s, with its distance: pool
+    points in and past the window, lattice points, and repeated rows."""
+    lat, pool = _many_case(name)
+    space = lat.space
+    rows = [pool[0]] + [pool[i % len(pool)] for i in picks]
+    rows += [lat.points[i % len(lat)] for i in picks[:3]] + rows[:2]
+    index, dist = lat.nearest_many(space.coords(rows))
+    assert len(index) == len(dist) == len(rows)
+    for q, i, d in zip(rows, index.tolist(), dist.tolist()):
+        assert lat.points[i] == naive_nearest(space, lat.points, q)
+        assert d == pytest.approx(space.distance(q, lat.points[i]), abs=1e-12)
+    if name == "understated":
+        # no lattice point within max(r, delta, 1) = 1 of the first row
+        assert dist[0] > 1.0 + 1e-9
 
 
 _ACTION_CASES = {}
@@ -147,6 +228,13 @@ def test_act_many_matches_act_row_by_row_property(name, picks):
         else:
             assert qa.act_many(S_arr, X_arr).tolist() == \
                 coords(expected).tolist()
+
+
+@pytest.mark.parametrize("name", ["zd2", "heisenberg", "free_group2"])
+def test_act_many_of_no_rows_is_empty(name):
+    qa, _, _ = _action_case(name)
+    space = qa.group_space
+    assert qa.act_many(space.coords([]), space.coords([])).shape[0] == 0
 
 
 def test_act_many_escaping_row_raises(even_action):

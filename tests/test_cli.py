@@ -200,6 +200,17 @@ def test_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_probes_on_an_h2_window_too_narrow_for_them_exit_3(tmp_path, capsys):
+    """No height of the window (-0.1..0.1) x (0..2) leaves a u range for a
+    probe with slack 0.5; the build exits 3 and writes no file."""
+    out = tmp_path / "h2.json"
+    assert run("lattice", "build", "--horocyclic", "--n", "0..2",
+               "--u", "-0.1..0.1", "--probes", "3", "--margin", "0.5",
+               "--out", str(out)) == 3
+    assert "u range" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_coarse_seed_env(tmp_path, monkeypatch, capsys):
     out = tmp_path / "lat.json"
     monkeypatch.setenv("COARSE_SEED", "99")

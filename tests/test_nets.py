@@ -25,7 +25,12 @@ from roughcayley import (
     sample_probes,
     verify_quasilattice,
 )
-from roughcayley.errors import BorderError, DomainError, ModelMismatchError
+from roughcayley.errors import (
+    BorderError,
+    DomainError,
+    ModelMismatchError,
+    WindowTooSmallError,
+)
 
 from conftest import make_even_lattice
 from oracles import (
@@ -269,6 +274,15 @@ def test_sample_probes_seeded():
     b = sample_probes(h2, w, 50, 1.2, seed=9)
     assert a == b
     assert all(h2.boundary_slack(w, p) >= 1.2 - 1e-9 for p in a)
+
+
+def test_sample_probes_rejects_an_h2_window_too_narrow_at_every_height():
+    """At the lowest admissible height the pad e^0.5 sinh(0.5) ~ 0.86
+    already exceeds the u half-width 0.1, and the pad grows with the
+    height: every draw was rejected, and the loop never ended."""
+    with pytest.raises(WindowTooSmallError, match="u range"):
+        sample_probes(HyperbolicPlaneModel(), H2Window(-0.1, 0.1, 0.0, 2.0),
+                      3, 0.5, 0)
 
 
 def test_nearest_lexicographic_tie():

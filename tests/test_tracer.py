@@ -99,3 +99,35 @@ def test_traced_lattice_builds_certify_as_untraced_ones(tmp_path, capsys,
                     for path in (plain, traced)]
     assert certificates[0] == certificates[1]
     assert certificates[0]["density"]["n_probes"] == 200
+
+
+def test_traced_quasi_action_runs_write_what_untraced_ones_write(tmp_path,
+                                                                 capsys):
+    """The recorder replaces ``NearestIndex.__call__``, which the
+    certifiers reach only for a caller's point: their batches go through
+    ``NearestIndex.many``.  Traced ``qaction certify`` and ``qaction
+    conjugacy`` runs must still exit 0 and write the untraced files."""
+    nets = {}
+    for delta in ("2", "3"):
+        nets[delta] = tmp_path / f"net{delta}.json"
+        assert cli.main(["lattice", "build", "--space", "zd", "--d", "2",
+                         "--radius", "30", "--delta", delta, "--probes", "0",
+                         "--out", str(nets[delta])]) == 0
+    commands = {
+        "certify": ["qaction", "certify", "--lattice", str(nets["3"]),
+                    "--group-radius", "4"],
+        "conjugacy": ["qaction", "conjugacy", "--lattice", str(nets["2"]),
+                      "--lattice2", str(nets["3"]), "--group-radius", "4"],
+    }
+    tracer = load_tracer()
+    for name, argv in commands.items():
+        plain, traced = tmp_path / f"{name}.json", tmp_path / f"{name}-t.json"
+        assert cli.main(["--seed", "3", *argv, "--out", str(plain)]) == 0
+        rec = tracer.Recorder("t")
+        try:
+            rec.install()
+            assert cli.main(["--seed", "3", *argv, "--out", str(traced)]) == 0
+        finally:
+            rec.uninstall()
+        assert "cli.qaction" in {span[1] for span in rec.spans}
+        assert traced.read_text() == plain.read_text()

@@ -197,37 +197,41 @@ def test_graph_and_certifier_check_each_point_once(monkeypatch):
 
 
 def test_quasi_action_certifiers_check_each_query_once(monkeypatch):
-    """Certifying the axioms and the orbit map of a Z^2 net validates each
-    distinct nearest-point query once, plus one psi(x) per distinct lattice
-    point x of each batch; loops over the public ``act`` validated every
-    product and psi(x) on every call (about 400k calls on the Z^2 ball-80
-    net at group radius 8)."""
+    """Certifying the axioms and the orbit map of a Z^2 net validates one
+    psi(x) per distinct lattice point x of each batch and nothing else: the
+    products, and the identity whose phi is the orbit map's base point, are
+    computed by the library and trusted, and ``NearestIndex.many`` answers
+    every row of them, one batch per ``act_many``.  Loops over the public
+    ``act`` validated every product and psi(x) on every call (about 400k
+    calls on the Z^2 ball-80 net at group radius 8)."""
     z2 = ZdModel(2)
     qa = quasi_action(z2, greedy_net(z2, BallWindow(60), 3.0))
-    calls, targets, queries = [0], [0], set()
+    calls, targets, products, answered = [0], [0], [0], [0]
     check = ZdModel.check_point
-    nearest = NearestIndex.__call__
+    many = NearestIndex.many
     act_many = QuasiAction.act_many
 
     def counted_check(self, x):
         calls[0] += 1
         return check(self, x)
 
-    def recorded_nearest(self, q):
-        queries.add(q)
-        return nearest(self, q)
+    def counted_many(self, points):
+        answered[0] += len(points)
+        return many(self, points)
 
     def counted_act_many(self, S, X):
         targets[0] += len(set(map(tuple, X.tolist())))
+        products[0] += max(len(S), len(X))
         return act_many(self, S, X)
 
     monkeypatch.setattr(ZdModel, "check_point", counted_check)
-    monkeypatch.setattr(NearestIndex, "__call__", recorded_nearest)
+    monkeypatch.setattr(NearestIndex, "many", counted_many)
     monkeypatch.setattr(QuasiAction, "act_many", counted_act_many)
     certify_axioms(qa, group_radius=6, seed=0)
     orbit_map_qi(qa, radii=(5, 10), seed=0)
-    assert calls[0] <= len(queries) + targets[0]
-    assert targets[0] < len(qa.lattice)
+    assert calls[0] <= targets[0] < len(qa.lattice)
+    # every product row, plus the orbit map's base point phi(e)
+    assert answered[0] == products[0] + 1
 
 
 @pytest.mark.parametrize("x0", [(1.5, 0), (1, 0, 0), [0, 0]])
