@@ -45,11 +45,11 @@ from .spaces import BallWindow, QiConstants, SpaceModel, TOL
 # point arrays
 
 
-def _distinct_rows(space, Q):
-    """The distinct rows of a point array as points, in first-occurrence
-    order, and the position of each row's point among them."""
+def _distinct_rows(points):
+    """The distinct points of an iterable, in first-occurrence order, and
+    the position of each point among them."""
     seen = {}
-    inverse = [seen.setdefault(q, len(seen)) for q in space._points(Q)]
+    inverse = [seen.setdefault(q, len(seen)) for q in points]
     return list(seen), np.array(inverse, dtype=np.intp)
 
 
@@ -59,7 +59,7 @@ def _map_rows(space, f, Q):
     answers them in one batch."""
     if isinstance(f, NearestIndex):
         return f.many(Q)
-    rows, inverse = _distinct_rows(space, Q)
+    rows, inverse = _distinct_rows(space._points(Q))
     return space.coords([f(q) for q in rows])[inverse]
 
 
@@ -88,7 +88,7 @@ def _outer(A, B):
 def _act_outer(qa, S, X):
     """s.x for every row s of S and x of X, in the rows of ``_outer(S, X)``;
     each distinct s acts once on each x."""
-    rows, inverse = _distinct_rows(qa.group_space, S)
+    rows, inverse = _distinct_rows(qa.group_space._points(S))
     moved = qa.act_many(*_outer(qa.group_space.coords(rows), X))
     return moved[(inverse[:, None] * len(X) + np.arange(len(X))).ravel()]
 
@@ -132,7 +132,7 @@ class NearestIndex:
     def many(self, points):
         """The answers to a point list or array, as a point array."""
         space, lattice = self.space, self.lattice
-        rows, inverse = _distinct_rows(space, space.coords(points))
+        rows, inverse = _distinct_rows(space._points(space.coords(points)))
         for q in rows:
             if not space.window_contains(lattice.window, q):
                 raise OutOfWindowError(f"{q!r} is outside the lattice window")
@@ -414,14 +414,11 @@ def orbit_map_qi(qa: QuasiAction, x0=None, radii=(5, 10, 15),
             raise DomainError(f"no pair of distinct elements sampled at "
                               f"radius {m}")
         # each element once, in order of first appearance in the pairs
-        where = {}
-        for pair in pairs:
-            for g in pair:
-                where.setdefault(g, len(where))
-        G = space.coords(list(where))
+        elements, inverse = _distinct_rows(
+            itertools.chain.from_iterable(pairs))
+        G = space.coords(elements)
         orbit = qa.act_many(G, X0)
-        i = np.array([where[s] for s, _ in pairs])
-        j = np.array([where[t] for _, t in pairs])
+        i, j = inverse[0::2], inverse[1::2]
         C, r = _fit_qi(space._dist_many(G[i], G[j]),
                        space._dist_many(orbit[i], orbit[j]))
         per_radius.append((m, C, r, len(pairs)))

@@ -75,12 +75,9 @@ def _write_json(path, config, payload):
 
 # ``json.dumps(..., indent=1)`` runs the pure-Python encoder, one generator
 # step per item.  ``_json_chunks`` writes the same text from ``%``
-# templates, ``_BLOCK`` list items per chunk:
-# - a list of equal-length rows of plain ints is filled from one ``%d`` row
-#   template;
-# - a run of list items of one shape shares one template, whose slots
-#   ``_columns`` fills column by column; a block that mixes shapes is halved
-#   until each part is one run.
+# templates, ``_BLOCK`` list items per chunk.  A run of list items of one
+# shape shares one template, whose slots ``_columns`` fills column by
+# column; a block that mixes shapes is halved until each part is one run.
 # A value no template fits (a non-str key, an int or float subclass, an
 # unknown type, or anything nested deeper than ``_DEEP``, where ``json``
 # finds cycles) is written by ``json.dumps`` itself, so its text, or its
@@ -171,17 +168,6 @@ def _runs(items, level, sep):
         yield from _runs(items[half:], level, sep)
 
 
-def _int_rows(items):
-    """Length of the rows if ``items`` are equal-length lists of plain
-    ints, else 0."""
-    if not set(map(type, items)) <= {list, tuple}:
-        return 0
-    lengths = set(map(len, items))
-    if len(lengths) != 1 or set(map(type, chain.from_iterable(items))) != {int}:
-        return 0
-    return lengths.pop()
-
-
 def _json_chunks(o, level):
     """Chunks that join to ``json.dumps(o, sort_keys=True, indent=1)`` with
     every line after the first indented by ``level`` more spaces."""
@@ -196,18 +182,9 @@ def _json_chunks(o, level):
         yield "\n" + " " * level + "}"
     elif (t is list or t is tuple) and o and level < _DEEP:
         sep = "," + inner
-        k = _int_rows(o)
-        if k:
-            row = ("[" + inner + " " + ("," + inner + " ").join(["%d"] * k)
-                   + inner + "]")
         for start in range(0, len(o), _BLOCK):
-            block = o[start:start + _BLOCK]
             yield sep if start else "[" + inner
-            if k:
-                yield sep.join([row] * len(block)) % tuple(
-                    chain.from_iterable(block))
-            else:
-                yield from _runs(block, level + 1, sep)
+            yield from _runs(o[start:start + _BLOCK], level + 1, sep)
         yield "\n" + " " * level + "]"
     else:
         yield from _runs([o], level, "")

@@ -193,8 +193,7 @@ class _HeisenbergEngine:
         pts = np.stack([x.ravel() for x in g], axis=1)
         return np.sort(self.pack(pts))
 
-    def ball(self, r):
-        return np.sort(self.pack(self.space._ball(r)))
+    ball = _ZdEngine.ball
 
 
 class _FreeEngine:

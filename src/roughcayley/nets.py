@@ -31,6 +31,7 @@ from .spaces import (
     HyperbolicPlaneModel,
     SpaceModel,
     TOL,
+    _num,
     space_from_json,
     window_from_json,
 )
@@ -76,15 +77,16 @@ class QuasiLattice:
         self._slacks = None
         self._ranks = None
 
-    def index_of(self, p):
+    def _point_index(self):
         if self._index is None:
             self._index = {q: i for i, q in enumerate(self.points)}
-        return self._index[p]
+        return self._index
+
+    def index_of(self, p):
+        return self._point_index()[p]
 
     def contains_point(self, p):
-        if self._index is None:
-            self._index = {q: i for i, q in enumerate(self.points)}
-        return p in self._index
+        return p in self._point_index()
 
     def coords(self):
         if self._coords is None:
@@ -158,8 +160,8 @@ class QuasiLattice:
             window=window,
             # checked against the model once, by ``__post_init__``
             points=[space._unchecked_point(p) for p in obj["points"]],
-            separation_delta=float(obj["separation_delta"]),
-            density_radius_r=float(obj["density_radius_r"]),
+            separation_delta=_num(obj["separation_delta"], float),
+            density_radius_r=_num(obj["density_radius_r"], float),
             construction=obj["construction"],
             certificates=dict(obj.get("certificates", {})),
         )

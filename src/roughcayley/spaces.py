@@ -55,6 +55,11 @@ corners have its dimension; ``check_window`` rejects any other window.
 ``grid_metric`` marks the models whose distance is at least every
 coordinate gap (Z^d, R^d): there the points within r of p lie in the
 cells of side r about p's cell, which ``graphs._candidates`` buckets.
+
+``SpaceModel`` holds the rules most models share (see its docstring).  A
+body two models share beyond it is a class-level alias, not a base class,
+so each class keeps it in its own ``__dict__``, where a caller (a tracer)
+can wrap it for that class alone.
 """
 
 from __future__ import annotations
@@ -203,8 +208,10 @@ class SpaceModel:
 
     Public methods validate the points a caller passes and raise
     ``ModelMismatchError`` or ``DomainError`` on a malformed one.  Models
-    implement ``check_point`` plus the unchecked kernels ``_dist``, ``_mul``,
-    ``_inv`` and ``_geodesic``, which assume trusted, well-formed points.
+    implement the unchecked kernels ``_dist``, ``_mul``, ``_inv`` and
+    ``_geodesic``, which assume trusted, well-formed points.  The base
+    holds ``check_point`` (a tuple of ``d`` ints or ``coord_type`` values),
+    ``window_contains`` (a slack >= -1e-9), the JSON codec and fallbacks.
     """
 
     tag: str    # JSON and command-line name of the model
@@ -262,7 +269,12 @@ class SpaceModel:
         return self._dist(x, y)
 
     def check_point(self, x):
-        raise NotImplementedError
+        """Raise ``ModelMismatchError`` unless x is a tuple of ``d``
+        coordinates, each an int or a ``coord_type``."""
+        kinds = (int, self.coord_type)
+        if not (isinstance(x, tuple) and len(x) == self.d
+                and all(isinstance(v, kinds) for v in x)):
+            raise ModelMismatchError(f"{x!r} is not a point of {self.model_id}")
 
     def _dist(self, x, y):
         raise NotImplementedError
@@ -329,10 +341,12 @@ class SpaceModel:
         raise NotImplementedError
 
     def window_contains(self, window, x) -> bool:
-        raise NotImplementedError
+        """Whether x lies in the window: a slack of at least -1e-9, which
+        on integer coordinates is a slack of at least 0."""
+        return self.boundary_slack(window, x) >= -TOL
 
     def boundary_slack(self, window, x) -> float:
-        """Metric distance from x to the window border (0 if outside)."""
+        """Metric distance from x to the window border, negative outside."""
         raise NotImplementedError
 
     def boundary_slacks(self, window, X) -> np.ndarray:
@@ -410,11 +424,6 @@ class ZdModel(SpaceModel):
         self.d = int(d)
         self.model_id = f"zd({d})"
 
-    def check_point(self, x):
-        if not (isinstance(x, tuple) and len(x) == self.d
-                and all(isinstance(v, int) for v in x)):
-            raise ModelMismatchError(f"{x!r} is not a point of {self.model_id}")
-
     def _dist(self, x, y):
         return float(sum(map(abs, map(operator.sub, x, y))))
 
@@ -473,9 +482,6 @@ class ZdModel(SpaceModel):
         return tuple(sum(2 ** k * math.comb(self.d, k) * math.comb(r, k)
                          for k in range(self.d + 1))
                      for r in range(max(m, 0) + 1))
-
-    def window_contains(self, window, x):
-        return sum(abs(v) for v in x) <= window.radius
 
     def boundary_slack(self, window, x):
         return float(window.radius - sum(abs(v) for v in x))
@@ -604,9 +610,6 @@ class FreeGroupModel(SpaceModel):
         return tuple(itertools.accumulate(
             (2 * self.k * (2 * self.k - 1) ** r for r in range(m)), initial=1))
 
-    def window_contains(self, window, x):
-        return len(x) <= window.radius
-
     def boundary_slack(self, window, x):
         return float(window.radius - len(x))
 
@@ -702,11 +705,6 @@ class HeisenbergModel(SpaceModel):
     def __init__(self):
         self.model_id = "heisenberg"
 
-    def check_point(self, x):
-        if not (isinstance(x, tuple) and len(x) == 3
-                and all(isinstance(v, int) for v in x)):
-            raise ModelMismatchError(f"{x!r} is not a point of {self.model_id}")
-
     @property
     def base_point(self):
         return (0, 0, 0)
@@ -750,9 +748,7 @@ class HeisenbergModel(SpaceModel):
                     break
         return [float(t) for t in range(len(pts))], pts
 
-    def enumerate_window(self, window):
-        self.check_window(window)
-        return list(self._points(self._ball(window.radius)))
+    enumerate_window = ZdModel.enumerate_window
 
     def _fibers(self, r):
         """Arrays (a, b, lo, hi) over |a| + |b| <= r in lexicographic
@@ -785,9 +781,6 @@ class HeisenbergModel(SpaceModel):
         """|N_r(e)| for r = 0..max(m, 0): the fibre widths summed."""
         return tuple(int((hi - lo + 1).sum()) for _, _, lo, hi in
                      map(self._fibers, range(max(m, 0) + 1)))
-
-    def window_contains(self, window, x):
-        return self._dist(self.base_point, x) <= window.radius + TOL
 
     def boundary_slack(self, window, x):
         return float(window.radius) - self._dist(self.base_point, x)
@@ -852,11 +845,6 @@ class EuclideanModel(SpaceModel):
         self.is_group = self.additive_group
         self.model_id = f"euclidean({d})"
 
-    def check_point(self, x):
-        if not (isinstance(x, tuple) and len(x) == self.d
-                and all(isinstance(v, (int, float)) for v in x)):
-            raise ModelMismatchError(f"{x!r} is not a point of {self.model_id}")
-
     def _dist(self, x, y):
         # squares by multiplication, which rounds correctly; ``** 2`` calls
         # the C pow, which can miss by one unit in the last place (about
@@ -887,11 +875,8 @@ class EuclideanModel(SpaceModel):
                 "euclidean model built without its additive group flag"
             )
 
-    def _mul(self, x, y):
-        return tuple(a + b for a, b in zip(x, y))
-
-    def _inv(self, x):
-        return tuple(-a for a in x)
+    _mul = ZdModel._mul
+    _inv = ZdModel._inv
 
     def _geodesic(self, x, y):
         a = self._dist(x, y)
@@ -946,6 +931,7 @@ class HyperbolicPlaneModel(SpaceModel):
     is_group = True
     coarse_constant_c = 0.0
     coord_dtype = float
+    coord_type = float
     d = 2
     window_kind = "h2box"
 
@@ -960,9 +946,7 @@ class HyperbolicPlaneModel(SpaceModel):
                        float)
 
     def check_point(self, x):
-        if not (isinstance(x, tuple) and len(x) == 2
-                and all(isinstance(v, (int, float)) for v in x)):
-            raise ModelMismatchError(f"{x!r} is not a point of h2")
+        super().check_point(x)
         if not x[1] > 0:
             raise DomainError(f"hyperbolic point needs a > 0, got {x!r}")
 

@@ -25,7 +25,11 @@ from roughcayley.actions import (
     _fit_qi,
     _pair_sample,
 )
-from roughcayley.errors import CertificationError
+from roughcayley.errors import (
+    CertificationError,
+    DomainError,
+    ModelMismatchError,
+)
 from roughcayley.nets import MultiplicityProfile
 from roughcayley.spaces import _heis_lengths
 
@@ -262,6 +266,52 @@ def reference_greedy_scan(graph, c, schedule, swap_factor=10):
     entries.append((f"greedy:{len(current)}", len(current), len(boundary),
                     ratio))
     return entries
+
+
+# ---------------------------------------------------------------------------
+# the point checks and ball-window tests each model wrote out for itself,
+# keyed by model tag; ``SpaceModel`` now holds one body for each rule
+
+
+def _zd_check_point(space, x):
+    if not (isinstance(x, tuple) and len(x) == space.d
+            and all(isinstance(v, int) for v in x)):
+        raise ModelMismatchError(f"{x!r} is not a point of {space.model_id}")
+
+
+def _heisenberg_check_point(space, x):
+    if not (isinstance(x, tuple) and len(x) == 3
+            and all(isinstance(v, int) for v in x)):
+        raise ModelMismatchError(f"{x!r} is not a point of {space.model_id}")
+
+
+def _euclidean_check_point(space, x):
+    if not (isinstance(x, tuple) and len(x) == space.d
+            and all(isinstance(v, (int, float)) for v in x)):
+        raise ModelMismatchError(f"{x!r} is not a point of {space.model_id}")
+
+
+def _h2_check_point(space, x):
+    if not (isinstance(x, tuple) and len(x) == 2
+            and all(isinstance(v, (int, float)) for v in x)):
+        raise ModelMismatchError(f"{x!r} is not a point of h2")
+    if not x[1] > 0:
+        raise DomainError(f"hyperbolic point needs a > 0, got {x!r}")
+
+
+REFERENCE_CHECK_POINT = {
+    "zd": _zd_check_point,
+    "heisenberg": _heisenberg_check_point,
+    "euclidean": _euclidean_check_point,
+    "h2": _h2_check_point,
+}
+
+REFERENCE_WINDOW_CONTAINS = {
+    "zd": lambda space, window, x: sum(abs(v) for v in x) <= window.radius,
+    "free_group": lambda space, window, x: len(x) <= window.radius,
+    "heisenberg": lambda space, window, x: (
+        space._dist(space.base_point, x) <= window.radius + 1e-9),
+}
 
 
 def naive_nearest(space, points, q):

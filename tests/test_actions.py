@@ -23,6 +23,7 @@ from roughcayley import (
     quasi_action,
     quasi_conjugacy_defect,
 )
+from roughcayley.actions import _pair_sample
 from roughcayley.errors import DomainError, OutOfWindowError
 from roughcayley.nets import QuasiLattice
 
@@ -340,6 +341,20 @@ def test_orbit_map_net_constants_bounded():
     for _, C, r, _ in rep.per_radius:
         assert C <= 3.0 + 1e-9
         assert r <= 2 * 3.0 + 1e-9
+
+
+def test_orbit_map_names_the_first_escaping_element(even_action):
+    """The orbit of the sampled elements leaves the radius-40 window at
+    radius 60; the error names the element a literal loop over the pairs,
+    in order of first appearance, finds first (x0 = phi(e) = (0,))."""
+    z1 = even_action.group_space
+    first = next(g for m in (2, 60)
+                 for s, t in _pair_sample(z1, m, 25, 300, 3, ordered=False)
+                 if s != t for g in (s, t) if abs(g[0]) > 40)
+    with pytest.raises(OutOfWindowError) as exc:
+        orbit_map_qi(even_action, radii=(2, 60), pair_core_cap=25,
+                     n_extra_pairs=300, seed=3)
+    assert str(exc.value) == f"{first!r} is outside the lattice window"
 
 
 def test_conjugacy_identity_bounded_by_associativity(even_action):

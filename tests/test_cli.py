@@ -308,6 +308,24 @@ def test_malformed_lattice_file_exits_with_schema_error(tmp_path, capsys,
     assert "error (schema)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key,value,code", [
+    ("separation_delta", "3", 2),
+    ("density_radius_r", True, 2),
+    ("density_radius_r", "nan", 2),
+    ("separation_delta", 3, 0),
+], ids=["delta-string", "r-bool", "r-nan-string", "delta-int"])
+def test_lattice_file_radii_decode_strictly(tmp_path, capsys, key, value,
+                                            code):
+    """delta and r are JSON numbers: a string or a boolean is a schema
+    error, not a value ``float`` reads; a JSON integer stays a number."""
+    path, doc = _lattice_file(tmp_path, *LATTICES["zd"])
+    _rewrite(path, doc, lambda doc: doc.update({key: value}))
+    capsys.readouterr()
+    assert run("graph", "build", "--lattice", str(path),
+               "--out", str(tmp_path / "g.json")) == code
+    assert ("error (schema)" in capsys.readouterr().err) == (code == 2)
+
+
 def test_malformed_graph_file_exits_with_schema_error(tmp_path, capsys):
     path, _ = _lattice_file(tmp_path, *LATTICES["zd"])
     g = tmp_path / "g.json"
@@ -479,7 +497,12 @@ def _cycle():
     {"edges": [[i, i + 1] for i in range(2100)] + [[1]]},
     {"points": [{"model": "zd", "x": [i, -i]} for i in range(2100)]
      + [{"model": "zd", "x": [1]}]},
-], ids=["keys", "int-subclass", "floats", "rows", "runs"])
+    # int rows over three blocks, a bool row and a float row in the last
+    {"edges": [[True, 0] if i == 2100 else [0.5, i] if i == 2300 else
+               [i, -i] for i in range(2500)],
+     "one": [[i] for i in range(2500)],
+     "three": [[i, 0, -i] for i in range(2500)]},
+], ids=["keys", "int-subclass", "floats", "rows", "runs", "int-rows"])
 def test_json_chunks_write_what_json_writes(doc):
     assert "".join(_json_chunks(doc, 0)) == json.dumps(doc, sort_keys=True,
                                                        indent=1)

@@ -27,9 +27,15 @@ from roughcayley.errors import (
     SchemaError,
     UnsupportedOperationError,
 )
-from roughcayley.spaces import space_from_json, window_from_json
+from roughcayley.spaces import _heis_length, space_from_json, window_from_json
 
-from oracles import bfs_ball_depths, free_reduce, heisenberg_balls_by_box
+from oracles import (
+    REFERENCE_CHECK_POINT,
+    REFERENCE_WINDOW_CONTAINS,
+    bfs_ball_depths,
+    free_reduce,
+    heisenberg_balls_by_box,
+)
 
 Z1, Z2 = ZdModel(1), ZdModel(2)
 F2 = FreeGroupModel(2)
@@ -427,6 +433,68 @@ def test_point_validation_errors():
         E2.multiply((0.0, 0.0), (1.0, 1.0))
     flagged = EuclideanModel(2, additive_group=True)
     assert flagged.multiply((1.0, 2.0), (3.0, 4.0)) == (4.0, 6.0)
+
+
+def _outcome(check, *args):
+    """The error type and message ``check`` raises, or None."""
+    try:
+        check(*args)
+    except (ModelMismatchError, DomainError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+# bools, ints past int64, floats with their specials and NumPy scalars, in
+# tuples and lists of every length up to 4, and h2 heights <= 0
+_COORD = (st.booleans() | st.integers(-2 ** 70, 2 ** 70) | st.floats()
+          | st.sampled_from([0.0, -0.0, -1.0, 0, -1, np.int64(2), np.int8(-1),
+                             np.float64(0.5), np.float64(-2.0),
+                             np.float32(1.5), np.bool_(True)]))
+_ANY_POINT = st.tuples(st.lists(_COORD, max_size=4), st.booleans()).map(
+    lambda drawn: tuple(drawn[0]) if drawn[1] else drawn[0]) | st.tuples(
+    _COORD, st.floats(max_value=0.0) | st.integers(max_value=0))
+
+
+@pytest.mark.parametrize("space", [Z1, Z2, ZdModel(3), HEIS, E2,
+                                   EuclideanModel(3), H2],
+                         ids=["zd1", "zd2", "zd3", "heis", "e2", "e3", "h2"])
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_ANY_POINT)
+def test_check_point_matches_the_reference_checks(space, x):
+    """The shared tuple check accepts and rejects, with the same error and
+    message, what each model's own check did."""
+    assert _outcome(space.check_point, x) == \
+        _outcome(REFERENCE_CHECK_POINT[space.tag], space, x)
+
+
+# word lengths of the ball-window models, exact at any size: coordinates
+# reach past 2^63, where Heisenberg points have no cap and no DomainError
+_LENGTH = {"zd": lambda x: sum(map(abs, x)), "free_group": len,
+           "heisenberg": lambda x: _heis_length(*x)}
+_BIG = st.integers(-10, 10) | st.integers(-2 ** 80, 2 ** 80) | st.booleans()
+_WINDOW_POINTS = {
+    "zd1": (Z1, st.tuples(_BIG)),
+    "zd3": (ZdModel(3), st.tuples(_BIG, _BIG, _BIG)),
+    "f2": (F2, st.lists(st.sampled_from([-2, -1, 1, 2]),
+                        max_size=40).map(free_reduce)),
+    "heis": (HEIS, st.tuples(_BIG, _BIG, _BIG)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_WINDOW_POINTS))
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(data=st.data())
+def test_window_contains_matches_the_reference_tests(name, data):
+    """Ball membership as a slack >= -1e-9 is each model's own test, on
+    radii at, next to and far from the point's word length."""
+    space, points = _WINDOW_POINTS[name]
+    x = data.draw(points)
+    length = _LENGTH[space.tag](x)
+    radius = data.draw(st.integers(-2, 2).map(lambda k: length + k)
+                       | st.integers(-2, 60) | st.integers(2 ** 62, 2 ** 90))
+    window = BallWindow(radius)
+    assert space.window_contains(window, x) is \
+        REFERENCE_WINDOW_CONTAINS[space.tag](space, window, x)
 
 
 @pytest.mark.parametrize("space,pt", [

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from roughcayley import cli, graphs
+from roughcayley import cli, graphs, spaces
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -47,6 +47,25 @@ def test_trace_recorder_patches_and_restores_every_name():
         now = vars(owner)
         assert set(now) == set(names), owner
         assert all(now[key] is value for key, value in names.items()), owner
+
+
+def test_trace_recorder_wraps_a_shared_method_once_per_class():
+    """``HeisenbergModel.enumerate_window`` is a class-level alias of
+    ``ZdModel``'s: the recorder gives each class its own wrapper and puts
+    the one shared function back on both."""
+    tracer = load_tracer()
+    shared = vars(spaces.ZdModel)["enumerate_window"]
+    assert vars(spaces.HeisenbergModel)["enumerate_window"] is shared
+    rec = tracer.Recorder("t")
+    try:
+        rec.install()
+        zd = vars(spaces.ZdModel)["enumerate_window"]
+        heis = vars(spaces.HeisenbergModel)["enumerate_window"]
+        assert zd is not heis and shared not in (zd, heis)
+    finally:
+        rec.uninstall()
+    assert vars(spaces.ZdModel)["enumerate_window"] is shared
+    assert vars(spaces.HeisenbergModel)["enumerate_window"] is shared
 
 
 def test_traced_cli_runs_write_the_cli_layout(tmp_path, capsys):
