@@ -13,16 +13,17 @@ window escapes raise instead of clamping so defect statistics stay honest.
 
 Batches and checks.  The certifiers work on point arrays (``space.coords``)
 through ``QuasiAction.act_many`` and the model's batch kernels
-``_mul_many`` and ``_dist_many``.  ``act_many`` calls psi once per distinct
-row of X and checks each result before it enters an array.  The products
-are the library's own and trusted: a ``NearestIndex`` phi checks only that
-each distinct product lies in the lattice window, then answers them all
-with one ``QuasiLattice.nearest_many`` batch on the edge builders'
-candidate pairs; any other phi is called once per distinct product, and
-each result is checked.  Rows of S are trusted group elements.  A point the
-caller hands in (``x0`` of ``orbit_map_qi``) and each result of a caller's
-``phi12`` are checked against the model.  The public ``act`` checks s and
-psi(x) on every call.  One ``act_many`` call gives the values the same
+``_mul_many`` and ``_dist_many``.  Every map of points (psi, phi, a
+caller's ``phi12``) goes through one helper, ``_map_rows``: it calls the
+map once per distinct row, in order of first occurrence, and checks each
+result against the model before the next call.  The one exception is a
+``NearestIndex`` on the group's own model, whose answers are lattice
+points: it checks only that each distinct row lies in the lattice window,
+then answers them all with one ``QuasiLattice.nearest_many`` batch on the
+edge builders' candidate pairs.  Rows of S and the products are the
+library's own and trusted.  A point the caller hands in (``x0`` of
+``orbit_map_qi``) is checked against the model.  The public ``act`` checks
+s and psi(x) on every call.  One ``act_many`` call gives the values the same
 loop over ``act`` gives, and raises ``OutOfWindowError`` for its first
 escaping row in row order; a certifier that makes several calls raises for
 the first escape of the call that fails first.
@@ -54,28 +55,18 @@ def _distinct_rows(points):
 
 
 def _map_rows(space, f, Q):
-    """f applied to the distinct rows of the point array Q, in order of
-    first occurrence, spread back over every row; a ``NearestIndex``
-    answers them in one batch."""
-    if isinstance(f, NearestIndex):
+    """f once per distinct row of the point array Q, in order of first
+    occurrence, each result checked as a point of space before the next
+    call, spread back over every row; a ``NearestIndex`` on space answers
+    with trusted lattice points, every row in one unchecked batch."""
+    if isinstance(f, NearestIndex) and f.space == space:
         return f.many(Q)
     rows, inverse = _distinct_rows(space._points(Q))
-    return space.coords([f(q) for q in rows])[inverse]
-
-
-def _checked(space, f):
-    """f with each result checked as a point of space, before ``coords``
-    casts it; a ``NearestIndex`` on space answers with lattice points, which
-    are trusted, and is returned as it is."""
-    if isinstance(f, NearestIndex) and f.space == space:
-        return f
-
-    def g(x):
-        y = f(x)
-        space.check_point(y)
-        return y
-
-    return g
+    answers = []
+    for q in rows:
+        answers.append(f(q))
+        space.check_point(answers[-1])
+    return space.coords(answers)[inverse]
 
 
 def _outer(A, B):
@@ -171,9 +162,8 @@ class QuasiAction:
     def act_many(self, S, X):
         """Row-wise ``act`` on point arrays; the first escaping row raises."""
         space = self.group_space
-        G = _map_rows(space, _checked(space, self.psi), X)
-        return _map_rows(space, _checked(space, self.phi),
-                         space._mul_many(S, G))
+        G = _map_rows(space, self.psi, X)
+        return _map_rows(space, self.phi, space._mul_many(S, G))
 
 
 def nearest_point_maps(group_space: SpaceModel, lattice: QuasiLattice):
@@ -400,8 +390,7 @@ def orbit_map_qi(qa: QuasiAction, x0=None, radii=(5, 10, 15),
     if not radii:
         raise DomainError("orbit-map constants need at least one radius")
     if x0 is None:
-        X0 = _map_rows(space, _checked(space, qa.phi),
-                       space.coords([space.identity()]))
+        X0 = _map_rows(space, qa.phi, space.coords([space.identity()]))
     else:
         space.check_point(x0)
         X0 = space.coords([x0])
@@ -461,8 +450,7 @@ def quasi_conjugacy_defect(qa1: QuasiAction, qa2: QuasiAction, phi12=None,
     if qa1.group_space != qa2.group_space:
         raise DomainError("quasi-conjugacy needs a common acting group")
     space = qa1.group_space
-    steps = [_checked(space, f) for f in (
-        (qa1.psi, qa2.phi) if phi12 is None else (phi12,))]
+    steps = (qa1.psi, qa2.phi) if phi12 is None else (phi12,)
 
     def map12(Q):
         for f in steps:

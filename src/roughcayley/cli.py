@@ -3,17 +3,17 @@
 Every run is reproducible from its recorded configuration: all randomness
 sits behind one seed (flag ``--seed``, overridden by the environment
 variable ``COARSE_SEED``), and every output file embeds the configuration
-that produced it.  Every JSON file it writes is exactly
-``json.dumps(doc, sort_keys=True, indent=1) + "\\n"``: sorted keys, one
-space of indent per level, ASCII only, and a final newline.  Exit codes:
-0 success, 2 schema/argument errors (a file that cannot be opened among
-them), 3 window or border errors, 4 certification failures.
+that produced it.  The two writers, ``_write_json`` and ``_write_text``,
+print ``wrote <path>`` once each file is written.  Every JSON file is
+exactly ``json.dumps(doc, sort_keys=True, indent=1) + "\\n"``: sorted
+keys, one space of indent per level, ASCII only, and a final newline.
+Exit codes: 0 success, 2 schema/argument errors (a file that cannot be
+opened among them), 3 window or border errors, 4 certification failures.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -40,37 +40,27 @@ WINDOW_ERRORS = (OutOfWindowError, BorderError, WindowTooSmallError,
                  DisconnectedGraphError)
 
 
-@dataclasses.dataclass
-class RunConfig:
-    """Everything needed to reproduce a run; embedded in every output."""
-
-    command: str
-    options: dict
-    seed: int
-
-    def to_json(self):
-        return {"command": self.command, "options": self.options,
-                "seed": self.seed}
-
-
 def _config(args, skip=("func", "out", "dot", "csv")):
+    """The run's command, options and seed, embedded in every output."""
     options = {k: v for k, v in vars(args).items()
                if k not in skip and k != "seed" and v is not None
                and not callable(v)}
     command = options.pop("_command")
-    return RunConfig(command=command, options=options, seed=args.seed)
+    return {"command": command, "options": options, "seed": args.seed}
 
 
 def _write_json(path, config, payload):
     """Write ``{"config": ..., **payload}`` to ``path`` in the CLI's layout:
     exactly ``json.dumps(doc, sort_keys=True, indent=1) + "\\n"``, that is
     sorted keys, one space per level, ASCII only and a final newline.  The
-    text is written chunk by chunk as ``_json_chunks`` makes it."""
-    doc = {"config": config.to_json()}
+    text is written chunk by chunk as ``_json_chunks`` makes it; the file
+    is reported once written."""
+    doc = {"config": config}
     doc.update(payload)
     with open(path, "w") as fh:
         fh.writelines(_json_chunks(doc, 0))
         fh.write("\n")
+    print(f"wrote {path}")
 
 
 # ``json.dumps(..., indent=1)`` runs the pure-Python encoder, one generator
@@ -191,10 +181,11 @@ def _json_chunks(o, level):
 
 
 def _write_text(path, config, text, comment_prefix="#"):
-    header = f"{comment_prefix} config: " + json.dumps(config.to_json(),
-                                                       sort_keys=True)
+    """Write text below a config comment line; report the file."""
+    header = f"{comment_prefix} config: " + json.dumps(config, sort_keys=True)
     with open(path, "w") as fh:
         fh.write(header + "\n" + text)
+    print(f"wrote {path}")
 
 
 def _parse_range(text, cast=float):
@@ -269,7 +260,6 @@ def cmd_lattice_build(args):
                     f"{cert['n_probes']} probes")
     print(summary)
     _write_json(args.out, config, lattice.to_json())
-    print(f"wrote {args.out}")
     return 0
 
 
@@ -304,7 +294,6 @@ def cmd_lattice_verify(args):
     if args.out:
         _write_json(args.out, config,
                     {"density": cert, "multiplicity": list(profile.entries)})
-        print(f"wrote {args.out}")
     return 0
 
 
@@ -315,7 +304,6 @@ def cmd_graph_build(args):
     print(f"graph: {graph.n} vertices, {graph.n_edges()} edges, "
           f"threshold {graph.threshold:g}, max degree {graph.degree_bound_M}")
     _write_json(args.out, config, graph.to_json())
-    print(f"wrote {args.out}")
     return 0
 
 
@@ -333,10 +321,8 @@ def cmd_graph_export(args):
         raise SchemaError("graph export needs --dot and/or --csv")
     if args.dot:
         _write_text(args.dot, config, graphs.to_dot(graph), comment_prefix="//")
-        print(f"wrote {args.dot}")
     if args.csv:
         _write_text(args.csv, config, graphs.edge_csv(graph))
-        print(f"wrote {args.csv}")
     return 0
 
 
@@ -360,7 +346,6 @@ def cmd_qaction_certify(args):
             "properness": list(cert.properness),
             "sample": cert.sample,
         })
-        print(f"wrote {args.out}")
     return 0
 
 
@@ -382,7 +367,6 @@ def cmd_qaction_orbit_qi(args):
             "r": report.constants.r,
             "stable": report.stable,
         })
-        print(f"wrote {args.out}")
     return 0
 
 
@@ -398,7 +382,6 @@ def cmd_qaction_conjugacy(args):
           f"(group radius {args.group_radius})")
     if args.out:
         _write_json(args.out, config, {"defect": defect})
-        print(f"wrote {args.out}")
     return 0
 
 
@@ -425,7 +408,6 @@ def cmd_growth_run(args):
     print(f"growth series of {series.source}: "
           f"{list(series.values[: min(8, len(series))])}...")
     _write_text(args.out, config, series.to_csv())
-    print(f"wrote {args.out}")
     return 0
 
 
@@ -478,10 +460,8 @@ def cmd_folner_scan(args):
           f"achieved={report.achieved}")
     if args.out:
         _write_json(args.out, config, report.to_json())
-        print(f"wrote {args.out}")
     if args.csv:
         _write_text(args.csv, config, report.to_csv())
-        print(f"wrote {args.csv}")
     return 0
 
 

@@ -155,15 +155,25 @@ class QuasiLattice:
         space = space_from_json(obj["space"])
         window = window_from_json(obj["window"])
         space.check_window(window, SchemaError)
+        delta = _num(obj["separation_delta"], float)
+        r = _num(obj["density_radius_r"], float)
+        certificates = obj.get("certificates", {})
+        for name, rule, ok in (
+                ("separation_delta", "finite and > 0", 0 < delta < math.inf),
+                ("density_radius_r", "finite and >= 0", 0 <= r < math.inf),
+                ("construction", "a string", type(obj["construction"]) is str),
+                ("certificates", "a JSON object", type(certificates) is dict)):
+            if not ok:
+                raise SchemaError(f"{name} must be {rule}, got {obj[name]!r}")
         return cls(
             space=space,
             window=window,
             # checked against the model once, by ``__post_init__``
             points=[space._unchecked_point(p) for p in obj["points"]],
-            separation_delta=_num(obj["separation_delta"], float),
-            density_radius_r=_num(obj["density_radius_r"], float),
+            separation_delta=delta,
+            density_radius_r=r,
             construction=obj["construction"],
-            certificates=dict(obj.get("certificates", {})),
+            certificates=certificates,
         )
 
 

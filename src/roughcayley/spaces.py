@@ -922,8 +922,7 @@ class HyperbolicPlaneModel(SpaceModel):
     """Upper half-plane (u, a), a > 0, with the affine group law.
 
     distance((u1,a1),(u2,a2)) = 2 atanh(|x-y|/|x-conj y|) for x = u1+i a1,
-    y = u2+i a2; ``distance_log_form`` gives the equivalent
-    log((|x-conj y|+|x-y|)/(|x-conj y|-|x-y|)) for cross-checking.
+    y = u2+i a2.
     """
 
     tag = "h2"
@@ -954,13 +953,6 @@ class HyperbolicPlaneModel(SpaceModel):
         p = math.hypot(x[0] - y[0], x[1] - y[1])
         q = math.hypot(x[0] - y[0], x[1] + y[1])
         return 2.0 * math.atanh(p / q) if p > 0 else 0.0
-
-    def distance_log_form(self, x, y):
-        self.check_point(x)
-        self.check_point(y)
-        p = math.hypot(x[0] - y[0], x[1] - y[1])
-        q = math.hypot(x[0] - y[0], x[1] + y[1])
-        return math.log((q + p) / (q - p))
 
     @property
     def base_point(self):

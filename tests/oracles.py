@@ -314,6 +314,15 @@ REFERENCE_WINDOW_CONTAINS = {
 }
 
 
+def hyperbolic_distance_log_form(x, y):
+    """The h2 distance of points (u, a), a > 0, in its log form
+    log((|x-conj y|+|x-y|)/(|x-conj y|-|x-y|)) for x = u1+i a1,
+    y = u2+i a2."""
+    p = math.hypot(x[0] - y[0], x[1] - y[1])
+    q = math.hypot(x[0] - y[0], x[1] + y[1])
+    return math.log((q + p) / (q - p))
+
+
 def naive_nearest(space, points, q):
     """Nearest point by full scan, lexicographically smallest on ties."""
     best = None

@@ -14,6 +14,7 @@ from roughcayley import (
     H2Window,
     HeisenbergModel,
     NearestIndex,
+    QuasiAction,
     ZdModel,
     certify_axioms,
     greedy_net,
@@ -24,7 +25,11 @@ from roughcayley import (
     quasi_conjugacy_defect,
 )
 from roughcayley.actions import _pair_sample
-from roughcayley.errors import DomainError, OutOfWindowError
+from roughcayley.errors import (
+    DomainError,
+    ModelMismatchError,
+    OutOfWindowError,
+)
 from roughcayley.nets import QuasiLattice
 
 from conftest import make_even_lattice
@@ -245,6 +250,25 @@ def test_act_many_escaping_row_raises(even_action):
         even_action.act_many(S, z1.coords([(0,)]))
     assert even_action.act_many(S[:2], z1.coords([(0,)])).tolist() == \
         [[0], [2]]
+
+
+def test_act_many_checks_each_phi_result_before_the_next_call():
+    """A caller's phi is called once per distinct product, in row order, and
+    each result is checked before the next call: the first bad answer raises
+    and the later product is never mapped."""
+    z2 = ZdModel(2)
+    calls = []
+
+    def phi(q):
+        calls.append(q)
+        if q == (1, 0):
+            return (0.5, 0)
+        raise OutOfWindowError(f"{q!r} is outside the window")
+
+    qa = QuasiAction(z2, group_ball_lattice(z2, 3), phi, lambda x: x)
+    with pytest.raises(ModelMismatchError):
+        qa.act_many(z2.coords([(1, 0), (1, 0), (0, 1)]), z2.coords([(0, 0)]))
+    assert calls == [(1, 0)]
 
 
 def test_act_examples(even_action):

@@ -200,6 +200,33 @@ def test_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_outputs_embed_the_run_config_and_report_each_file(tmp_path, capsys):
+    """The whole ``config`` object of a graph file, the ``wrote`` line each
+    writer prints, and the exact comment line over DOT and CSV exports."""
+    lat, g = tmp_path / "lat.json", tmp_path / "g.json"
+    dot, csv = tmp_path / "g.dot", tmp_path / "g.csv"
+    assert run("lattice", "build", *LATTICES["zd"], "--probes", "0",
+               "--out", str(lat)) == 0
+    capsys.readouterr()
+    assert run("--seed", "7", "graph", "build", "--lattice", str(lat),
+               "--threshold", "5", "--out", str(g)) == 0
+    assert capsys.readouterr().out.endswith(f"\nwrote {g}\n")
+    assert json.loads(g.read_text())["config"] == {
+        "command": "graph build",
+        "options": {"cmd": "build", "group": "graph", "lattice": str(lat),
+                    "threshold": 5.0},
+        "seed": 7,
+    }
+    assert run("--seed", "7", "graph", "export", "--graph", str(g),
+               "--dot", str(dot), "--csv", str(csv)) == 0
+    assert capsys.readouterr().out == f"wrote {dot}\nwrote {csv}\n"
+    config = ('config: {"command": "graph export", "options": {"cmd": '
+              f'"export", "graph": {json.dumps(str(g))}, "group": "graph"}}, '
+              '"seed": 7}')
+    assert dot.read_text().splitlines()[0] == "// " + config
+    assert csv.read_text().splitlines()[0] == "# " + config
+
+
 def test_probes_on_an_h2_window_too_narrow_for_them_exit_3(tmp_path, capsys):
     """No height of the window (-0.1..0.1) x (0..2) leaves a u range for a
     probe with slack 0.5; the build exits 3 and writes no file."""
@@ -324,6 +351,30 @@ def test_lattice_file_radii_decode_strictly(tmp_path, capsys, key, value,
     assert run("graph", "build", "--lattice", str(path),
                "--out", str(tmp_path / "g.json")) == code
     assert ("error (schema)" in capsys.readouterr().err) == (code == 2)
+
+
+@pytest.mark.parametrize("key,text", [
+    ("separation_delta", "-1.0"),
+    ("separation_delta", "0.0"),
+    ("density_radius_r", "NaN"),
+    ("density_radius_r", "Infinity"),
+    ("density_radius_r", "-1.0"),
+    ("construction", "5"),
+    ("certificates", '[["a", 1]]'),
+], ids=["delta-negative", "delta-zero", "r-nan", "r-infinity", "r-negative",
+        "construction-int", "certificates-list"])
+def test_lattice_file_fields_out_of_range_exit_2(tmp_path, capsys, key, text):
+    """delta is finite and > 0, r finite and >= 0, the construction a string
+    and the certificates an object; each value is written as raw JSON text,
+    so NaN and Infinity are the literals Python's json reads."""
+    path, doc = _lattice_file(tmp_path, *LATTICES["zd"])
+    doc[key] = "@value@"
+    path.write_text(json.dumps(doc).replace('"@value@"', text))
+    capsys.readouterr()
+    assert run("graph", "build", "--lattice", str(path),
+               "--out", str(tmp_path / "g.json")) == 2
+    assert f"error (schema): {key} must be" in capsys.readouterr().err
+    assert not (tmp_path / "g.json").exists()
 
 
 def test_malformed_graph_file_exits_with_schema_error(tmp_path, capsys):
