@@ -23,7 +23,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BorderError, DomainError, SchemaError, WindowTooSmallError
+from .errors import (
+    BorderError,
+    DomainError,
+    ModelMismatchError,
+    SchemaError,
+    WindowTooSmallError,
+)
 from .spaces import (
     BallWindow,
     BoxWindow,
@@ -49,13 +55,19 @@ HOROCYCLIC_DENSITY_RADIUS = 1.07
 class QuasiLattice:
     """A finite ordered point set with separation and density certificates.
 
-    Construction checks every point against the model once; library code
-    trusts lattice points from then on.  ``coords()`` is the point list as
+    Construction checks the points against the model in one bulk
+    ``check_points`` call; library code trusts lattice points from then on.
+    The lattices the library builds from its own points come by
+    ``_trusted``, which checks nothing.  ``coords()`` is the point list as
     the model's ``distances_from`` takes it (``space.coords``: an array of
     dtype ``space.coord_dtype``, for free groups the words as zero-padded
-    rows of letters).  It is built once, on first use, like the point index
-    and the read-only ``slacks()``, and gives the same distances as the
-    list without a conversion per call.
+    rows of letters).  It is built once, on first use, unless a word ball
+    came with it, like the point index and the read-only ``slacks()``, and
+    gives the same distances as the list without a conversion per call.
+    The point index finds points by tuple equality: on integer coordinates
+    it bisects the sorted int64 row codes of ``coords()``
+    (``graphs._row_keys``); on floats it is a dict of the points, as 0.0
+    equals -0.0 while their codes differ.
     """
 
     space: SpaceModel
@@ -69,24 +81,56 @@ class QuasiLattice:
     def __len__(self):
         return len(self.points)
 
-    def __post_init__(self):
-        for p in self.points:
-            self.space.check_point(p)
-        self._index = None
-        self._coords = None
-        self._slacks = None
-        self._ranks = None
+    # caches, each built on first use; ``_trusted`` presets ``_coords``
+    _coords = _index = _slacks = _ranks = None
 
-    def _point_index(self):
+    def __post_init__(self):
+        self.space.check_points(self.points)
+
+    @classmethod
+    def _trusted(cls, X=None, **fields):
+        """The lattice of ``fields`` on points the library built itself, with
+        their point array X, if given, as ``coords()``; nothing is
+        checked."""
+        lattice = cls.__new__(cls)
+        vars(lattice).update(fields, _coords=X)
+        return lattice
+
+    def _find(self, p):
+        """The position of the last copy of p among the points, or -1."""
+        if not np.issubdtype(self.space.coord_dtype, np.integer):
+            if self._index is None:
+                self._index = {q: i for i, q in enumerate(self.points)}
+            return self._index.get(p, -1)
+        # graphs imports this module, so its row codes are imported here
+        from .graphs import _row_keys, _width
+
+        X = self.coords()
         if self._index is None:
-            self._index = {q: i for i, q in enumerate(self.points)}
-        return self._index
+            keys, key = _row_keys(X)
+            order = np.argsort(keys, kind="stable")
+            self._index = keys[order], order, key
+        keys, order, key = self._index
+        # p as a row of X's width: a p that this row does not read back as
+        # equals no lattice point either
+        try:
+            row = _width(self.space.coords([p]), X.shape[1])
+        except (TypeError, ValueError, OverflowError):
+            return -1
+        if next(iter(self.space._points(row))) != p:
+            return -1
+        code = key(row)
+        at = int(np.searchsorted(keys, code, "right")[0]) - 1
+        return int(order[at]) if at >= 0 and keys[at] == code[0] else -1
 
     def index_of(self, p):
-        return self._point_index()[p]
+        i = self._find(p)
+        if i < 0:
+            raise KeyError(p)
+        return i
 
     def contains_point(self, p):
-        return p in self._point_index()
+        return self._find(p) >= 0
 
     def coords(self):
         if self._coords is None:
@@ -211,7 +255,8 @@ def greedy_net(space, window, delta, enumeration=None) -> QuasiLattice:
     within the window, so the density radius certificate is delta itself.
     The default enumeration is ``space.enumerate_window(window)``
     (lexicographic); pass ``enumeration`` to use another deterministic
-    order, whose points are checked against the model one by one.
+    order, whose points are checked against the model in one bulk
+    ``check_points`` pass.  The kept points are not checked again.
     """
     # graphs imports this module, so its candidate dispatch is imported here
     from .graphs import _candidates
@@ -221,8 +266,7 @@ def greedy_net(space, window, delta, enumeration=None) -> QuasiLattice:
     if enumeration is None:
         enumeration = points = space.enumerate_window(window)
     else:
-        for p in enumeration:
-            space.check_point(p)
+        space.check_points(enumeration)
         points = list(dict.fromkeys(enumeration))
     # the conflicts (i, j), i < j, as keys i n + j from candidate blocks
     # filtered one at a time; sorted and taken mod n, the later conflicts
@@ -248,7 +292,7 @@ def greedy_net(space, window, delta, enumeration=None) -> QuasiLattice:
     certificates = {"kind": "greedy", "delta": delta, "n_candidates": len(enumeration)}
     if not enumeration:
         certificates["vacuous"] = True
-    return QuasiLattice(
+    return QuasiLattice._trusted(
         space=space,
         window=window,
         points=chosen,
@@ -262,11 +306,13 @@ def greedy_net(space, window, delta, enumeration=None) -> QuasiLattice:
 def group_ball_lattice(space, radius) -> QuasiLattice:
     """The group acting on itself: lattice = whole word ball, r = 0."""
     window = BallWindow(radius)
-    points = space.enumerate_window(window)
-    return QuasiLattice(
+    space.check_window(window)
+    X = space._ball(radius)
+    return QuasiLattice._trusted(
+        X,
         space=space,
         window=window,
-        points=points,
+        points=list(space._points(X)),
         separation_delta=1.0,
         density_radius_r=0.0,
         construction="group_ball",
@@ -297,7 +343,7 @@ def horocyclic_lattice(u_range=(-20.0, 20.0), n_range=(-3, 3)) -> QuasiLattice:
             points.append((en * m, en))
     separation = HOROCYCLIC_SEPARATION if multi_level else 1.0
     window = H2Window(u_min, u_max, float(n_min), float(n_max))
-    return QuasiLattice(
+    return QuasiLattice._trusted(
         space=space,
         window=window,
         points=points,
@@ -353,9 +399,11 @@ def sample_probes(space, window, n, margin, seed):
 def verify_quasilattice(lattice: QuasiLattice, probes, r_list, seed=None):
     """Empirical density certificate and multiplicity profile over probes.
 
-    Each probe that is not a lattice point is checked against the model,
-    and every probe must keep boundary slack >= max(r_list) so neighbor
-    counts are not truncated by the window border; a radius that is not a
+    Each probe that is not a lattice point is checked against the model:
+    one ``check_points`` call takes them all, since a lattice point passes
+    it, and only when one fails are the lattice points set aside.  Every
+    probe must keep boundary slack >= max(r_list) so neighbor counts are
+    not truncated by the window border; a radius that is not a
     finite number raises ``DomainError``.  Returns ``(certificate,
     profile)`` where the certificate records the worst probe-to-lattice
     distance and the profile the largest count of lattice points within
@@ -373,9 +421,12 @@ def verify_quasilattice(lattice: QuasiLattice, probes, r_list, seed=None):
             raise DomainError(f"multiplicity radius {r!r} is not finite")
     required = r_list[-1] if r_list else 0.0
     space = lattice.space
-    for p in probes:
-        if not (isinstance(p, tuple) and lattice.contains_point(p)):
-            space.check_point(p)
+    try:
+        space.check_points(probes)
+    except (DomainError, ModelMismatchError):
+        # a probe equal to a lattice point passes, even as floats on Z^d
+        space.check_points([p for p in probes if not (
+            isinstance(p, tuple) and lattice.contains_point(p))])
     Q = space.coords(probes)
     far = np.flatnonzero(space.boundary_slacks(lattice.window, Q)
                          < required - TOL)

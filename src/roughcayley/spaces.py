@@ -17,13 +17,19 @@ Five concrete models are provided:
 
 Models are immutable after construction and safe to share between threads.
 
-Validation happens once, at the library boundary.  The public ``distance``,
+Validation happens once, at the library boundary.  ``check_points``
+checks a sequence of points, raising for the first bad one in input order,
+by C-speed passes over the distinct types and lengths and then the value
+rule (h2 needs a > 0); free-group words take one plain loop.
+``check_point`` is its one-row call.  The public ``distance``,
 ``multiply``, ``inverse`` and ``coarse_geodesic`` of ``SpaceModel`` check
-every point a caller hands in with ``check_point`` and then call the
-model's unchecked kernels ``_dist``, ``_mul``, ``_inv`` and ``_geodesic``.
-Library loops over points that are already trusted (lattice points, which
-``QuasiLattice`` checks at construction, and points the library computed
-itself) call the kernels directly.  The batch kernels ``_mul_many`` and
+the points a caller hands in and then call the model's unchecked kernels
+``_dist``, ``_mul``, ``_inv`` and ``_geodesic``.  Library loops over
+points that are already trusted (lattice points, which ``QuasiLattice``
+checks at construction, and points the library computed itself) call the
+kernels directly, and the lattices the library builds (word balls, greedy
+nets, the horocyclic lattice) reach ``QuasiLattice`` by a private trusted
+path that checks nothing.  The batch kernels ``_mul_many`` and
 ``_dist_many`` apply ``_mul`` and ``_dist`` row by row to point arrays
 (``coords``; ``_points`` reads them back); Z^d, Heisenberg and free groups
 (words as zero-padded rows of letters) do so in exact integer NumPy, R^d
@@ -33,10 +39,11 @@ scalar results bit for bit on every model.  ``boundary_slacks`` does the
 same for ``boundary_slack`` where an array form is exact (Z^d, free
 groups).
 
-Each discrete group builds its word ball N_r(e) with no walk (``_ball`` on
-Z^d and Heisenberg) and counts it in closed form (``ball_sizes``).  One
-breadth-first primitive serves the rest: ``csr_layers`` walks a finite
-graph in CSR arrays (``RoughGraph.csr``) layer by layer, for hop balls,
+Each discrete group builds its word ball N_r(e) as a point array with no
+walk (``_ball`` on Z^d, Heisenberg and free groups) and counts it in
+closed form (``ball_sizes``).  One breadth-first primitive serves the
+rest: ``csr_layers`` walks a finite graph in CSR arrays
+(``RoughGraph.csr``) layer by layer, for hop balls,
 border depths, components and distances.  ``csr_rows`` is its one step,
 the neighbour rows of a vertex array laid end to end, which the finite
 Folner engine reads too.
@@ -67,6 +74,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,6 +115,21 @@ def _coords(values, kind):
         return tuple(map(kind, values))
     raise SchemaError(f"expected a list of JSON {kind.__name__}s, "
                       f"got {values!r}")
+
+
+def _first_failing(test, items):
+    """The position of the first of ``items`` (a sequence) that fails
+    ``test``, a test of a whole sequence, or ``len(items)``: one call when
+    every item passes, else one call per item up to the first failure."""
+    if test(items):
+        return len(items)
+    return next(k for k, x in enumerate(items) if not test([x]))
+
+
+def _all_of(kinds, items):
+    """Whether every item is an instance of ``kinds``: one pass over the
+    distinct types."""
+    return all(map(issubclass, set(map(type, items)), itertools.repeat(kinds)))
 
 
 # ---------------------------------------------------------------------------
@@ -210,8 +233,9 @@ class SpaceModel:
     ``ModelMismatchError`` or ``DomainError`` on a malformed one.  Models
     implement the unchecked kernels ``_dist``, ``_mul``, ``_inv`` and
     ``_geodesic``, which assume trusted, well-formed points.  The base
-    holds ``check_point`` (a tuple of ``d`` ints or ``coord_type`` values),
-    ``window_contains`` (a slack >= -1e-9), the JSON codec and fallbacks.
+    holds ``check_points`` (tuples of ``d`` ints or ``coord_type`` values,
+    then the model's ``_check_values``), ``window_contains`` (a slack
+    >= -1e-9), the JSON codec and fallbacks.
     """
 
     tag: str    # JSON and command-line name of the model
@@ -264,17 +288,32 @@ class SpaceModel:
         return _coords(_get(obj, self.point_key, "point"), self.coord_type)
 
     def distance(self, x, y) -> float:
-        self.check_point(x)
-        self.check_point(y)
+        self.check_points((x, y))
         return self._dist(x, y)
 
     def check_point(self, x):
-        """Raise ``ModelMismatchError`` unless x is a tuple of ``d``
-        coordinates, each an int or a ``coord_type``."""
-        kinds = (int, self.coord_type)
-        if not (isinstance(x, tuple) and len(x) == self.d
-                and all(isinstance(v, kinds) for v in x)):
-            raise ModelMismatchError(f"{x!r} is not a point of {self.model_id}")
+        """``check_points`` of the one point x."""
+        self.check_points((x,))
+
+    def check_points(self, points):
+        """Raise for the first of ``points`` (a sequence), in order, that is
+        no point of the model: ``ModelMismatchError`` unless it is a tuple
+        of ``d`` coordinates, each an int or a ``coord_type``, else the
+        error of the model's value rule (``_check_values``)."""
+        t = _first_failing(self._typed, points)
+        self._check_values(points[:t])
+        if t < len(points):
+            raise ModelMismatchError(
+                f"{points[t]!r} is not a point of {self.model_id}")
+
+    def _typed(self, points):
+        return (_all_of(tuple, points) and set(map(len, points)) <= {self.d}
+                and _all_of((int, self.coord_type),
+                            itertools.chain.from_iterable(points)))
+
+    def _check_values(self, points):
+        """Raise ``DomainError`` for the first of the well-typed ``points``
+        that breaks the model's value rule; most models have none."""
 
     def _dist(self, x, y):
         raise NotImplementedError
@@ -295,8 +334,7 @@ class SpaceModel:
 
     def multiply(self, x, y):
         self._require_group()
-        self.check_point(x)
-        self.check_point(y)
+        self.check_points((x, y))
         return self._mul(x, y)
 
     def inverse(self, x):
@@ -321,8 +359,7 @@ class SpaceModel:
         satisfies |s-t| - c <= d(f(s),f(t)) <= |s-t| + c, with sampling step
         at most 1.
         """
-        self.check_point(x)
-        self.check_point(y)
+        self.check_points((x, y))
         return self._geodesic(x, y)
 
     def _geodesic(self, x, y):
@@ -511,14 +548,22 @@ class FreeGroupModel(SpaceModel):
         self.model_id = f"free_group({k})"
         self.coord_dtype = np.min_scalar_type(-self.k)
 
-    def check_point(self, x):
-        if not isinstance(x, tuple):
-            raise ModelMismatchError(f"{x!r} is not a point of {self.model_id}")
-        for i, g in enumerate(x):
-            if not isinstance(g, int) or g == 0 or abs(g) > self.k:
-                raise ModelMismatchError(f"bad letter {g!r} in {x!r}")
-            if i and x[i - 1] == -g:
-                raise DomainError(f"word {x!r} is not reduced")
+    def check_points(self, points):
+        """Raise for the first of ``points`` that is no reduced word, at its
+        first bad letter: ``ModelMismatchError`` for a point that is no
+        tuple or a letter that is no int g with 0 < |g| <= k,
+        ``DomainError`` for a letter that undoes the one before it.  One
+        plain loop over the letters: set passes over them cost more in
+        bulk, and NumPy arrays about 25 times as much per word."""
+        for x in points:
+            if not isinstance(x, tuple):
+                raise ModelMismatchError(
+                    f"{x!r} is not a point of {self.model_id}")
+            for i, g in enumerate(x):
+                if not isinstance(g, int) or g == 0 or abs(g) > self.k:
+                    raise ModelMismatchError(f"bad letter {g!r} in {x!r}")
+                if i and x[i - 1] == -g:
+                    raise DomainError(f"word {x!r} is not reduced")
 
     def _dist(self, x, y):
         # |x^-1 y|: cancel the common prefix
@@ -558,9 +603,14 @@ class FreeGroupModel(SpaceModel):
         return out
 
     def _points(self, A):
-        # a reduced word has no letter 0, so its length is its nonzero count
-        return [tuple(row[:n]) for row, n in
-                zip(A.tolist(), np.count_nonzero(A, axis=1).tolist())]
+        # a reduced word has no letter 0, so its length is its nonzero count;
+        # the rows are unpacked from the array's bytes, then cut to length
+        if not A.shape[1]:
+            return [()] * len(A)
+        rows = struct.iter_unpack(f"{A.shape[1]}{A.dtype.char}",
+                                  np.ascontiguousarray(A))
+        return [w[:n] for w, n in zip(rows,
+                                      np.count_nonzero(A, axis=1).tolist())]
 
     def _mul_many(self, A, B):
         # a b = a[:|a| - i] + b[i:], where i is the common prefix of a^-1
@@ -594,15 +644,23 @@ class FreeGroupModel(SpaceModel):
             pts.append(cur)
         return [float(t) for t in range(len(pts))], pts
 
-    def enumerate_window(self, window):
-        """Word ball in shortlex order (length first, then letters -k..-1,1..k)."""
-        self.check_window(window)
-        letters = self._letters()
-        layers = [[()]] if window.radius >= 0 else []
-        for _ in range(window.radius):
-            layers.append([w + (g,) for w in layers[-1] for g in letters
-                           if not w or w[-1] != -g])
-        return list(itertools.chain.from_iterable(layers))
+    enumerate_window = ZdModel.enumerate_window
+
+    def _ball(self, r):
+        """N_r(e) as a point array in shortlex order (length first, then
+        letters -k..-1, 1..k), layer by layer: each word of length L < r is
+        followed, in letter order, by each letter that does not undo its
+        last."""
+        letters = np.array(self._letters(), dtype=self.coord_dtype)
+        layer = np.zeros((int(r >= 0), max(r, 0)), dtype=self.coord_dtype)
+        layers = [layer]
+        for L in range(r):
+            layer = layer.repeat(len(letters), axis=0)
+            layer[:, L] = np.resize(letters, len(layer))
+            if L:
+                layer = layer[layer[:, L] != -layer[:, L - 1]]
+            layers.append(layer)
+        return np.concatenate(layers)
 
     def ball_sizes(self, m):
         """|N_r(e)| for r = 0..m: each reduced word of length r >= 1 has
@@ -918,6 +976,12 @@ def hyperbolic_distance_arrays(u1, a1, u2, a2):
     return 2.0 * np.arctanh(p / q)
 
 
+def _above_axis(points):
+    """Whether every point (u, a) has a > 0."""
+    return all(map(operator.gt, map(operator.itemgetter(1), points),
+                   itertools.repeat(0)))
+
+
 class HyperbolicPlaneModel(SpaceModel):
     """Upper half-plane (u, a), a > 0, with the affine group law.
 
@@ -944,10 +1008,11 @@ class HyperbolicPlaneModel(SpaceModel):
         return _coords([_get(obj, "u", "point"), _get(obj, "a", "point")],
                        float)
 
-    def check_point(self, x):
-        super().check_point(x)
-        if not x[1] > 0:
-            raise DomainError(f"hyperbolic point needs a > 0, got {x!r}")
+    def _check_values(self, points):
+        v = _first_failing(_above_axis, points)
+        if v < len(points):
+            raise DomainError(
+                f"hyperbolic point needs a > 0, got {points[v]!r}")
 
     def _dist(self, x, y):
         p = math.hypot(x[0] - y[0], x[1] - y[1])

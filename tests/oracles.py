@@ -299,12 +299,34 @@ def _h2_check_point(space, x):
         raise DomainError(f"hyperbolic point needs a > 0, got {x!r}")
 
 
+def _free_group_check_point(space, x):
+    if not isinstance(x, tuple):
+        raise ModelMismatchError(f"{x!r} is not a point of {space.model_id}")
+    for i, g in enumerate(x):
+        if not isinstance(g, int) or g == 0 or abs(g) > space.k:
+            raise ModelMismatchError(f"bad letter {g!r} in {x!r}")
+        if i and x[i - 1] == -g:
+            raise DomainError(f"word {x!r} is not reduced")
+
+
 REFERENCE_CHECK_POINT = {
     "zd": _zd_check_point,
     "heisenberg": _heisenberg_check_point,
     "euclidean": _euclidean_check_point,
     "h2": _h2_check_point,
+    "free_group": _free_group_check_point,
 }
+
+
+def shortlex_ball(space, radius):
+    """The free-group word ball N_radius(e) as tuples in shortlex order
+    (length first, then letters -k..-1, 1..k), layer by layer."""
+    letters = list(range(-space.k, 0)) + list(range(1, space.k + 1))
+    layers = [[()]] if radius >= 0 else []
+    for _ in range(radius):
+        layers.append([w + (g,) for w in layers[-1] for g in letters
+                       if not w or w[-1] != -g])
+    return list(itertools.chain.from_iterable(layers))
 
 REFERENCE_WINDOW_CONTAINS = {
     "zd": lambda space, window, x: sum(abs(v) for v in x) <= window.radius,

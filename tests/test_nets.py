@@ -34,9 +34,12 @@ from roughcayley.errors import (
 
 from conftest import make_even_lattice
 from oracles import (
+    bfs_ball_depths,
+    free_reduce,
     literal_quasilattice_certificate,
     pairwise_min_distance,
     scalar_greedy_net,
+    shortlex_ball,
 )
 
 
@@ -199,6 +202,16 @@ def test_free_group_queries_check_no_lattice_point(monkeypatch):
     cert, profile = verify_quasilattice(lat, probes, [1.0, 2.0], seed=4)
     assert cert["max_min_distance"] == 0.0 and profile.at(1.0) == 5
     assert not set(checked) & set(lat.points)
+
+
+def test_probes_equal_to_lattice_points_are_not_checked():
+    """A probe equal to a lattice point passes as it is, even written in
+    floats; every other probe is checked, and the first bad one raises."""
+    lat = group_ball_lattice(ZdModel(2), 6)
+    cert, _ = verify_quasilattice(lat, [(1.0, 0), (0, 2)], [1.0])
+    assert cert["max_min_distance"] == 0.0
+    with pytest.raises(ModelMismatchError, match=r"^\(0\.5, 0\) is not a"):
+        verify_quasilattice(lat, [(1.0, 0), (0.5, 0), (0, 9, 9)], [1.0])
 
 
 @pytest.mark.parametrize("space", [ZdModel(2), FreeGroupModel(2)],
@@ -396,3 +409,85 @@ def test_verify_quasilattice_rejects_a_radius_that_is_not_finite(r_list):
     lat = make_even_lattice(10)
     with pytest.raises(DomainError, match="multiplicity radius"):
         verify_quasilattice(lat, [(0,)], r_list)
+
+
+@pytest.mark.parametrize("space,radii", [
+    (ZdModel(1), range(7)), (ZdModel(2), range(7)), (ZdModel(3), range(7)),
+    (HeisenbergModel(), range(7)), (FreeGroupModel(1), range(7)),
+    (FreeGroupModel(2), range(10)), (FreeGroupModel(3), range(7)),
+], ids=["zd1", "zd2", "zd3", "heis", "f1", "f2", "f3"])
+def test_word_ball_lattices_equal_the_tuple_enumeration(space, radii):
+    """A word-ball lattice, built from the model's ball array, has the
+    points of the tuple enumeration in order, value and type (Python
+    ints), and that array is the enumeration's ``space.coords`` in dtype,
+    shape and values.  The enumerations are the shortlex layers of a free
+    group and the lexicographic order of the BFS ball elsewhere."""
+    for r in radii:
+        lat = group_ball_lattice(space, r)
+        expected = (shortlex_ball(space, r) if space.tag == "free_group"
+                    else sorted(bfs_ball_depths(space, r)))
+        assert lat.points == expected
+        assert {type(v) for p in lat.points for v in p} <= {int}
+        want, got = space.coords(expected), lat.coords()
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert np.array_equal(got, want)
+
+
+def _lookup_lattices():
+    """Lattices whose lookups go by sorted codes (integer coordinates,
+    one with repeated points) or by a dict (floats)."""
+    z2, f2 = ZdModel(2), FreeGroupModel(2)
+    net = greedy_net(z2, BallWindow(12), 3.0)
+    ball = group_ball_lattice(f2, 3)
+    return {
+        "zd2-net": net,
+        "zd2-repeats": QuasiLattice(z2, net.window,
+                                    net.points + net.points[::3], 3.0, 3.0,
+                                    "greedy"),
+        "heis": group_ball_lattice(HeisenbergModel(), 3),
+        "f2-ball": ball,
+        "f2-repeats": QuasiLattice(f2, ball.window,
+                                   ball.points[::-2] + ball.points, 1.0, 0.0,
+                                   "group_ball"),
+        "e2": greedy_net(EuclideanModel(2),
+                         BoxWindow((-2.0, -2.0), (2.0, 2.0), 0.5), 1.0),
+    }
+
+
+_LOOKUP_LATTICES = _lookup_lattices()
+_VALUE = (st.integers(-15, 15) | st.booleans()
+          | st.sampled_from([1.0, -0.0, 0.5, 2 ** 70, math.nan, math.inf,
+                             np.int64(3), np.float64(-2.0)]))
+
+
+def _queries(lat):
+    """Lattice points, near misses and malformed tuples: words longer than
+    the lattice's, coordinates outside its column ranges, bool
+    coordinates, floats equal to ints."""
+    members = st.sampled_from(lat.points)
+    if lat.space.tag == "free_group":
+        words = st.lists(st.sampled_from([-2, -1, 1, 2]), max_size=6).map(
+            free_reduce)
+        return members | words | st.lists(_VALUE, max_size=5).map(tuple)
+    d = lat.space.d
+    return members | st.lists(_VALUE, min_size=d - 1, max_size=d + 1).map(
+        tuple) | members.map(lambda p: (True,) + p[1:] if p[0] == 1 else
+                             (float(p[0]),) + p[1:])
+
+
+@pytest.mark.parametrize("name", sorted(_LOOKUP_LATTICES))
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(data=st.data())
+def test_point_lookup_matches_a_tuple_dict(name, data):
+    """``index_of`` and ``contains_point`` answer as a dict of the points
+    (the last copy of a repeated point) does, for members and for
+    non-members, which raise ``KeyError``."""
+    lat = _LOOKUP_LATTICES[name]
+    oracle = {p: i for i, p in enumerate(lat.points)}
+    q = data.draw(_queries(lat))
+    assert lat.contains_point(q) is (q in oracle)
+    if q in oracle:
+        assert lat.index_of(q) == oracle[q]
+    else:
+        with pytest.raises(KeyError):
+            lat.index_of(q)

@@ -455,18 +455,44 @@ _COORD = (st.booleans() | st.integers(-2 ** 70, 2 ** 70) | st.floats()
 _ANY_POINT = st.tuples(st.lists(_COORD, max_size=4), st.booleans()).map(
     lambda drawn: tuple(drawn[0]) if drawn[1] else drawn[0]) | st.tuples(
     _COORD, st.floats(max_value=0.0) | st.integers(max_value=0))
+# free-group words with letter 0, letters past k = 2 and bool letters,
+# words of good letters with unreduced pairs, and reduced words
+_LETTERS = st.lists(st.sampled_from([-2, -1, 1, 2]), max_size=6)
+_WORD = (st.lists(st.integers(-3, 3) | st.booleans()
+                  | st.sampled_from([2 ** 70, 1.0, np.int64(1)]),
+                  max_size=5).map(tuple)
+         | _LETTERS.map(tuple) | _LETTERS.map(free_reduce))
+
+
+def _points_of(space):
+    """Any point, or twice as often a point of the model's own kind, so
+    that lists pass whole or fail past their first point."""
+    if space.tag == "free_group":
+        own = _WORD
+    else:
+        coord = st.integers(-5, 5) | st.booleans() | (
+            st.floats(0.1, 5.0) if space.coord_type is float else st.nothing())
+        own = st.tuples(*[coord] * (space.d - 1), st.integers(1, 5) | coord)
+    return st.one_of(_ANY_POINT, own, own)
 
 
 @pytest.mark.parametrize("space", [Z1, Z2, ZdModel(3), HEIS, E2,
-                                   EuclideanModel(3), H2],
-                         ids=["zd1", "zd2", "zd3", "heis", "e2", "e3", "h2"])
+                                   EuclideanModel(3), H2, F2],
+                         ids=["zd1", "zd2", "zd3", "heis", "e2", "e3", "h2",
+                              "f2"])
 @settings(derandomize=True, max_examples=200, deadline=None)
-@given(_ANY_POINT)
-def test_check_point_matches_the_reference_checks(space, x):
-    """The shared tuple check accepts and rejects, with the same error and
-    message, what each model's own check did."""
-    assert _outcome(space.check_point, x) == \
-        _outcome(REFERENCE_CHECK_POINT[space.tag], space, x)
+@given(data=st.data())
+def test_check_point_matches_the_reference_checks(space, data):
+    """The bulk check raises, with the same error and message, what each
+    model's own check raised for the first bad point of a list, in input
+    order, or nothing when every point passes; the one-point check is the
+    reference check itself."""
+    points = data.draw(st.lists(_points_of(space), max_size=6))
+    outcomes = [_outcome(REFERENCE_CHECK_POINT[space.tag], space, x)
+                for x in points]
+    assert _outcome(space.check_points, points) == next(
+        filter(None, outcomes), None)
+    assert [_outcome(space.check_point, x) for x in points] == outcomes
 
 
 # word lengths of the ball-window models, exact at any size: coordinates

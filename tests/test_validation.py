@@ -96,19 +96,20 @@ def test_quasi_lattice_rejects_malformed_point_at_construction(space, good,
 @pytest.mark.parametrize("space,good,bad,exc", MODELS, ids=IDS)
 def test_lattice_checks_each_point_once_when_loaded_or_constructed(
         monkeypatch, space, good, bad, exc):
-    """Reading a lattice file checks each point against the model once, as
-    constructing the lattice directly does; a bad point raises the model's
-    own error either way, and a wrong tag a schema error."""
+    """Reading a lattice file checks each point against the model once, in
+    the bulk check, as constructing the lattice directly does; a bad point
+    raises the model's own error either way, and a wrong tag a schema
+    error."""
     lat = small_lattice(space)
     doc = lat.to_json()
-    check = type(space).check_point
+    check = type(space).check_points
     calls = [0]
 
-    def counted(self, x):
-        calls[0] += 1
-        return check(self, x)
+    def counted(self, points):
+        calls[0] += len(points)
+        return check(self, points)
 
-    monkeypatch.setattr(type(space), "check_point", counted)
+    monkeypatch.setattr(type(space), "check_points", counted)
     assert QuasiLattice.from_json(doc).points == lat.points
     assert calls[0] == len(lat)
     calls[0] = 0
@@ -164,17 +165,48 @@ def test_rough_graph_from_json_rejects_unreduced_word():
     (lambda doc: doc.update(degree_bound_M=4.0), "JSON int"),
     (lambda doc: doc.update(degree_bound_M=True), "JSON int"),
     (lambda doc: doc.update(threshold="2"), "JSON float"),
+    (lambda doc: doc["edges"].append([True, 1]), r"^edge \[True, 1\] "),
+    (lambda doc: doc["edges"].append([True, 6]), r"^edge \[True, 6\] "),
+    (lambda doc: doc["edges"].append([0, 1.0]), r"^edge \[0, 1\.0\] "),
+    (lambda doc: doc["edges"].append([0, 7]), r"^edge \[0, 7\] .* range\(7\)"),
+    (lambda doc: doc["edges"].append([-1, 0]), r"^edge \[-1, 0\] "),
+    (lambda doc: doc["edges"].insert(1, [0, 2 ** 70]),
+     r"^edge \[0, \d{22}\] "),
+    (lambda doc: doc["edges"].__setitem__(slice(1, 1), [[0, 9], [1, 1.0]]),
+     r"^edge \[0, 9\] "),
+    (lambda doc: doc["edges"].__setitem__(slice(1, 1), [[1, 1.0], [0, 9]]),
+     r"^edge \[1, 1\.0\] "),
 ], ids=["self-loop", "twice", "twice-reversed", "bound-below-degree",
-        "float-bound", "bool-bound", "string-threshold"])
+        "float-bound", "bool-bound", "string-threshold", "bool-id",
+        "bool-id-new-pair", "float-id",
+        "id-n", "negative-id", "id-past-int64", "range-before-type",
+        "type-before-range"])
 def test_rough_graph_from_json_rejects_malformed_edge_lists(edit, match):
     """Without these checks the Z^1 ball-3 graph with [0, 0] and a second
-    [0, 1] read 13 edges for 11 and a degree of 5 under a bound of 4."""
+    [0, 1] read 13 edges for 11 and a degree of 5 under a bound of 4.  A
+    bool or a float is no vertex id, nor is an id outside range(7); of two
+    bad edges, the message names the first in file order."""
     doc = build_graph(group_ball_lattice(ZdModel(1), 3)).to_json()
     graph = RoughGraph.from_json(doc)
     assert (graph.n_edges(), graph.degree_bound_M) == (11, 4)
     assert graph.adjacency[0] == [1, 2]
     edit(doc)
     with pytest.raises(SchemaError, match=match):
+        RoughGraph.from_json(doc)
+
+
+def test_rough_graph_from_json_unpacks_a_malformed_edge_as_before():
+    """An edge that is no pair fails to unpack, with Python's own error,
+    where it stands in the file."""
+    doc = build_graph(group_ball_lattice(ZdModel(1), 3)).to_json()
+    doc["edges"][2:2] = [[0, 1, 2], [0, 0]]
+    with pytest.raises(ValueError, match="too many values to unpack"):
+        RoughGraph.from_json(doc)
+    doc["edges"][2:4] = [[0, 0], 5]
+    with pytest.raises(SchemaError, match=r"edge \[0, 0\]"):
+        RoughGraph.from_json(doc)
+    doc["edges"][2:4] = [5]
+    with pytest.raises(TypeError, match="cannot unpack non-iterable int"):
         RoughGraph.from_json(doc)
 
 
