@@ -48,8 +48,6 @@ from .spaces import (
     HyperbolicPlaneModel,
     QiConstants,
     TOL,
-    _all_of,
-    _first_failing,
     _num,
     csr_layers,
     hyperbolic_distance_arrays,
@@ -160,37 +158,19 @@ class RoughGraph:
         an edge listed twice or a ``degree_bound_M`` below a degree."""
         lattice = QuasiLattice.from_json(obj["lattice"])
         n = len(lattice.points)
-        pairs = list(obj["edges"])
-        # the leading edges that are pairs of JSON ints (no bool, no float),
-        # then their ranges as arrays; an id past int64 is out of range too
-        t = _first_failing(_int_pairs, pairs)
-        try:
-            E = np.fromiter(itertools.chain.from_iterable(pairs[:t]),
-                            dtype=np.int64, count=2 * t).reshape(-1, 2)
-        except OverflowError:
-            E = np.array(pairs[:t], dtype=object).reshape(-1, 2)
-        bad = np.flatnonzero(((E < 0) | (E >= n)).any(axis=1)
-                             | (E[:, 0] == E[:, 1]))
-        k = int(bad[0]) if len(bad) else t
-        if k < len(pairs):
-            i, j = pairs[k]   # an edge that is no pair fails to unpack here
-            raise SchemaError(f"edge {[i, j]!r} is no pair of distinct "
-                              f"vertex ids in range({n})")
-        keys = np.sort(E.min(axis=1) * n + E.max(axis=1))
-        if (keys[1:] == keys[:-1]).any():
+        for i, j in obj["edges"]:
+            if not (type(i) is type(j) is int and 0 <= i < n and 0 <= j < n
+                    and i != j):
+                raise SchemaError(f"edge {[i, j]!r} is no pair of distinct "
+                                  f"vertex ids in range({n})")
+        ends = np.fromiter(itertools.chain.from_iterable(obj["edges"]), np.intp)
+        adjacency = _adjacency(n, [ends.reshape(-1, 2).T])
+        if any(len(set(nbrs)) < len(nbrs) for nbrs in adjacency):
             raise SchemaError("the graph lists an edge twice")
-        adjacency = _adjacency(n, [E.T])
         bound = _num(obj["degree_bound_M"], int)
         if bound < max(map(len, adjacency), default=0):
             raise SchemaError(f"degree_bound_M {bound} is below a vertex degree")
         return cls(lattice, _num(obj["threshold"], float), adjacency, bound)
-
-
-def _int_pairs(pairs):
-    """Whether each edge is a list or tuple of two ints, by one pass over
-    the distinct types and lengths."""
-    return (_all_of((list, tuple), pairs) and set(map(len, pairs)) <= {2}
-            and set(map(type, itertools.chain.from_iterable(pairs))) <= {int})
 
 
 # ---------------------------------------------------------------------------

@@ -23,13 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    BorderError,
-    DomainError,
-    ModelMismatchError,
-    SchemaError,
-    WindowTooSmallError,
-)
+from .errors import BorderError, DomainError, SchemaError, WindowTooSmallError
 from .spaces import (
     BallWindow,
     BoxWindow,
@@ -55,8 +49,8 @@ HOROCYCLIC_DENSITY_RADIUS = 1.07
 class QuasiLattice:
     """A finite ordered point set with separation and density certificates.
 
-    Construction checks the points against the model in one bulk
-    ``check_points`` call; library code trusts lattice points from then on.
+    Construction checks every point against the model once
+    (``check_points``); library code trusts lattice points from then on.
     The lattices the library builds from its own points come by
     ``_trusted``, which checks nothing.  ``coords()`` is the point list as
     the model's ``distances_from`` takes it (``space.coords``: an array of
@@ -64,10 +58,10 @@ class QuasiLattice:
     rows of letters).  It is built once, on first use, unless a word ball
     came with it, like the point index and the read-only ``slacks()``, and
     gives the same distances as the list without a conversion per call.
-    The point index finds points by tuple equality: on integer coordinates
-    it bisects the sorted int64 row codes of ``coords()``
-    (``graphs._row_keys``); on floats it is a dict of the points, as 0.0
-    equals -0.0 while their codes differ.
+    The point index finds points by tuple equality, many in one pass: on
+    integer coordinates it bisects the sorted int64 row codes of
+    ``coords()`` (``graphs._row_keys``); on floats it is a dict of the
+    points, as 0.0 equals -0.0 while their codes differ.
     """
 
     space: SpaceModel
@@ -96,12 +90,14 @@ class QuasiLattice:
         vars(lattice).update(fields, _coords=X)
         return lattice
 
-    def _find(self, p):
-        """The position of the last copy of p among the points, or -1."""
+    def _find(self, ps):
+        """The position of the last copy of each of ``ps`` among the points,
+        or -1 where there is none; a p that is no tuple is none."""
         if not np.issubdtype(self.space.coord_dtype, np.integer):
             if self._index is None:
                 self._index = {q: i for i, q in enumerate(self.points)}
-            return self._index.get(p, -1)
+            return [self._index.get(p, -1) if isinstance(p, tuple) else -1
+                    for p in ps]
         # graphs imports this module, so its row codes are imported here
         from .graphs import _row_keys, _width
 
@@ -111,26 +107,30 @@ class QuasiLattice:
             order = np.argsort(keys, kind="stable")
             self._index = keys[order], order, key
         keys, order, key = self._index
-        # p as a row of X's width: a p that this row does not read back as
-        # equals no lattice point either
+        if not len(keys):
+            return [-1] * len(ps)
+        # the ps as rows of X's width: a p that its row does not read back
+        # as equals no lattice point either; where one p has no row, each
+        # p is looked up alone
         try:
-            row = _width(self.space.coords([p]), X.shape[1])
+            rows = _width(self.space.coords(ps), X.shape[1])
         except (TypeError, ValueError, OverflowError):
-            return -1
-        if next(iter(self.space._points(row))) != p:
-            return -1
-        code = key(row)
-        at = int(np.searchsorted(keys, code, "right")[0]) - 1
-        return int(order[at]) if at >= 0 and keys[at] == code[0] else -1
+            return [-1] if len(ps) == 1 else [self._find([p])[0] for p in ps]
+        code = key(rows)
+        at = np.searchsorted(keys, code, "right") - 1
+        found = np.where((at >= 0) & (keys[at] == code), order[at], -1)
+        return [i if i >= 0 and isinstance(p, tuple) and q == p else -1
+                for i, p, q in zip(found.tolist(), ps,
+                                   self.space._points(rows))]
 
     def index_of(self, p):
-        i = self._find(p)
+        i = self._find([p])[0]
         if i < 0:
             raise KeyError(p)
         return i
 
     def contains_point(self, p):
-        return self._find(p) >= 0
+        return self._find([p])[0] >= 0
 
     def coords(self):
         if self._coords is None:
@@ -255,8 +255,8 @@ def greedy_net(space, window, delta, enumeration=None) -> QuasiLattice:
     within the window, so the density radius certificate is delta itself.
     The default enumeration is ``space.enumerate_window(window)``
     (lexicographic); pass ``enumeration`` to use another deterministic
-    order, whose points are checked against the model in one bulk
-    ``check_points`` pass.  The kept points are not checked again.
+    order, whose points are checked against the model once
+    (``check_points``).  The kept points are not checked again.
     """
     # graphs imports this module, so its candidate dispatch is imported here
     from .graphs import _candidates
@@ -400,11 +400,10 @@ def verify_quasilattice(lattice: QuasiLattice, probes, r_list, seed=None):
     """Empirical density certificate and multiplicity profile over probes.
 
     Each probe that is not a lattice point is checked against the model:
-    one ``check_points`` call takes them all, since a lattice point passes
-    it, and only when one fails are the lattice points set aside.  Every
-    probe must keep boundary slack >= max(r_list) so neighbor counts are
-    not truncated by the window border; a radius that is not a
-    finite number raises ``DomainError``.  Returns ``(certificate,
+    one pass over the point index sets the lattice points aside, and
+    ``check_points`` takes the rest.  Every probe must keep boundary slack
+    >= max(r_list) so neighbor counts are not truncated by the window
+    border; a radius that is not a finite number raises ``DomainError``.  Returns ``(certificate,
     profile)`` where the certificate records the worst probe-to-lattice
     distance and the profile the largest count of lattice points within
     each radius R (plus 1e-9) of a probe.
@@ -421,12 +420,9 @@ def verify_quasilattice(lattice: QuasiLattice, probes, r_list, seed=None):
             raise DomainError(f"multiplicity radius {r!r} is not finite")
     required = r_list[-1] if r_list else 0.0
     space = lattice.space
-    try:
-        space.check_points(probes)
-    except (DomainError, ModelMismatchError):
-        # a probe equal to a lattice point passes, even as floats on Z^d
-        space.check_points([p for p in probes if not (
-            isinstance(p, tuple) and lattice.contains_point(p))])
+    # a probe equal to a lattice point passes as it is, even as floats on Z^d
+    space.check_points([p for p, i in zip(probes, lattice._find(probes))
+                        if i < 0])
     Q = space.coords(probes)
     far = np.flatnonzero(space.boundary_slacks(lattice.window, Q)
                          < required - TOL)

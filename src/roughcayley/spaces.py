@@ -17,19 +17,18 @@ Five concrete models are provided:
 
 Models are immutable after construction and safe to share between threads.
 
-Validation happens once, at the library boundary.  ``check_points``
-checks a sequence of points, raising for the first bad one in input order,
-by C-speed passes over the distinct types and lengths and then the value
-rule (h2 needs a > 0); free-group words take one plain loop.
-``check_point`` is its one-row call.  The public ``distance``,
-``multiply``, ``inverse`` and ``coarse_geodesic`` of ``SpaceModel`` check
-the points a caller hands in and then call the model's unchecked kernels
-``_dist``, ``_mul``, ``_inv`` and ``_geodesic``.  Library loops over
-points that are already trusted (lattice points, which ``QuasiLattice``
-checks at construction, and points the library computed itself) call the
-kernels directly, and the lattices the library builds (word balls, greedy
-nets, the horocyclic lattice) reach ``QuasiLattice`` by a private trusted
-path that checks nothing.  The batch kernels ``_mul_many`` and
+Validation happens once, at the library boundary.  ``check_point`` checks
+one point and ``check_points`` a sequence of them, in order, by a plain
+loop over ``check_point``, raising for the first bad one.  The public
+``distance``, ``multiply``, ``inverse`` and ``coarse_geodesic`` of
+``SpaceModel`` check every point a caller hands in with ``check_point``
+and then call the model's unchecked kernels ``_dist``, ``_mul``, ``_inv``
+and ``_geodesic``.  Library loops over points that are already trusted
+(lattice points, which ``QuasiLattice`` checks at construction, and
+points the library computed itself) call the kernels directly, and the
+lattices the library builds (word balls, greedy nets, the horocyclic
+lattice) reach ``QuasiLattice`` by a private trusted path that checks
+nothing.  The batch kernels ``_mul_many`` and
 ``_dist_many`` apply ``_mul`` and ``_dist`` row by row to point arrays
 (``coords``; ``_points`` reads them back); Z^d, Heisenberg and free groups
 (words as zero-padded rows of letters) do so in exact integer NumPy, R^d
@@ -115,21 +114,6 @@ def _coords(values, kind):
         return tuple(map(kind, values))
     raise SchemaError(f"expected a list of JSON {kind.__name__}s, "
                       f"got {values!r}")
-
-
-def _first_failing(test, items):
-    """The position of the first of ``items`` (a sequence) that fails
-    ``test``, a test of a whole sequence, or ``len(items)``: one call when
-    every item passes, else one call per item up to the first failure."""
-    if test(items):
-        return len(items)
-    return next(k for k, x in enumerate(items) if not test([x]))
-
-
-def _all_of(kinds, items):
-    """Whether every item is an instance of ``kinds``: one pass over the
-    distinct types."""
-    return all(map(issubclass, set(map(type, items)), itertools.repeat(kinds)))
 
 
 # ---------------------------------------------------------------------------
@@ -233,9 +217,9 @@ class SpaceModel:
     ``ModelMismatchError`` or ``DomainError`` on a malformed one.  Models
     implement the unchecked kernels ``_dist``, ``_mul``, ``_inv`` and
     ``_geodesic``, which assume trusted, well-formed points.  The base
-    holds ``check_points`` (tuples of ``d`` ints or ``coord_type`` values,
-    then the model's ``_check_values``), ``window_contains`` (a slack
-    >= -1e-9), the JSON codec and fallbacks.
+    holds ``check_point`` (a tuple of ``d`` ints or ``coord_type`` values),
+    its loop ``check_points``, ``window_contains`` (a slack >= -1e-9), the
+    JSON codec and fallbacks.
     """
 
     tag: str    # JSON and command-line name of the model
@@ -288,32 +272,23 @@ class SpaceModel:
         return _coords(_get(obj, self.point_key, "point"), self.coord_type)
 
     def distance(self, x, y) -> float:
-        self.check_points((x, y))
+        self.check_point(x)
+        self.check_point(y)
         return self._dist(x, y)
 
     def check_point(self, x):
-        """``check_points`` of the one point x."""
-        self.check_points((x,))
+        """Raise ``ModelMismatchError`` unless x is a tuple of ``d``
+        coordinates, each an int or a ``coord_type``."""
+        kinds = (int, self.coord_type)
+        if not (isinstance(x, tuple) and len(x) == self.d
+                and all(isinstance(v, kinds) for v in x)):
+            raise ModelMismatchError(f"{x!r} is not a point of {self.model_id}")
 
     def check_points(self, points):
-        """Raise for the first of ``points`` (a sequence), in order, that is
-        no point of the model: ``ModelMismatchError`` unless it is a tuple
-        of ``d`` coordinates, each an int or a ``coord_type``, else the
-        error of the model's value rule (``_check_values``)."""
-        t = _first_failing(self._typed, points)
-        self._check_values(points[:t])
-        if t < len(points):
-            raise ModelMismatchError(
-                f"{points[t]!r} is not a point of {self.model_id}")
-
-    def _typed(self, points):
-        return (_all_of(tuple, points) and set(map(len, points)) <= {self.d}
-                and _all_of((int, self.coord_type),
-                            itertools.chain.from_iterable(points)))
-
-    def _check_values(self, points):
-        """Raise ``DomainError`` for the first of the well-typed ``points``
-        that breaks the model's value rule; most models have none."""
+        """``check_point`` of each of ``points`` in order: the first bad
+        one raises."""
+        for x in points:
+            self.check_point(x)
 
     def _dist(self, x, y):
         raise NotImplementedError
@@ -334,7 +309,8 @@ class SpaceModel:
 
     def multiply(self, x, y):
         self._require_group()
-        self.check_points((x, y))
+        self.check_point(x)
+        self.check_point(y)
         return self._mul(x, y)
 
     def inverse(self, x):
@@ -359,7 +335,8 @@ class SpaceModel:
         satisfies |s-t| - c <= d(f(s),f(t)) <= |s-t| + c, with sampling step
         at most 1.
         """
-        self.check_points((x, y))
+        self.check_point(x)
+        self.check_point(y)
         return self._geodesic(x, y)
 
     def _geodesic(self, x, y):
@@ -548,22 +525,14 @@ class FreeGroupModel(SpaceModel):
         self.model_id = f"free_group({k})"
         self.coord_dtype = np.min_scalar_type(-self.k)
 
-    def check_points(self, points):
-        """Raise for the first of ``points`` that is no reduced word, at its
-        first bad letter: ``ModelMismatchError`` for a point that is no
-        tuple or a letter that is no int g with 0 < |g| <= k,
-        ``DomainError`` for a letter that undoes the one before it.  One
-        plain loop over the letters: set passes over them cost more in
-        bulk, and NumPy arrays about 25 times as much per word."""
-        for x in points:
-            if not isinstance(x, tuple):
-                raise ModelMismatchError(
-                    f"{x!r} is not a point of {self.model_id}")
-            for i, g in enumerate(x):
-                if not isinstance(g, int) or g == 0 or abs(g) > self.k:
-                    raise ModelMismatchError(f"bad letter {g!r} in {x!r}")
-                if i and x[i - 1] == -g:
-                    raise DomainError(f"word {x!r} is not reduced")
+    def check_point(self, x):
+        if not isinstance(x, tuple):
+            raise ModelMismatchError(f"{x!r} is not a point of {self.model_id}")
+        for i, g in enumerate(x):
+            if not isinstance(g, int) or g == 0 or abs(g) > self.k:
+                raise ModelMismatchError(f"bad letter {g!r} in {x!r}")
+            if i and x[i - 1] == -g:
+                raise DomainError(f"word {x!r} is not reduced")
 
     def _dist(self, x, y):
         # |x^-1 y|: cancel the common prefix
@@ -976,12 +945,6 @@ def hyperbolic_distance_arrays(u1, a1, u2, a2):
     return 2.0 * np.arctanh(p / q)
 
 
-def _above_axis(points):
-    """Whether every point (u, a) has a > 0."""
-    return all(map(operator.gt, map(operator.itemgetter(1), points),
-                   itertools.repeat(0)))
-
-
 class HyperbolicPlaneModel(SpaceModel):
     """Upper half-plane (u, a), a > 0, with the affine group law.
 
@@ -1008,11 +971,10 @@ class HyperbolicPlaneModel(SpaceModel):
         return _coords([_get(obj, "u", "point"), _get(obj, "a", "point")],
                        float)
 
-    def _check_values(self, points):
-        v = _first_failing(_above_axis, points)
-        if v < len(points):
-            raise DomainError(
-                f"hyperbolic point needs a > 0, got {points[v]!r}")
+    def check_point(self, x):
+        super().check_point(x)
+        if not x[1] > 0:
+            raise DomainError(f"hyperbolic point needs a > 0, got {x!r}")
 
     def _dist(self, x, y):
         p = math.hypot(x[0] - y[0], x[1] - y[1])

@@ -481,7 +481,8 @@ def _queries(lat):
 def test_point_lookup_matches_a_tuple_dict(name, data):
     """``index_of`` and ``contains_point`` answer as a dict of the points
     (the last copy of a repeated point) does, for members and for
-    non-members, which raise ``KeyError``."""
+    non-members, which raise ``KeyError``; so does the lookup of a list
+    of queries in one pass, which ``verify_quasilattice`` makes."""
     lat = _LOOKUP_LATTICES[name]
     oracle = {p: i for i, p in enumerate(lat.points)}
     q = data.draw(_queries(lat))
@@ -491,3 +492,5 @@ def test_point_lookup_matches_a_tuple_dict(name, data):
     else:
         with pytest.raises(KeyError):
             lat.index_of(q)
+    qs = data.draw(st.lists(_queries(lat), max_size=6))
+    assert lat._find(qs) == [oracle.get(p, -1) for p in qs]

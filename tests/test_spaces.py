@@ -483,7 +483,7 @@ def _points_of(space):
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(data=st.data())
 def test_check_point_matches_the_reference_checks(space, data):
-    """The bulk check raises, with the same error and message, what each
+    """``check_points`` raises, with the same error and message, what each
     model's own check raised for the first bad point of a list, in input
     order, or nothing when every point passes; the one-point check is the
     reference check itself."""

@@ -97,7 +97,7 @@ def test_quasi_lattice_rejects_malformed_point_at_construction(space, good,
 def test_lattice_checks_each_point_once_when_loaded_or_constructed(
         monkeypatch, space, good, bad, exc):
     """Reading a lattice file checks each point against the model once, in
-    the bulk check, as constructing the lattice directly does; a bad point
+    ``check_points``, as constructing the lattice directly does; a bad point
     raises the model's own error either way, and a wrong tag a schema
     error."""
     lat = small_lattice(space)
