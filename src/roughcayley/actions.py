@@ -207,7 +207,9 @@ def _core_radius(space, radius, fits):
 def _pair_sample(space, radius, core_cap, n_extra, seed, ordered=True):
     """Deterministic pair sample: the full pair set of the largest word ball
     whose pair count fits ``core_cap``, plus seeded extra pairs from the full
-    radius.  Samples at smaller radii are therefore nested in larger ones."""
+    radius.  Samples at smaller radii are therefore nested in larger ones.
+    An unordered sample pairs distinct elements only: its core pairs are
+    combinations, and an extra draw of one index twice is skipped."""
     m_core = _core_radius(space, radius, lambda n: n * n <= core_cap)
     core = _ball(space, m_core)
     if ordered:
@@ -396,9 +398,8 @@ def orbit_map_qi(qa: QuasiAction, x0=None, radii=(5, 10, 15),
         X0 = space.coords([x0])
     per_radius = []
     for m in sorted(radii):
-        pairs = [(s, t) for s, t in _pair_sample(
-            space, m, pair_core_cap, n_extra_pairs, seed, ordered=False)
-            if s != t]
+        pairs = _pair_sample(space, m, pair_core_cap, n_extra_pairs, seed,
+                             ordered=False)
         if not pairs:
             raise DomainError(f"no pair of distinct elements sampled at "
                               f"radius {m}")

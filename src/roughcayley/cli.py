@@ -49,13 +49,13 @@ def _config(args, skip=("func", "out", "dot", "csv")):
     return {"command": command, "options": options, "seed": args.seed}
 
 
-def _write_json(path, config, payload):
-    """Write ``{"config": ..., **payload}`` to ``path`` in the CLI's layout:
-    exactly ``json.dumps(doc, sort_keys=True, indent=1) + "\\n"``, that is
-    sorted keys, one space per level, ASCII only and a final newline.  The
-    text is written chunk by chunk as ``_json_chunks`` makes it; the file
-    is reported once written."""
-    doc = {"config": config}
+def _write_json(path, args, payload):
+    """Write ``{"config": _config(args), **payload}`` to ``path`` in the
+    CLI's layout: exactly ``json.dumps(doc, sort_keys=True, indent=1) +
+    "\\n"``, that is sorted keys, one space per level, ASCII only and a
+    final newline.  The text is written chunk by chunk as ``_json_chunks``
+    makes it; the file is reported once written."""
+    doc = {"config": _config(args)}
     doc.update(payload)
     with open(path, "w") as fh:
         fh.writelines(_json_chunks(doc, 0))
@@ -180,9 +180,11 @@ def _json_chunks(o, level):
         yield from _runs([o], level, "")
 
 
-def _write_text(path, config, text, comment_prefix="#"):
-    """Write text below a config comment line; report the file."""
-    header = f"{comment_prefix} config: " + json.dumps(config, sort_keys=True)
+def _write_text(path, args, text, comment_prefix="#"):
+    """Write text below a comment line of ``_config(args)``; report the
+    file."""
+    header = f"{comment_prefix} config: " + json.dumps(_config(args),
+                                                         sort_keys=True)
     with open(path, "w") as fh:
         fh.write(header + "\n" + text)
     print(f"wrote {path}")
@@ -232,7 +234,6 @@ def cmd_space_list(args):
 
 
 def cmd_lattice_build(args):
-    config = _config(args)
     if args.horocyclic:
         if args.n is None or args.u is None:
             raise SchemaError("--horocyclic needs --n and --u ranges")
@@ -259,7 +260,7 @@ def cmd_lattice_build(args):
         summary += (f"; density<= {cert['max_min_distance']:.4f} over "
                     f"{cert['n_probes']} probes")
     print(summary)
-    _write_json(args.out, config, lattice.to_json())
+    _write_json(args.out, args, lattice.to_json())
     return 0
 
 
@@ -281,29 +282,30 @@ def _window_from_args(args, space):
 
 
 def cmd_lattice_verify(args):
-    config = _config(args)
     lattice = _load(args.lattice, nets.QuasiLattice)
     probes = nets.sample_probes(lattice.space, lattice.window, args.probes,
                                 args.margin, args.seed)
     cert, profile = nets.verify_quasilattice(
         lattice, probes, _parse_list(args.R, float), seed=args.seed)
-    print(f"density certificate: max nearest distance "
-          f"{cert['max_min_distance']:.6f} over {cert['n_probes']} probes")
+    if cert["vacuous"]:
+        print("density certificate: vacuous, no probes")
+    else:
+        print(f"density certificate: max nearest distance "
+              f"{cert['max_min_distance']:.6f} over {cert['n_probes']} probes")
     for r, m in profile.entries:
         print(f"multiplicity M({r:g}) = {m}")
     if args.out:
-        _write_json(args.out, config,
+        _write_json(args.out, args,
                     {"density": cert, "multiplicity": list(profile.entries)})
     return 0
 
 
 def cmd_graph_build(args):
-    config = _config(args)
     lattice = _load(args.lattice, nets.QuasiLattice)
     graph = graphs.build_graph(lattice, threshold=args.threshold)
     print(f"graph: {graph.n} vertices, {graph.n_edges()} edges, "
           f"threshold {graph.threshold:g}, max degree {graph.degree_bound_M}")
-    _write_json(args.out, config, graph.to_json())
+    _write_json(args.out, args, graph.to_json())
     return 0
 
 
@@ -315,19 +317,17 @@ def cmd_graph_stats(args):
 
 
 def cmd_graph_export(args):
-    config = _config(args)
     graph = _load(args.graph, graphs.RoughGraph)
     if not args.dot and not args.csv:
         raise SchemaError("graph export needs --dot and/or --csv")
     if args.dot:
-        _write_text(args.dot, config, graphs.to_dot(graph), comment_prefix="//")
+        _write_text(args.dot, args, graphs.to_dot(graph), comment_prefix="//")
     if args.csv:
-        _write_text(args.csv, config, graphs.edge_csv(graph))
+        _write_text(args.csv, args, graphs.edge_csv(graph))
     return 0
 
 
 def cmd_qaction_certify(args):
-    config = _config(args)
     lattice = _load(args.lattice, nets.QuasiLattice)
     qa = actions.quasi_action(lattice.space, lattice)
     cert = actions.certify_axioms(qa, group_radius=args.group_radius,
@@ -338,7 +338,7 @@ def cmd_qaction_certify(args):
     for R, w in cert.properness:
         print(f"properness: displacement <= {R:g} stays in word ball {w:g}")
     if args.out:
-        _write_json(args.out, config, {
+        _write_json(args.out, args, {
             "per_s_qi_defect": cert.per_s_qi_defect,
             "identity_defect": cert.identity_defect,
             "associativity_defect": cert.associativity_defect,
@@ -350,7 +350,6 @@ def cmd_qaction_certify(args):
 
 
 def cmd_qaction_orbit_qi(args):
-    config = _config(args)
     lattice = _load(args.lattice, nets.QuasiLattice)
     qa = actions.quasi_action(lattice.space, lattice)
     radii = [int(v) for v in _parse_list(args.radii, int)]
@@ -361,7 +360,7 @@ def cmd_qaction_orbit_qi(args):
     if not report.stable:
         raise CertificationError(report.message)
     if args.out:
-        _write_json(args.out, config, {
+        _write_json(args.out, args, {
             "per_radius": [list(row) for row in report.per_radius],
             "C": report.constants.C,
             "r": report.constants.r,
@@ -371,7 +370,6 @@ def cmd_qaction_orbit_qi(args):
 
 
 def cmd_qaction_conjugacy(args):
-    config = _config(args)
     lat1 = _load(args.lattice, nets.QuasiLattice)
     lat2 = _load(args.lattice2, nets.QuasiLattice)
     qa1 = actions.quasi_action(lat1.space, lat1)
@@ -381,12 +379,11 @@ def cmd_qaction_conjugacy(args):
     print(f"quasi-conjugacy defect {defect:g} "
           f"(group radius {args.group_radius})")
     if args.out:
-        _write_json(args.out, config, {"defect": defect})
+        _write_json(args.out, args, {"defect": defect})
     return 0
 
 
 def cmd_growth_run(args):
-    config = _config(args)
     if bool(args.graph) == bool(args.space):
         raise SchemaError("growth run needs exactly one of --graph/--space")
     if args.graph:
@@ -407,7 +404,7 @@ def cmd_growth_run(args):
     series = growth.ball_sizes(source, x0, args.max_m)
     print(f"growth series of {series.source}: "
           f"{list(series.values[: min(8, len(series))])}...")
-    _write_text(args.out, config, series.to_csv())
+    _write_text(args.out, args, series.to_csv())
     return 0
 
 
@@ -451,7 +448,6 @@ def cmd_folner_ratio(args):
 
 
 def cmd_folner_scan(args):
-    config = _config(args)
     graph = _load(args.graph, graphs.RoughGraph)
     lo, hi = _parse_range(args.sizes, int)
     report = folner.folner_scan(graph, args.c, args.family, args.epsilon,
@@ -459,9 +455,9 @@ def cmd_folner_scan(args):
     print(f"folner scan ({args.family}): best ratio {report.best_ratio:.4f}, "
           f"achieved={report.achieved}")
     if args.out:
-        _write_json(args.out, config, report.to_json())
+        _write_json(args.out, args, report.to_json())
     if args.csv:
-        _write_text(args.csv, config, report.to_csv())
+        _write_text(args.csv, args, report.to_csv())
     return 0
 
 
@@ -506,7 +502,7 @@ def build_parser():
     p.add_argument("--log-a", dest="log_a", help="log a range for h2 windows")
     p.add_argument("--pitch", type=float, default=0.25)
     p.add_argument("--probes", type=int, default=1000,
-                   help="verification probes (0 disables)")
+                   help="verification probes, >= 0 (0 disables)")
     p.add_argument("--margin", type=float, default=1.2)
     p.add_argument("--R", default="1.0", help="multiplicity radii, e.g. 1,2")
     p.add_argument("--out", required=True)
@@ -514,8 +510,11 @@ def build_parser():
 
     p = lat_sub.add_parser("verify")
     p.add_argument("--lattice", required=True)
-    p.add_argument("--probes", type=int, default=1000)
-    p.add_argument("--margin", type=float, default=1.2)
+    p.add_argument("--probes", type=int, default=1000,
+                   help="verification probes, >= 0 (0 gives a vacuous "
+                        "certificate)")
+    p.add_argument("--margin", type=float, default=1.2,
+                   help="least boundary slack of a probe, a finite number")
     p.add_argument("--R", default="1.0")
     p.add_argument("--out")
     p.set_defaults(func=cmd_lattice_verify, _command="lattice verify")
@@ -584,11 +583,13 @@ def build_parser():
     p = folner_sub.add_parser("ratio")
     p.add_argument("--graph", required=True)
     p.add_argument("--ball", type=int, required=True)
-    p.add_argument("--c", type=float, default=1.0)
+    p.add_argument("--c", type=float, default=1.0,
+                   help="boundary constant, a finite number >= 1")
     p.set_defaults(func=cmd_folner_ratio, _command="folner ratio")
     p = folner_sub.add_parser("scan")
     p.add_argument("--graph", required=True)
-    p.add_argument("--c", type=float, default=1.0)
+    p.add_argument("--c", type=float, default=1.0,
+                   help="boundary constant, a finite number >= 1")
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--family", default="boxes",
                    choices=["metric_balls", "boxes", "greedy_improved"])

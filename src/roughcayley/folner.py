@@ -5,9 +5,10 @@ in the graph metric; the Folner ratio is |boundary| / |A|.  The boundary
 depends on N_c(A) only: it is outer | inner with outer = N_c(A) \\ A and
 inner = A & N_c(outer), because for c >= 1 the first vertex outside A on a
 geodesic from a in A to the complement lies in outer (for c < 1 both are
-empty).  Scans evaluate a candidate family in increasing size and stop
-once the ratio drops below the target.  A finite search can only ever
-report "not achieved over the tested family", never non-amenability.
+empty and every set would pass, so c must be finite and >= 1).  Scans
+evaluate a candidate family in increasing size and stop once the ratio
+drops below the target.  A finite search can only ever report "not
+achieved over the tested family", never non-amenability.
 
 One family of vectorised engines computes N_c and this boundary on every
 graph kind, with vertex sets as sorted int64 codes.  On a finite windowed
@@ -88,16 +89,25 @@ class FolnerReport:
 # finite windowed graphs
 
 
+def _check_c(c):
+    """Raise ``DomainError`` unless c is a finite number >= 1."""
+    if not 1 <= c < math.inf:
+        raise DomainError(f"boundary constant c must be a finite number "
+                          f">= 1, got {c!r}")
+
+
 def c_boundary(graph, A, c):
     """Exact c-boundary of A on a finite graph, as sorted vertex ids:
     vertices within c of both A and its complement.
 
-    Computed locally as outer | inner (see the module docstring).  A must
-    hold vertex ids of the graph (``DomainError`` otherwise) inside the
-    certified interior (graph distance > c from border vertices,
-    ``BorderError`` otherwise).  Implicit graphs raise ``DomainError``:
-    ``folner_scan`` scores their candidates.
+    Computed locally as outer | inner (see the module docstring).  c must
+    be a finite number >= 1 and A must hold vertex ids of the graph
+    (``DomainError`` otherwise) inside the certified interior (graph
+    distance > c from border vertices, ``BorderError`` otherwise).
+    Implicit graphs raise ``DomainError``: ``folner_scan`` scores their
+    candidates.
     """
+    _check_c(c)
     if not isinstance(graph, RoughGraph):
         raise DomainError("c_boundary needs a finite windowed graph; "
                           "folner_scan scores implicit graphs")
@@ -348,10 +358,12 @@ def folner_scan(graph, c, family, epsilon, schedule,
     the schedule lists ball radii or box sizes.  Evaluation stops early once
     a ratio beats epsilon.  Candidates that do not fit the certified
     interior of a finite graph are skipped; if none fits at all the scan
-    raises ``WindowTooSmallError``.  A negative size is a ``DomainError`` on
-    every graph.  Implicit graphs, vertex-transitive, ignore ``center`` and
-    raise ``DomainError`` past their exact engine.
+    raises ``WindowTooSmallError``.  A negative size, or a c that is not a
+    finite number >= 1, is a ``DomainError`` on every graph.  Implicit
+    graphs, vertex-transitive, ignore ``center`` and raise ``DomainError``
+    past their exact engine.
     """
+    _check_c(c)
     if family not in ("metric_balls", "boxes", "greedy_improved"):
         raise DomainError(f"unknown Folner family {family!r}")
     schedule = sorted(int(s) for s in schedule)

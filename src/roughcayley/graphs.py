@@ -241,8 +241,7 @@ def _edges_group_ball(space, Q, X, threshold):
     n, m, w = len(X), len(Q), max(X.shape[1], 1)
     if not n:
         return
-    hops = space.coords(space.enumerate_window(
-        BallWindow(int(math.floor(threshold + TOL)))))
+    hops = space._ball(int(math.floor(threshold + TOL)))
     lengths = space.distances_from(space.identity(), hops)
     hops, lengths = hops[lengths > 0], lengths[lengths > 0]
     keys, key = _row_keys(_width(X, w))

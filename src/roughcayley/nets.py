@@ -360,7 +360,10 @@ def horocyclic_lattice(u_range=(-20.0, 20.0), n_range=(-3, 3)) -> QuasiLattice:
 
 
 def sample_probes(space, window, n, margin, seed):
-    """n seeded pseudo-random probes with boundary slack >= margin."""
+    """n seeded pseudo-random probes with boundary slack >= margin; a
+    negative n or a margin that is not finite is a ``DomainError``."""
+    if n < 0 or not math.isfinite(margin):
+        raise DomainError(f"cannot sample {n!r} probes at margin {margin!r}")
     rng = np.random.default_rng(seed)
     if isinstance(window, H2Window):
         la_lo, la_hi = window.la_min + margin, window.la_max - margin

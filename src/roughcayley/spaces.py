@@ -22,8 +22,8 @@ one point and ``check_points`` a sequence of them, in order, by a plain
 loop over ``check_point``, raising for the first bad one.  The public
 ``distance``, ``multiply``, ``inverse`` and ``coarse_geodesic`` of
 ``SpaceModel`` check every point a caller hands in with ``check_point``
-and then call the model's unchecked kernels ``_dist``, ``_mul``, ``_inv``
-and ``_geodesic``.  Library loops over points that are already trusted
+and then call the unchecked kernels ``_dist``, ``_mul``, ``_inv`` and
+``_geodesic``.  Library loops over points that are already trusted
 (lattice points, which ``QuasiLattice`` checks at construction, and
 points the library computed itself) call the kernels directly, and the
 lattices the library builds (word balls, greedy nets, the horocyclic
@@ -215,11 +215,12 @@ class SpaceModel:
 
     Public methods validate the points a caller passes and raise
     ``ModelMismatchError`` or ``DomainError`` on a malformed one.  Models
-    implement the unchecked kernels ``_dist``, ``_mul``, ``_inv`` and
-    ``_geodesic``, which assume trusted, well-formed points.  The base
-    holds ``check_point`` (a tuple of ``d`` ints or ``coord_type`` values),
-    its loop ``check_points``, ``window_contains`` (a slack >= -1e-9), the
-    JSON codec and fallbacks.
+    implement the unchecked kernels ``_dist``, ``_mul`` and ``_inv``, which
+    assume trusted, well-formed points.  The base holds ``check_point`` (a
+    tuple of ``d`` ints or ``coord_type`` values), its loop
+    ``check_points``, ``window_contains`` (a slack >= -1e-9), the JSON
+    codec, fallbacks and the word-geodesic rule ``_geodesic`` of the
+    discrete groups; R^d and h2 replace it with sampled geodesics.
     """
 
     tag: str    # JSON and command-line name of the model
@@ -333,14 +334,29 @@ class SpaceModel:
 
         f(0) = x, f(a) = y with a = d(x,y); every sampled parameter pair s,t
         satisfies |s-t| - c <= d(f(s),f(t)) <= |s-t| + c, with sampling step
-        at most 1.
+        at most 1.  On Z^d, free groups and the Heisenberg group the path is
+        a word geodesic, one point per integer parameter: each step takes
+        the first of ``generators()`` that lowers the distance to y by one.
         """
         self.check_point(x)
         self.check_point(y)
         return self._geodesic(x, y)
 
     def _geodesic(self, x, y):
-        raise NotImplementedError
+        # word geodesic by greedy descent: in a word metric some generator
+        # always takes the distance to y down by one; take the first in
+        # ``generators()`` order
+        gens = self.generators()
+        pts = [x]
+        left = self._dist(x, y)
+        while left:
+            left -= 1
+            for g in gens:
+                q = self._mul(pts[-1], g)
+                if self._dist(q, y) == left:
+                    pts.append(q)
+                    break
+        return [float(t) for t in range(len(pts))], pts
 
     def check_window(self, window, error=DomainError):
         """Raise ``error`` unless the model can enumerate ``window``."""
@@ -467,17 +483,6 @@ class ZdModel(SpaceModel):
             gens.append(tuple(e))
         return gens
 
-    def _geodesic(self, x, y):
-        pts = [x]
-        cur = list(x)
-        for i in range(self.d):
-            step = 1 if y[i] > x[i] else -1
-            for _ in range(abs(y[i] - x[i])):
-                cur[i] += step
-                pts.append(tuple(cur))
-        ts = [float(t) for t in range(len(pts))]
-        return ts, pts
-
     def enumerate_window(self, window):
         self.check_window(window)
         return list(self._points(self._ball(window.radius)))
@@ -603,15 +608,6 @@ class FreeGroupModel(SpaceModel):
 
     def _letters(self):
         return list(range(-self.k, 0)) + list(range(1, self.k + 1))
-
-    def _geodesic(self, x, y):
-        w = self._mul(self._inv(x), y)
-        pts = [x]
-        cur = x
-        for g in w:
-            cur = self._mul(cur, (g,))
-            pts.append(cur)
-        return [float(t) for t in range(len(pts))], pts
 
     enumerate_window = ZdModel.enumerate_window
 
@@ -760,20 +756,6 @@ class HeisenbergModel(SpaceModel):
         b = B[..., 1] - A[..., 1]
         return _heis_lengths(B[..., 0] - A[..., 0], b,
                              B[..., 2] - A[..., 2] - A[..., 0] * b).astype(float)
-
-    def _geodesic(self, x, y):
-        # greedy descent: some generator always takes the exact distance to
-        # y down by one; take the first in ``generators()`` order
-        pts = [x]
-        left = self._dist(x, y)
-        while left:
-            left -= 1
-            for g in self.generators():
-                q = self._mul(pts[-1], g)
-                if self._dist(q, y) == left:
-                    pts.append(q)
-                    break
-        return [float(t) for t in range(len(pts))], pts
 
     enumerate_window = ZdModel.enumerate_window
 

@@ -118,6 +118,28 @@ def free_reduce(letters):
     return tuple(out)
 
 
+def reference_zd_geodesic(x, y):
+    """(parameters, points) of the axis-by-axis word geodesic in Z^d: unit
+    steps toward y along axis 0, then along axis 1, and so on."""
+    pts = [x]
+    cur = list(x)
+    for i in range(len(x)):
+        step = 1 if y[i] > x[i] else -1
+        for _ in range(abs(y[i] - x[i])):
+            cur[i] += step
+            pts.append(tuple(cur))
+    return [float(t) for t in range(len(pts))], pts
+
+
+def reference_free_geodesic(x, y):
+    """(parameters, points) of the word geodesic in a free group: the
+    letters of the reduced word x^-1 y appended to x one at a time."""
+    pts = [x]
+    for g in free_reduce(tuple(-g for g in reversed(x)) + y):
+        pts.append(free_reduce(pts[-1] + (g,)))
+    return [float(t) for t in range(len(pts))], pts
+
+
 def graph_distances_from(graph, source, max_nodes=None):
     """Hop distances from source in FIFO order.  With ``max_nodes`` only
     the layers up to the first whose running count exceeds it."""

@@ -472,3 +472,31 @@ def test_empty_radii_are_domain_errors(even_action):
     with pytest.raises(DomainError):
         certify_axioms(even_action, group_radius=6, n_targets=6,
                        properness_radii=())
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(space=st.sampled_from([ZdModel(2), HeisenbergModel(),
+                              FreeGroupModel(2)]),
+       radius=st.integers(0, 4), core_cap=st.integers(0, 400),
+       n_extra=st.integers(0, 200), seed=st.integers(0, 2 ** 16))
+def test_unordered_pair_samples_pair_distinct_elements(space, radius, core_cap,
+                                                       n_extra, seed):
+    """Core pairs are combinations of distinct ball elements and extra
+    draws skip a repeated index, so no unordered pair is (s, s)."""
+    pairs = _pair_sample(space, radius, core_cap, n_extra, seed,
+                         ordered=False)
+    assert all(s != t for s, t in pairs)
+
+
+def test_conjugacy_defect_over_a_sampled_element_set_matches_literal_loop():
+    """A Z^2 word ball of radius 6 (85 elements) against 6 targets passes
+    the cap of 200 core plus 100 extra pairs: the defect is taken over the
+    radius-3 core and 100 seeded elements of the whole ball."""
+    z2 = ZdModel(2)
+    qa = quasi_action(z2, greedy_net(z2, BallWindow(40), 3.0))
+    qa2 = quasi_action(z2, greedy_net(z2, BallWindow(30), 2.0))
+    args = dict(group_radius=6, n_targets=6, pair_core_cap=200, n_extra=100,
+                seed=5)
+    assert z2.ball_sizes(6)[-1] * 6 > 200 + 100
+    assert quasi_conjugacy_defect(qa, qa2, **args) == \
+        literal_conjugacy_defect(qa, qa2, **args)

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from roughcayley import actions
 from roughcayley.cli import _json_chunks, main
+from roughcayley.errors import CertificationError
 
 
 def run(*argv):
@@ -570,3 +572,99 @@ def test_json_chunks_raise_what_json_raises(doc):
         json.dumps(doc, sort_keys=True, indent=1)
     with pytest.raises(expected.type, match=str(expected.value)):
         "".join(_json_chunks(doc, 0))
+
+
+PROBE_WINDOWS = {
+    "ball": ("--space", "zd", "--d", "2", "--radius", "6", "--delta", "2"),
+    "box": ("--space", "euclidean", "--d", "2", "--box", "-4..4,-4..4",
+            "--delta", "1"),
+    "h2": ("--horocyclic", "--n", "-2..2", "--u", "-10..10"),
+}
+
+
+@pytest.mark.parametrize("window", list(PROBE_WINDOWS))
+def test_probe_counts_and_margins_are_checked(tmp_path, capsys, window):
+    """``lattice verify --probes 0`` prints a vacuous certificate and exits
+    0; a negative count or a margin that is not finite exits 1 on every
+    window kind, and writes no file."""
+    lat, out = tmp_path / "lat.json", tmp_path / "out.json"
+    assert run("lattice", "build", *PROBE_WINDOWS[window], "--probes", "0",
+               "--out", str(lat)) == 0
+    capsys.readouterr()
+    assert run("lattice", "verify", "--lattice", str(lat), "--probes", "0",
+               "--out", str(out)) == 0
+    assert capsys.readouterr().out == (
+        f"density certificate: vacuous, no probes\n"
+        f"multiplicity M(1) = 0\nwrote {out}\n")
+    assert json.loads(out.read_text())["density"] == {
+        "vacuous": True, "n_probes": 0, "seed": 0, "max_min_distance": None}
+    out.unlink()
+    for bad in (["--probes", "-5"], ["--margin", "nan"],
+                ["--margin", "inf"]):
+        assert run("lattice", "verify", "--lattice", str(lat), *bad,
+                   "--out", str(out)) == 1
+        assert capsys.readouterr().err.startswith("error: cannot sample ")
+        assert not out.exists()
+        assert run("lattice", "build", *PROBE_WINDOWS[window], *bad,
+                   "--out", str(out)) == 1
+        assert capsys.readouterr().err.startswith("error: cannot sample ")
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("c", ["nan", "0.5", "inf"])
+@pytest.mark.parametrize("command", [["ratio", "--ball", "2"],
+                                     ["scan", "--epsilon", "0.1"]],
+                         ids=["ratio", "scan"])
+def test_folner_boundary_constants_below_one_exit_1(tmp_path, capsys,
+                                                    command, c):
+    lat, g = tmp_path / "ball.json", tmp_path / "g.json"
+    assert run("lattice", "build", "--space", "zd", "--d", "2",
+               "--group-ball", "--radius", "8", "--probes", "0",
+               "--out", str(lat)) == 0
+    assert run("graph", "build", "--lattice", str(lat), "--threshold", "1",
+               "--out", str(g)) == 0
+    capsys.readouterr()
+    assert run("folner", command[0], "--graph", str(g), *command[1:],
+               "--c", c) == 1
+    assert capsys.readouterr().err == (
+        f"error: boundary constant c must be a finite number >= 1, "
+        f"got {float(c)!r}\n")
+
+
+def test_folner_scan_csv_lists_the_report_entries(tmp_path, capsys):
+    lat, g = tmp_path / "ball.json", tmp_path / "g.json"
+    report, csv = tmp_path / "scan.json", tmp_path / "scan.csv"
+    assert run("lattice", "build", "--space", "zd", "--d", "2",
+               "--group-ball", "--radius", "12", "--probes", "0",
+               "--out", str(lat)) == 0
+    assert run("graph", "build", "--lattice", str(lat), "--threshold", "1",
+               "--out", str(g)) == 0
+    capsys.readouterr()
+    assert run("--seed", "4", "folner", "scan", "--graph", str(g),
+               "--epsilon", "0.3", "--sizes", "1..6", "--out", str(report),
+               "--csv", str(csv)) == 0
+    assert capsys.readouterr().out.endswith(f"wrote {report}\nwrote {csv}\n")
+    doc = json.loads(report.read_text())
+    header, columns, *rows = csv.read_text().splitlines()
+    assert header == "# config: " + json.dumps(doc["config"], sort_keys=True)
+    assert columns == "set,size,boundary,ratio"
+    assert rows == [f"{e['set']},{e['size']},{e['boundary']},{e['ratio']!r}"
+                    for e in doc["entries"]]
+    assert len(rows) >= 2
+
+
+def test_certification_errors_exit_4(tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise CertificationError("defect over budget")
+
+    lat, out = tmp_path / "ball.json", tmp_path / "cert.json"
+    assert run("lattice", "build", "--space", "zd", "--d", "2",
+               "--group-ball", "--radius", "10", "--probes", "0",
+               "--out", str(lat)) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(actions, "certify_axioms", fail)
+    assert run("qaction", "certify", "--lattice", str(lat),
+               "--out", str(out)) == 4
+    assert capsys.readouterr().err == \
+        "error (certification): defect over budget\n"
+    assert not out.exists()

@@ -477,3 +477,36 @@ def test_report_invariants():
 def test_greedy_improved_rejected_on_implicit():
     with pytest.raises(DomainError):
         folner_scan(CayleyGraph(ZdModel(2)), 1, "greedy_improved", 0.1, [2])
+
+@pytest.mark.parametrize("c", [1, 2])
+def test_heisenberg_box_boundaries_match_the_literal_boundary(c):
+    """Box n of the Heisenberg group is |a|, |b| <= n, |c| <= max(1, n^2);
+    boxes 0 and 1 have word length at most 4, so in the word ball of radius
+    4 + 2c (threshold-1 edges) their c-boundaries are those of the whole
+    Cayley graph, read off the all-pairs table."""
+    heis = HeisenbergModel()
+    g = build_graph(group_ball_lattice(heis, 4 + 2 * c), threshold=1.0)
+    table = distance_table(g)
+    report = folner_scan(CayleyGraph(heis), c, "boxes", 1e-9, [0, 1])
+    for n, (desc, size, boundary, ratio) in enumerate(report.entries):
+        h = max(1, n * n)
+        box = [g.lattice.index_of((a, b, z)) for a in range(-n, n + 1)
+               for b in range(-n, n + 1) for z in range(-h, h + 1)]
+        literal = literal_c_boundary(g, box, c, table)
+        assert (desc, size, boundary) == (f"box:{n}", len(box), len(literal))
+        assert ratio == len(literal) / len(box)
+
+
+@pytest.mark.parametrize("c", [0, 0.5, 0.999, math.nan, math.inf, -1])
+def test_boundary_constants_below_one_or_not_finite_are_domain_errors(
+        z_line, c):
+    """Below c = 1 every c-boundary is empty, so a scan would pass any
+    graph, the free group and the horocyclic graph among them."""
+    for graph in (CayleyGraph(FreeGroupModel(2)), HorocyclicGraph(), z_line):
+        with pytest.raises(DomainError, match="finite number >= 1"):
+            folner_scan(graph, c, "metric_balls", 0.1, [1, 2])
+    with pytest.raises(DomainError, match="finite number >= 1"):
+        c_boundary(z_line, [20], c)
+    with pytest.raises(DomainError, match="finite number >= 1"):
+        folner_ratio(z_line, [20], c)
+    assert folner_ratio(z_line, [20], 1) == 3.0

@@ -36,6 +36,8 @@ from oracles import (
     free_reduce,
     heisenberg_balls_by_box,
     hyperbolic_distance_log_form,
+    reference_free_geodesic,
+    reference_zd_geodesic,
 )
 
 Z1, Z2 = ZdModel(1), ZdModel(2)
@@ -180,6 +182,28 @@ def test_heisenberg_geodesic_realises_distance(x, y):
     for i, (p, q) in enumerate(zip(path, path[1:])):
         assert HEIS.multiply(HEIS.inverse(p), q) in gens
         assert HEIS.distance(q, y) == d - i - 1
+
+
+def _letter(k):
+    return st.integers(1, k).flatmap(lambda g: st.sampled_from([g, -g]))
+
+
+@pytest.mark.parametrize("space, point, walk", [
+    *[(ZdModel(d), st.tuples(*[st.integers(-12, 12)] * d),
+       reference_zd_geodesic) for d in (1, 2, 3)],
+    *[(FreeGroupModel(k), st.lists(_letter(k), max_size=12).map(free_reduce),
+       reference_free_geodesic) for k in (1, 2, 3)],
+], ids=["zd1", "zd2", "zd3", "f1", "f2", "f3"])
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(data=st.data())
+def test_word_geodesics_follow_the_reference_walks(space, point, walk, data):
+    """The greedy descent along ``generators()`` gives the axis-by-axis
+    walk on Z^d and the letters of x^-1 y on free groups: the same
+    parameters and points, with int coordinates."""
+    x, y = data.draw(point), data.draw(point)
+    ts, path = space.coarse_geodesic(x, y)
+    assert (ts, path) == walk(x, y)
+    assert all(type(v) is int for p in path for v in p)
 
 
 _int = st.integers(-10 ** 6, 10 ** 6)
