@@ -181,8 +181,7 @@ def _json_chunks(o, level):
 
 
 def _write_text(path, args, text, comment_prefix="#"):
-    """Write text below a comment line of ``_config(args)``; report the
-    file."""
+    """Write text below a comment line of ``_config(args)``; report it."""
     header = f"{comment_prefix} config: " + json.dumps(_config(args),
                                                          sort_keys=True)
     with open(path, "w") as fh:
@@ -292,11 +291,11 @@ def cmd_lattice_verify(args):
     else:
         print(f"density certificate: max nearest distance "
               f"{cert['max_min_distance']:.6f} over {cert['n_probes']} probes")
-    for r, m in profile.entries:
+    entries = [] if cert["vacuous"] else list(profile.entries)
+    for r, m in entries:
         print(f"multiplicity M({r:g}) = {m}")
     if args.out:
-        _write_json(args.out, args,
-                    {"density": cert, "multiplicity": list(profile.entries)})
+        _write_json(args.out, args, {"density": cert, "multiplicity": entries})
     return 0
 
 
@@ -511,10 +510,9 @@ def build_parser():
     p = lat_sub.add_parser("verify")
     p.add_argument("--lattice", required=True)
     p.add_argument("--probes", type=int, default=1000,
-                   help="verification probes, >= 0 (0 gives a vacuous "
-                        "certificate)")
+                   help="verification probes, >= 0 (0: vacuous)")
     p.add_argument("--margin", type=float, default=1.2,
-                   help="least boundary slack of a probe, a finite number")
+                   help="least boundary slack of a probe, >= 0")
     p.add_argument("--R", default="1.0")
     p.add_argument("--out")
     p.set_defaults(func=cmd_lattice_verify, _command="lattice verify")
@@ -583,13 +581,11 @@ def build_parser():
     p = folner_sub.add_parser("ratio")
     p.add_argument("--graph", required=True)
     p.add_argument("--ball", type=int, required=True)
-    p.add_argument("--c", type=float, default=1.0,
-                   help="boundary constant, a finite number >= 1")
+    p.add_argument("--c", type=float, default=1.0, help="a finite c >= 1")
     p.set_defaults(func=cmd_folner_ratio, _command="folner ratio")
     p = folner_sub.add_parser("scan")
     p.add_argument("--graph", required=True)
-    p.add_argument("--c", type=float, default=1.0,
-                   help="boundary constant, a finite number >= 1")
+    p.add_argument("--c", type=float, default=1.0, help="a finite c >= 1")
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--family", default="boxes",
                    choices=["metric_balls", "boxes", "greedy_improved"])

@@ -90,7 +90,6 @@ class FolnerReport:
 
 
 def _check_c(c):
-    """Raise ``DomainError`` unless c is a finite number >= 1."""
     if not 1 <= c < math.inf:
         raise DomainError(f"boundary constant c must be a finite number "
                           f">= 1, got {c!r}")

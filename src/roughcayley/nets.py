@@ -361,23 +361,29 @@ def horocyclic_lattice(u_range=(-20.0, 20.0), n_range=(-3, 3)) -> QuasiLattice:
 
 def sample_probes(space, window, n, margin, seed):
     """n seeded pseudo-random probes with boundary slack >= margin; a
-    negative n or a margin that is not finite is a ``DomainError``."""
-    if n < 0 or not math.isfinite(margin):
-        raise DomainError(f"cannot sample {n!r} probes at margin {margin!r}")
+    negative n, a margin outside [0, inf) (probes outside the window) or
+    an h2 margin whose pad sinh(margin) overflows is a ``DomainError``."""
+    why = f"cannot sample {n!r} probes at margin {margin!r}"
+    if n < 0 or not 0 <= margin < math.inf:
+        raise DomainError(why)
     rng = np.random.default_rng(seed)
     if isinstance(window, H2Window):
         la_lo, la_hi = window.la_min + margin, window.la_max - margin
         if la_hi < la_lo:
             raise WindowTooSmallError("margin exceeds the log a range")
+        try:
+            sinh_margin = math.sinh(margin)
+        except OverflowError:
+            raise DomainError(why) from None
         # the pad a sinh(margin) grows with a: the lowest height admits most
-        pad = math.exp(la_lo) * math.sinh(margin)
+        pad = math.exp(la_lo) * sinh_margin
         if window.u_max - pad < window.u_min + pad:
             raise WindowTooSmallError("margin exceeds the u range")
         probes = []
         while len(probes) < n:
             la = rng.uniform(la_lo, la_hi)
             a = math.exp(la)
-            pad = a * math.sinh(margin)
+            pad = a * sinh_margin
             u_lo, u_hi = window.u_min + pad, window.u_max - pad
             if u_hi < u_lo:
                 continue

@@ -1,6 +1,6 @@
 """Run a fixed matrix of ``roughcayley`` command lines and digest what they do.
 
-Usage: ``python tests/cli_matrix.py [--no-rejections] [SRC]``
+Usage: ``python tests/cli_matrix.py [SRC]``
 
 Each case runs ``python -m roughcayley.cli`` as a subprocess with SRC (by
 default the ``src`` directory next to this file's ``tests``) on PYTHONPATH
@@ -10,10 +10,7 @@ a case writes or prints is relative; SRC itself is printed as ``<src>``
 a short sha256 of the case, name), a tally of exit codes, and one sha256
 over the case names, exit codes, stdout, stderr and every output file.
 Two source trees that print the same digest behave the same on every case;
-the short per-case hashes show which cases differ.  ``--no-rejections``
-leaves out the cases of ``rejection_cases``, so that two trees that
-differ only in which bad probe counts, margins and boundary constants they
-reject can be compared on all the rest.
+the short per-case hashes show which cases differ.
 
 The cases: ten lattices (Z^2 greedy nets of radius 25 and 40 and the word
 ball of radius 12, Heisenberg and F2 greedy nets and word balls, an R^2
@@ -25,7 +22,8 @@ box, an h2 net and the horocyclic lattice) through ``lattice build
 horocyclic graph too, and ``folner ratio``; eleven graph files with a bad
 edge list and eight lattice files with a bad point; and the probe-count,
 margin and boundary-constant cases that ``lattice verify`` and ``folner``
-must reject or answer.  Cases whose inputs are ready run two at a time.
+must reject or answer.  The first stage runs the chains, two at a time;
+the second runs every other case on its own, two at a time.
 Pytest does not collect this file.
 """
 
@@ -149,37 +147,35 @@ def after_lattices():
                       ["graph", "build", "--lattice", path,
                        "--out", f"bad-point-{label}.graph.json"],
                       (_bad_point, source, path, point)))
-    return [[case] for case in cases]
-
-
-def rejection_cases():
-    """``lattice verify`` with no probes, a negative count and margins that
-    are not finite on a ball, a box and an h2 window; ``folner`` with
-    boundary constants below 1 or not finite.  Each on its own."""
-    cases = []
+    # lattice verify with no probes, a negative count and margins that are
+    # negative or not finite on a ball, a box and an h2 window; folner with
+    # boundary constants below 1 or not finite
     for name in ("z2-r25", "r2-box", "horo"):
         for label, flags in {"probes-0": ["--probes", "0"],
                              "probes-neg": ["--probes", "-5"],
                              "margin-nan": ["--margin", "nan"],
-                             "margin-inf": ["--margin", "inf"]}.items():
+                             "margin-inf": ["--margin", "inf"],
+                             "margin-neg": ["--margin", "-800"],
+                             "margin-huge-neg": ["--margin=-1e308"]}.items():
             cases.append((f"{name}:verify-{label}",
                           ["lattice", "verify", "--lattice", f"{name}.json",
-                           *flags, "--out", f"{name}.verify-{label}.json"]))
+                           *flags, "--out", f"{name}.verify-{label}.json"],
+                          None))
     g = "unit.graph.json"
     cases += [
         ("unit:scan-c-nan", ["folner", "scan", "--graph", g, "--c", "nan",
-                             "--epsilon", "0.3", "--sizes", "1..3"]),
+                             "--epsilon", "0.3", "--sizes", "1..3"], None),
         ("unit:scan-c-half", ["folner", "scan", "--graph", g, "--c", "0.5",
                               "--family", "metric_balls", "--epsilon", "0.1",
-                              "--sizes", "1..2"]),
+                              "--sizes", "1..2"], None),
         ("unit:ratio-c-nan", ["folner", "ratio", "--graph", g, "--ball", "4",
-                              "--c", "nan"]),
+                              "--c", "nan"], None),
         ("f2-ball:scan-c-half", ["folner", "scan", "--graph",
                                  "f2-ball.graph.json", "--c", "0.5",
                                  "--family", "metric_balls", "--sizes",
-                                 "1..2", "--epsilon", "0.1"]),
+                                 "1..2", "--epsilon", "0.1"], None),
     ]
-    return [[(name, argv, None)] for name, argv in cases]
+    return [[case] for case in cases]
 
 
 def _bad_edges(cwd, source, path, extra):
@@ -214,14 +210,13 @@ def main(argv):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("src", nargs="?",
                         default=Path(__file__).resolve().parents[1] / "src")
-    parser.add_argument("--no-rejections", action="store_true")
     args = parser.parse_args(argv)
     src = str(Path(args.src).resolve())
     env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": "0"}
     env.pop("COARSE_SEED", None)
     stages = [
         [lattice_chain(name) for name in LATTICES] + [folner_chain()],
-        after_lattices() + ([] if args.no_rejections else rejection_cases()),
+        after_lattices(),
     ]
     results = {}
     with tempfile.TemporaryDirectory() as tmp:

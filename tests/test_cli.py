@@ -584,9 +584,10 @@ PROBE_WINDOWS = {
 
 @pytest.mark.parametrize("window", list(PROBE_WINDOWS))
 def test_probe_counts_and_margins_are_checked(tmp_path, capsys, window):
-    """``lattice verify --probes 0`` prints a vacuous certificate and exits
-    0; a negative count or a margin that is not finite exits 1 on every
-    window kind, and writes no file."""
+    """``lattice verify --probes 0`` prints a vacuous certificate, no
+    multiplicity, and exits 0; a negative count, or a margin that is
+    negative or not finite, exits 1 on every window kind, and writes no
+    file."""
     lat, out = tmp_path / "lat.json", tmp_path / "out.json"
     assert run("lattice", "build", *PROBE_WINDOWS[window], "--probes", "0",
                "--out", str(lat)) == 0
@@ -594,13 +595,15 @@ def test_probe_counts_and_margins_are_checked(tmp_path, capsys, window):
     assert run("lattice", "verify", "--lattice", str(lat), "--probes", "0",
                "--out", str(out)) == 0
     assert capsys.readouterr().out == (
-        f"density certificate: vacuous, no probes\n"
-        f"multiplicity M(1) = 0\nwrote {out}\n")
-    assert json.loads(out.read_text())["density"] == {
+        f"density certificate: vacuous, no probes\nwrote {out}\n")
+    doc = json.loads(out.read_text())
+    assert doc["density"] == {
         "vacuous": True, "n_probes": 0, "seed": 0, "max_min_distance": None}
+    assert doc["multiplicity"] == []
     out.unlink()
     for bad in (["--probes", "-5"], ["--margin", "nan"],
-                ["--margin", "inf"]):
+                ["--margin", "inf"], ["--margin", "-800"],
+                ["--margin=-1e308"]):
         assert run("lattice", "verify", "--lattice", str(lat), *bad,
                    "--out", str(out)) == 1
         assert capsys.readouterr().err.startswith("error: cannot sample ")

@@ -298,6 +298,14 @@ def test_sample_probes_rejects_an_h2_window_too_narrow_at_every_height():
                       3, 0.5, 0)
 
 
+def test_sample_probes_rejects_an_h2_margin_whose_pad_overflows():
+    """A log a range wider than twice the margin lets sinh(800) be
+    reached; it overflows, and no probe could be placed."""
+    with pytest.raises(DomainError, match="margin 800"):
+        sample_probes(HyperbolicPlaneModel(),
+                      H2Window(-1.0, 1.0, -1000.0, 1000.0), 3, 800.0, 0)
+
+
 def test_nearest_lexicographic_tie():
     lat = make_even_lattice(10)
     idx, dist = lat.nearest((3,))
