@@ -228,6 +228,15 @@ def _pair_sample(space, radius, core_cap, n_extra, seed, ordered=True):
     return pairs
 
 
+def _check_sample(group_radius, n_targets):
+    """A certificate over no group element or no target would read like a
+    perfect one."""
+    if group_radius < 0:
+        raise DomainError(f"group radius must be >= 0, got {group_radius!r}")
+    if n_targets < 1:
+        raise DomainError(f"need at least one target, got {n_targets!r}")
+
+
 def _central_targets(lattice, margin, n_targets):
     """The n lattice points of largest boundary slack (ties: nearest the
     base point, then lexicographic); deterministic, so target sets shrink
@@ -276,9 +285,11 @@ def certify_axioms(qa: QuasiAction, group_radius=10, n_targets=8,
     Properness is certified per probe point x and radius R by scanning a
     word ball and checking that {s : d(s.x, x) <= R} stays strictly inside
     the scanned ball; the recorded witness is the largest word norm seen.
-    An empty ``properness_radii`` is a ``DomainError``.  Targets keep slack
+    An empty ``properness_radii``, a negative ``group_radius`` or
+    ``n_targets`` < 1 is a ``DomainError``.  Targets keep slack
     max(2 group_radius, properness_scan) + r + 2, else ``OutOfWindowError``.
     """
+    _check_sample(group_radius, n_targets)
     space = qa.group_space
     dist = space._dist_many
     r_list = sorted(properness_radii)
@@ -446,8 +457,10 @@ def quasi_conjugacy_defect(qa1: QuasiAction, qa2: QuasiAction, phi12=None,
     psi and sent to its nearest point in the second lattice by the second
     phi, each mapping the rows in batch as ``act_many`` does.  A caller's
     ``phi12`` is called once per distinct point it is applied to, and each
-    result is checked.
+    result is checked.  A negative ``group_radius`` or ``n_targets`` < 1
+    is a ``DomainError``.
     """
+    _check_sample(group_radius, n_targets)
     if qa1.group_space != qa2.group_space:
         raise DomainError("quasi-conjugacy needs a common acting group")
     space = qa1.group_space

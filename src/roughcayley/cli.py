@@ -21,8 +21,6 @@ from itertools import chain
 from operator import itemgetter
 from json.encoder import encode_basestring_ascii as _json_str
 
-import numpy as np
-
 from . import actions, folner, graphs, growth, nets
 from .errors import (
     BorderError,
@@ -439,8 +437,7 @@ def cmd_folner_ratio(args):
     if args.ball < 0:
         raise DomainError(f"negative ball radius {args.ball}")
     center = graph.deepest_vertex(graph.border_depths())
-    A = folner._packed_closure(folner._packed_engine(graph, None),
-                               np.array([center], dtype=np.intp), args.ball)
+    A = folner._GraphEngine(graph, center).ball(args.ball)
     ratio = folner.folner_ratio(graph, A, args.c)
     print(f"ball radius {args.ball} ({len(A)} vertices): ratio {ratio:.6f}")
     return 0
@@ -493,13 +490,16 @@ def build_parser():
                    help="the explicit lattice {(e^n m, e^n)} in h2")
     p.add_argument("--group-ball", action="store_true",
                    help="whole word ball of a group model")
-    p.add_argument("--delta", type=float, help="greedy net separation")
+    p.add_argument("--delta", type=float,
+                   help="greedy net separation, a finite number > 0")
     p.add_argument("--radius", type=int, help="word-ball window radius")
     p.add_argument("--box", help="euclidean box, e.g. -5..5,-5..5")
     p.add_argument("--u", help="u range for h2, e.g. -20..20")
     p.add_argument("--n", help="integer level range for --horocyclic, e.g. -3..3")
     p.add_argument("--log-a", dest="log_a", help="log a range for h2 windows")
-    p.add_argument("--pitch", type=float, default=0.25)
+    p.add_argument("--pitch", type=float, default=0.25,
+                   help="grid step of a --box or h2 window, a finite "
+                        "number > 0")
     p.add_argument("--probes", type=int, default=1000,
                    help="verification probes, >= 0 (0 disables)")
     p.add_argument("--margin", type=float, default=1.2)

@@ -16,18 +16,19 @@ graph the codes are the vertex ids and a step gathers their CSR rows.  On
 the implicit infinite graphs (``CayleyGraph``, ``HorocyclicGraph``) they
 are packed coordinates for Z^d and the Heisenberg group, the shortlex rank
 of the word for free groups, and m L + n + N for the horocyclic vertex
-(m, n); each such engine is sized for the scanned radius.  All share one
-closure, which expands only the codes its previous step added, and one
-boundary routine that handles candidate sets with millions of vertices.
-Its inner closure grows only inside N_c(A): a path of at most c hops from
-outer to some a in A stays within c of a, so the work is bounded by
-|N_c(A)|.
+(m, n); each such engine is sized for the scanned radius.  Every engine
+answers ``ball`` and ``box`` about its centre, the finite one about the
+scan's centre vertex, and all share one closure, which expands only the
+codes its previous step added, and one boundary routine that handles
+candidate sets with millions of vertices.  Its inner closure grows only
+inside N_c(A): a path of at most c hops from outer to some a in A stays
+within c of a, so the work is bounded by |N_c(A)|.
 
-On finite graphs every candidate must keep graph distance > c from the
-border vertices, so the windowed boundary equals the boundary in the
-unwindowed object.  ``c_boundary`` and ``folner_ratio`` take finite graphs
-only; ``folner_scan`` scores the implicit ones, whose boundaries are exact
-as computed.
+``folner_scan`` scores every graph kind by one loop.  On finite graphs
+every candidate must keep graph distance > c from the border vertices, so
+the windowed boundary equals the boundary in the unwindowed object, and
+the loop skips those that do not.  ``c_boundary`` and ``folner_ratio`` take
+finite graphs only; the implicit boundaries are exact as computed.
 """
 
 from __future__ import annotations
@@ -118,7 +119,7 @@ def c_boundary(graph, A, c):
             f"set vertices within graph distance {int(c)} of the window "
             f"border: {bad[:8]}{'...' if len(bad) > 8 else ''}"
         )
-    outer, inner = _packed_boundary(_packed_engine(graph, None),
+    outer, inner = _packed_boundary(_GraphEngine(graph),
                                     np.array(A, dtype=np.intp), int(c))
     return np.sort(np.concatenate([outer, inner])).tolist()
 
@@ -140,14 +141,35 @@ def folner_ratio(graph, A, c) -> float:
 
 
 class _GraphEngine:
-    """A finite rough graph on its vertex ids: a step lays the CSR rows of
-    the ids end to end."""
+    """A finite rough graph on its vertex ids, about a centre vertex: a
+    step lays the CSR rows of the ids end to end.  ``ball(r)`` grows from
+    the ball asked for before it unless r is smaller, as N_a(N_b(x)) =
+    N_(a+b)(x); ``box(n)`` holds the vertices within sup-distance n of the
+    centre's coordinates, on grid metrics only."""
 
-    def __init__(self, graph):
-        self.csr = graph.csr()
+    def __init__(self, graph, center=None):
+        self.graph, self.csr, self.center = graph, graph.csr(), center
+        self._radius = math.inf   # no ball grown yet
 
     def expand(self, ids):
         return csr_rows(*self.csr, ids)
+
+    def ball(self, r):
+        if r < self._radius:
+            self._ball = np.array([self.center], dtype=np.intp)
+            self._radius = 0
+        self._ball = _packed_closure(self, self._ball, r - self._radius)
+        self._radius = r
+        return self._ball
+
+    def box(self, n):
+        space = self.graph.space
+        if not space.grid_metric:
+            raise DomainError(
+                f"box candidates are undefined for {space.model_id}")
+        X = self.graph.lattice.coords()
+        return np.flatnonzero(np.abs(X - X[self.center]).max(axis=1)
+                              <= n + TOL)
 
 
 class _ZdEngine:
@@ -271,10 +293,9 @@ class _HoroEngine:
 
 
 def _packed_engine(graph, word_span):
-    """The engine for words (hops, on the horocyclic graph) up to length
-    ``word_span``, or None; a finite graph's engine ignores the span."""
-    if isinstance(graph, RoughGraph):
-        return _GraphEngine(graph)
+    """The engine of an implicit graph for words (hops, on the horocyclic
+    graph) up to length ``word_span``, or None; a finite graph's engine is
+    a ``_GraphEngine`` about the scan's centre."""
     if isinstance(graph, HorocyclicGraph):
         return _HoroEngine(graph, word_span)
     if not isinstance(graph, CayleyGraph):
@@ -341,14 +362,6 @@ def _packed_boundary(engine, a_sorted, word_steps):
 # candidate families
 
 
-def _finite_box(graph: RoughGraph, center, n):
-    space = graph.space
-    if not space.grid_metric:
-        raise DomainError(f"box candidates are undefined for {space.model_id}")
-    X = graph.lattice.coords()
-    return np.flatnonzero(np.abs(X - X[center]).max(axis=1) <= n + TOL)
-
-
 def folner_scan(graph, c, family, epsilon, schedule,
                 center=None) -> FolnerReport:
     """Evaluate a Folner candidate family in increasing size.
@@ -370,12 +383,42 @@ def folner_scan(graph, c, family, epsilon, schedule,
         raise WindowTooSmallError("empty candidate schedule")
     if schedule[0] < 0:
         raise DomainError(f"negative candidate size {schedule[0]}")
-    if isinstance(graph, RoughGraph):
-        if center is not None:
-            center, = graph.vertex_ids([center])
-        entries = _scan_finite(graph, c, family, epsilon, schedule, center)
+    finite = isinstance(graph, RoughGraph)
+    if finite:
+        depths = graph.border_depths()
+        center = (graph.deepest_vertex(depths) if center is None
+                  else graph.vertex_ids([center])[0])
+        engine, hop = _GraphEngine(graph, center), 1
+    elif family == "greedy_improved":
+        raise DomainError("greedy_improved needs a finite windowed graph")
     else:
-        entries = _scan_implicit(graph, c, family, epsilon, schedule)
+        hop = 1 if isinstance(graph, HorocyclicGraph) \
+            else int(getattr(graph, "threshold", 1))
+    balls = family != "boxes"
+    entries, best_set = [], None
+    for size in schedule:
+        if not finite:
+            # codes stay within c hops of the candidate, and expand reads
+            # one more; the span leaves room for 2c + 1
+            span = (size + 2 * int(c) + 1) * hop
+            engine = _packed_engine(graph, span)
+            if engine is None:
+                raise DomainError(f"no exact engine reaches word length {span}")
+            if not balls and engine.box is None:
+                raise DomainError("box candidates are undefined for this graph")
+        A = engine.ball(size * hop) if balls else engine.box(size)
+        if finite and (depths[A] <= c).any():
+            continue  # candidate leaks past the certified interior
+        bsize = sum(map(len, _packed_boundary(engine, A, int(c) * hop)))
+        ratio = bsize / len(A)
+        entries.append((f"{'ball' if balls else 'box'}:{size}", len(A), bsize,
+                        ratio))
+        if best_set is None or ratio < best_ratio:
+            best_set, best_ratio = A, ratio
+        if ratio < epsilon:
+            break
+    if family == "greedy_improved" and best_set is not None:
+        entries.append(_greedy_improve(engine, c, best_set, depths))
     if not entries:
         raise WindowTooSmallError(
             "no candidate of the requested family fits the certified interior"
@@ -389,38 +432,6 @@ def folner_scan(graph, c, family, epsilon, schedule,
         epsilon_target=float(epsilon),
         achieved=best < epsilon,
     )
-
-
-def _scan_finite(graph, c, family, epsilon, schedule, center):
-    depths = graph.border_depths()
-    if center is None:
-        center = graph.deepest_vertex(depths)
-    engine = _packed_engine(graph, None)
-    entries = []
-    base_family = "metric_balls" if family == "greedy_improved" else family
-    best_set = None
-    # each ball grows from the one before: N_a(N_b(x)) = N_(a+b)(x)
-    ball, radius = np.array([center], dtype=np.intp), 0
-    for size in schedule:
-        if base_family == "metric_balls":
-            A = ball = _packed_closure(engine, ball, size - radius)
-            radius = size
-            desc = f"ball:{size}"
-        else:
-            A = _finite_box(graph, center, size)
-            desc = f"box:{size}"
-        if not len(A) or (depths[A] <= c).any():
-            continue  # candidate leaks past the certified interior
-        bsize = sum(map(len, _packed_boundary(engine, A, int(c))))
-        ratio = bsize / len(A)
-        entries.append((desc, len(A), bsize, ratio))
-        if best_set is None or ratio < min(e[3] for e in entries[:-1]):
-            best_set = A
-        if ratio < epsilon:
-            break
-    if family == "greedy_improved" and entries and best_set is not None:
-        entries.append(_greedy_improve(engine, c, best_set, depths))
-    return entries
 
 
 def _greedy_improve(engine, c, A, depths):
@@ -457,29 +468,3 @@ def _greedy_improve(engine, c, A, depths):
                 break
     return (f"greedy:{len(current)}", len(current), len(outer) + len(inner),
             ratio)
-
-
-def _scan_implicit(graph, c, family, epsilon, schedule):
-    if family == "greedy_improved":
-        raise DomainError("greedy_improved needs a finite windowed graph")
-    hop = 1 if isinstance(graph, HorocyclicGraph) \
-        else int(getattr(graph, "threshold", 1))
-    balls = family == "metric_balls"
-    entries = []
-    for size in schedule:
-        # codes stay within c hops of the candidate, and expand reads one
-        # more; the span leaves room for 2c + 1
-        span = (size + 2 * int(c) + 1) * hop
-        engine = _packed_engine(graph, span)
-        if engine is None:
-            raise DomainError(f"no exact engine reaches word length {span}")
-        if not balls and engine.box is None:
-            raise DomainError("box candidates are undefined for this graph")
-        A = engine.ball(size * hop) if balls else engine.box(size)
-        n = len(A)
-        bsize = sum(map(len, _packed_boundary(engine, A, int(c) * hop)))
-        entries.append((f"{'ball' if balls else 'box'}:{size}", n, bsize,
-                        bsize / n))
-        if bsize / n < epsilon:
-            break
-    return entries

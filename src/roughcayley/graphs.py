@@ -349,10 +349,13 @@ def build_graph(lattice: QuasiLattice, threshold=None) -> RoughGraph:
 
     The default threshold is 2r + c + 1; ties at the threshold count as
     edges (1e-9 tolerance).  Disconnection signals an inadequate window or a
-    wrong r/c, and the error carries the component sizes.
+    wrong r/c, and the error carries the component sizes.  A NaN threshold
+    is a ``DomainError``.
     """
     if threshold is None:
         threshold = default_threshold(lattice)
+    if math.isnan(threshold):
+        raise DomainError("edge threshold is NaN")
     X = lattice.coords()
     adjacency = _adjacency(len(lattice), _kept(
         _candidates(lattice.space, X, X, threshold), threshold))

@@ -23,7 +23,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BorderError, DomainError, SchemaError, WindowTooSmallError
+from .errors import (
+    BorderError,
+    DomainError,
+    ModelMismatchError,
+    SchemaError,
+    WindowTooSmallError,
+)
 from .spaces import (
     BallWindow,
     BoxWindow,
@@ -209,16 +215,20 @@ class QuasiLattice:
                 ("certificates", "a JSON object", type(certificates) is dict)):
             if not ok:
                 raise SchemaError(f"{name} must be {rule}, got {obj[name]!r}")
-        return cls(
-            space=space,
-            window=window,
-            # checked against the model once, by ``__post_init__``
-            points=[space._unchecked_point(p) for p in obj["points"]],
-            separation_delta=delta,
-            density_radius_r=r,
-            construction=obj["construction"],
-            certificates=certificates,
-        )
+        try:
+            return cls(
+                space=space,
+                window=window,
+                # checked against the model once, by ``__post_init__``
+                points=[space._unchecked_point(p) for p in obj["points"]],
+                separation_delta=delta,
+                density_radius_r=r,
+                construction=obj["construction"],
+                certificates=certificates,
+            )
+        except (DomainError, ModelMismatchError) as exc:
+            # a point of the file that is no point of the model
+            raise SchemaError(str(exc)) from exc
 
 
 @dataclass(frozen=True)
@@ -261,8 +271,9 @@ def greedy_net(space, window, delta, enumeration=None) -> QuasiLattice:
     # graphs imports this module, so its candidate dispatch is imported here
     from .graphs import _candidates
 
-    if delta <= 0:
-        raise DomainError("separation delta must be positive")
+    if not 0 < delta < math.inf:
+        raise DomainError(f"separation delta must be a finite number > 0, "
+                          f"got {delta!r}")
     if enumeration is None:
         enumeration = points = space.enumerate_window(window)
     else:
@@ -412,10 +423,10 @@ def verify_quasilattice(lattice: QuasiLattice, probes, r_list, seed=None):
     one pass over the point index sets the lattice points aside, and
     ``check_points`` takes the rest.  Every probe must keep boundary slack
     >= max(r_list) so neighbor counts are not truncated by the window
-    border; a radius that is not a finite number raises ``DomainError``.  Returns ``(certificate,
-    profile)`` where the certificate records the worst probe-to-lattice
-    distance and the profile the largest count of lattice points within
-    each radius R (plus 1e-9) of a probe.
+    border; a radius that is negative or not finite raises ``DomainError``.
+    Returns ``(certificate, profile)`` where the certificate records the
+    worst probe-to-lattice distance and the profile the largest count of
+    lattice points within each radius R (plus 1e-9) of a probe.
 
     Both come from the probe-lattice pairs of ``_near_pairs`` at
     T = max(max R, density radius r), the pass that also answers
@@ -425,8 +436,9 @@ def verify_quasilattice(lattice: QuasiLattice, probes, r_list, seed=None):
     """
     r_list = sorted(float(r) for r in r_list)
     for r in r_list:
-        if not math.isfinite(r):
-            raise DomainError(f"multiplicity radius {r!r} is not finite")
+        if not 0 <= r < math.inf:
+            raise DomainError(f"multiplicity radius {r!r} is not a finite "
+                              f"number >= 0")
     required = r_list[-1] if r_list else 0.0
     space = lattice.space
     # a probe equal to a lattice point passes as it is, even as floats on Z^d

@@ -116,6 +116,13 @@ def _coords(values, kind):
                       f"got {values!r}")
 
 
+def _check_pitch(pitch):
+    """The grid step of a window enumeration: a finite number > 0."""
+    if not 0 < pitch < math.inf:
+        raise DomainError(f"window pitch must be a finite number > 0, "
+                          f"got {pitch!r}")
+
+
 # ---------------------------------------------------------------------------
 # windows
 
@@ -137,7 +144,9 @@ class BallWindow:
 
 @dataclass(frozen=True)
 class BoxWindow:
-    """Coordinate box with a grid pitch, for Euclidean models."""
+    """Coordinate box with a grid pitch, for Euclidean models.
+
+    ``enumerate_window`` needs a pitch that is a finite number > 0."""
 
     lo: tuple
     hi: tuple
@@ -162,8 +171,8 @@ class BoxWindow:
 class H2Window:
     """(u-range, log a-range) box for the hyperbolic plane.
 
-    ``pitch`` is the grid step used by ``enumerate_window``; membership and
-    slack queries ignore it.
+    ``pitch`` is the grid step used by ``enumerate_window``, which needs a
+    finite number > 0; membership and slack queries ignore it.
     """
 
     u_min: float
@@ -183,7 +192,8 @@ class H2Window:
         la = _coords(_get(obj, "log_a", "window"), float)
         if len(u) != 2 or len(la) != 2:
             raise SchemaError(f"h2box window needs two-number ranges: {obj!r}")
-        return cls(*u, *la, _num(obj.get("pitch") or 0.25, float))
+        pitch = obj.get("pitch")
+        return cls(*u, *la, 0.25 if pitch is None else _num(pitch, float))
 
 
 @dataclass(frozen=True)
@@ -898,6 +908,7 @@ class EuclideanModel(SpaceModel):
 
     def enumerate_window(self, window):
         self.check_window(window)
+        _check_pitch(window.pitch)
         axes = []
         for lo, hi in zip(window.lo, window.hi):
             if hi < lo - TOL:
@@ -1007,6 +1018,7 @@ class HyperbolicPlaneModel(SpaceModel):
 
     def enumerate_window(self, window):
         self.check_window(window)
+        _check_pitch(window.pitch)
         if window.u_max < window.u_min - TOL or window.la_max < window.la_min - TOL:
             return []
         nu = int(math.floor((window.u_max - window.u_min) / window.pitch + TOL))

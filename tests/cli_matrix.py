@@ -22,7 +22,10 @@ box, an h2 net and the horocyclic lattice) through ``lattice build
 horocyclic graph too, and ``folner ratio``; eleven graph files with a bad
 edge list and eight lattice files with a bad point; and the probe-count,
 margin and boundary-constant cases that ``lattice verify`` and ``folner``
-must reject or answer.  The first stage runs the chains, two at a time;
+must reject or answer; and the empty certificate samples, the construction
+parameters that are not finite, the negative multiplicity radius and the
+window pitches that ``qaction``, ``lattice`` and ``graph build`` must
+reject.  The first stage runs the chains, two at a time;
 the second runs every other case on its own, two at a time.
 Pytest does not collect this file.
 """
@@ -175,6 +178,39 @@ def after_lattices():
                                  "--family", "metric_balls", "--sizes",
                                  "1..2", "--epsilon", "0.1"], None),
     ]
+    # certificates over an empty sample, construction parameters that are
+    # not finite, a negative multiplicity radius and window pitches that
+    # are no finite number > 0
+    cases += [
+        ("z2-r40:certify-radius-neg", ["qaction", "certify", "--lattice",
+                                       "z2-r40.json", "--group-radius", "-1"],
+         None),
+        ("z2-r40:certify-targets-0", ["qaction", "certify", "--lattice",
+                                      "z2-r40.json", "--targets", "0"], None),
+        ("z2-r40:conjugacy-radius-neg", ["qaction", "conjugacy", "--lattice",
+                                         "z2-r40.json", "--lattice2",
+                                         "z2-ball12.json",
+                                         "--group-radius", "-2"], None),
+        ("z2-r40:graph-threshold-nan", ["graph", "build", "--lattice",
+                                        "z2-r40.json", "--threshold", "nan",
+                                        "--out", "z2-r40.nan.graph.json"],
+         None),
+        ("z2-r40:verify-R-neg", ["lattice", "verify", "--lattice",
+                                 "z2-r40.json", "--R=-1"], None),
+    ]
+    for delta in ("nan", "inf"):
+        cases.append((f"build-delta-{delta}", [
+            "lattice", "build", "--space", "zd", "--d", "2", "--radius", "10",
+            "--delta", delta, "--out", f"delta-{delta}.json"], None))
+    windows = {"box": ["--space", "euclidean", "--d", "2",
+                       "--box", "0..1,0..1"],
+               "h2": ["--space", "h2", "--u", "-1..1", "--log-a", "-1..1"]}
+    for name, window in windows.items():
+        for label, pitch in (("0", "0"), ("nan", "nan"), ("neg", "-1")):
+            cases.append((f"build-{name}-pitch-{label}", [
+                "lattice", "build", *window, "--delta", "1",
+                f"--pitch={pitch}", "--out", f"{name}-pitch-{label}.json"],
+                None))
     return [[case] for case in cases]
 
 

@@ -500,3 +500,20 @@ def test_conjugacy_defect_over_a_sampled_element_set_matches_literal_loop():
     assert z2.ball_sizes(6)[-1] * 6 > 200 + 100
     assert quasi_conjugacy_defect(qa, qa2, **args) == \
         literal_conjugacy_defect(qa, qa2, **args)
+
+
+@pytest.mark.parametrize("sample,message", [
+    (dict(group_radius=-1), "group radius must be >= 0, got -1"),
+    (dict(n_targets=0), "need at least one target, got 0"),
+    (dict(n_targets=-3), "need at least one target, got -3"),
+], ids=["radius-negative", "targets-0", "targets-negative"])
+def test_certificates_over_an_empty_sample_are_domain_errors(even_action,
+                                                              sample,
+                                                              message):
+    """A certificate over no group element or no target would read like a
+    perfect one (all defects 0)."""
+    args = {"group_radius": 2, "n_targets": 3, **sample}
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        certify_axioms(even_action, **args)
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        quasi_conjugacy_defect(even_action, even_action, **args)

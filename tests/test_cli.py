@@ -292,6 +292,33 @@ def test_non_integer_coordinates_exit_with_schema_error(tmp_path, capsys,
     assert not (tmp_path / "g.json").exists()
 
 
+@pytest.mark.parametrize("name,point,message", [
+    ("free_group", {"model": "free_group", "w": [1, -1]},
+     "word (1, -1) is not reduced"),
+    ("free_group", {"model": "free_group", "w": [5]}, "bad letter 5 in (5,)"),
+    ("zd", {"model": "zd", "x": [0, 1, 2]}, "(0, 1, 2) is not a point of zd(2)"),
+], ids=["unreduced", "letter-5", "three"])
+def test_file_point_that_is_no_point_of_the_model_exits_2(tmp_path, capsys,
+                                                          name, point,
+                                                          message):
+    """A lattice file, or a graph file that embeds one, with a point that
+    the model rejects is a schema error that keeps the model's message."""
+    path, doc = _lattice_file(tmp_path, *LATTICES[name])
+    g = tmp_path / "g.json"
+    assert run("graph", "build", "--lattice", str(path), "--out", str(g)) == 0
+    graph = json.loads(g.read_text())
+    doc["points"][-1] = graph["lattice"]["points"][-1] = point
+    path.write_text(json.dumps(doc))
+    g.write_text(json.dumps(graph))
+    capsys.readouterr()
+    assert run("graph", "build", "--lattice", str(path),
+               "--out", str(tmp_path / "g2.json")) == 2
+    assert capsys.readouterr().err == f"error (schema): {message}\n"
+    assert run("graph", "stats", "--graph", str(g)) == 2
+    assert capsys.readouterr().err == f"error (schema): {message}\n"
+    assert not (tmp_path / "g2.json").exists()
+
+
 def test_x0_must_be_an_integer_lattice_point(tmp_path, capsys):
     path, _ = _lattice_file(tmp_path, *LATTICES["zd"])
     g = tmp_path / "g.json"
@@ -611,6 +638,61 @@ def test_probe_counts_and_margins_are_checked(tmp_path, capsys, window):
         assert run("lattice", "build", *PROBE_WINDOWS[window], *bad,
                    "--out", str(out)) == 1
         assert capsys.readouterr().err.startswith("error: cannot sample ")
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--space", "zd", "--d", "2", "--radius", "10", "--delta", "nan"],
+     "separation delta must be a finite number > 0, got nan"),
+    (["--space", "zd", "--d", "2", "--radius", "10", "--delta", "inf"],
+     "separation delta must be a finite number > 0, got inf"),
+    *[([*window, "--delta", "1", f"--pitch={pitch}"],
+       f"window pitch must be a finite number > 0, got {float(pitch)!r}")
+      for window in (["--space", "euclidean", "--box", "0..1,0..1"],
+                     ["--space", "h2", "--u", "-1..1", "--log-a", "-1..1"])
+      for pitch in ("0", "nan", "-1")],
+], ids=["delta-nan", "delta-inf", "box-pitch-0", "box-pitch-nan",
+        "box-pitch-negative", "h2-pitch-0", "h2-pitch-nan",
+        "h2-pitch-negative"])
+def test_construction_parameters_out_of_range_exit_1(tmp_path, capsys, argv,
+                                                     message):
+    """A separation or a window pitch that is not a finite number > 0 exits
+    1 and writes no lattice file."""
+    out = tmp_path / "lat.json"
+    assert run("lattice", "build", *argv, "--out", str(out)) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_nan_threshold_and_negative_radius_exit_1(tmp_path, capsys):
+    lat, _ = _lattice_file(tmp_path, *LATTICES["zd"])
+    out = tmp_path / "o.json"
+    capsys.readouterr()
+    assert run("graph", "build", "--lattice", str(lat), "--threshold", "nan",
+               "--out", str(out)) == 1
+    assert capsys.readouterr().err == "error: edge threshold is NaN\n"
+    assert run("lattice", "verify", "--lattice", str(lat), "--R=-1",
+               "--out", str(out)) == 1
+    assert capsys.readouterr().err == (
+        "error: multiplicity radius -1.0 is not a finite number >= 0\n")
+    assert not out.exists()
+
+
+def test_qaction_certificates_over_an_empty_sample_exit_1(tmp_path, capsys):
+    """No group element or no target: the defects would all read 0."""
+    lat, _ = _lattice_file(tmp_path, "--space", "zd", "--d", "2",
+                           "--group-ball", "--radius", "25")
+    out = tmp_path / "cert.json"
+    for command, message in (
+            (["certify", "--group-radius", "-1"],
+             "group radius must be >= 0, got -1"),
+            (["certify", "--targets", "0"], "need at least one target, got 0"),
+            (["conjugacy", "--lattice2", str(lat), "--group-radius", "-2"],
+             "group radius must be >= 0, got -2")):
+        capsys.readouterr()
+        assert run("qaction", command[0], "--lattice", str(lat), *command[1:],
+                   "--out", str(out)) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
 

@@ -32,7 +32,7 @@ from roughcayley.errors import (
 from roughcayley.folner import (
     FolnerReport,
     _FreeEngine,
-    _finite_box,
+    _GraphEngine,
     _packed_boundary,
     _packed_closure,
     _packed_engine,
@@ -444,7 +444,7 @@ def test_finite_box_matches_the_coordinate_loop(lattice):
     for center in (0, g.n // 2, g.deepest_vertex(g.border_depths())):
         c0 = g.point(center)
         for n in range(10):
-            assert _finite_box(g, center, n).tolist() == [
+            assert _GraphEngine(g, center).box(n).tolist() == [
                 i for i, p in enumerate(g.lattice.points)
                 if max(abs(v - w) for v, w in zip(p, c0)) <= n + 1e-9]
 

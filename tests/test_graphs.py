@@ -500,6 +500,13 @@ def test_threshold_override():
     assert default_threshold(lat) == 2.0
 
 
+def test_nan_threshold_is_a_domain_error():
+    """Every distance test against NaN fails, so the graph would have no
+    edges and be reported as disconnected."""
+    with pytest.raises(DomainError, match="edge threshold is NaN"):
+        build_graph(group_ball_lattice(ZdModel(2), 4), threshold=math.nan)
+
+
 def test_exports():
     g = build_graph(make_even_lattice(6))
     dot = to_dot(g)

@@ -145,6 +145,14 @@ def test_greedy_rejects_nonpositive_delta():
         greedy_net(ZdModel(1), BallWindow(3), 0.0)
 
 
+@pytest.mark.parametrize("delta", [math.nan, math.inf])
+def test_greedy_rejects_a_delta_that_is_not_finite(delta):
+    """No separation is a NaN, and an infinite one would keep one point
+    whose certificate no lattice file can hold."""
+    with pytest.raises(DomainError, match="finite number > 0"):
+        greedy_net(ZdModel(2), BallWindow(10), delta)
+
+
 def test_horocyclic_level_zero_points():
     lat = horocyclic_lattice((-2.0, 2.0), (0, 0))
     assert lat.points == [(-2.0, 1.0), (-1.0, 1.0), (0.0, 1.0), (1.0, 1.0), (2.0, 1.0)]
@@ -416,6 +424,15 @@ def test_verify_quasilattice_checks_probes(space, probe, error):
 def test_verify_quasilattice_rejects_a_radius_that_is_not_finite(r_list):
     lat = make_even_lattice(10)
     with pytest.raises(DomainError, match="multiplicity radius"):
+        verify_quasilattice(lat, [(0,)], r_list)
+
+
+@pytest.mark.parametrize("r_list", [[-1.0], [-0.5, 1.0]])
+def test_verify_quasilattice_rejects_a_negative_radius(r_list):
+    """A count within a negative radius is 0 for every probe, so it would
+    read like a measured multiplicity."""
+    lat = make_even_lattice(10)
+    with pytest.raises(DomainError, match="finite number >= 0"):
         verify_quasilattice(lat, [(0,)], r_list)
 
 

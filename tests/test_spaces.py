@@ -586,6 +586,9 @@ JSON_FORMS = {
     "window-h2box": (H2Window(-20.0, 20.0, -3.0, 3.0, 0.25),
                      {"kind": "h2box", "u": [-20.0, 20.0],
                       "log_a": [-3.0, 3.0], "pitch": 0.25}),
+    "window-h2box-pitch-0": (H2Window(-1.0, 1.0, -1.0, 1.0, 0.0),
+                             {"kind": "h2box", "u": [-1.0, 1.0],
+                              "log_a": [-1.0, 1.0], "pitch": 0.0}),
 }
 
 
@@ -656,10 +659,33 @@ def test_space_codec_rejects_malformed_spaces(obj):
     {"kind": "h2box", "u": [0.0], "log_a": [-1.0, 1.0]},
     {"kind": "h2box", "u": [0.0, 1.0], "log_a": [-1.0, 1.0], "pitch": "x"},
     {"kind": "disc", "radius": 3},
+    {"kind": "h2box", "u": [0.0, 1.0], "log_a": [-1.0, 1.0], "pitch": False},
 ])
 def test_window_codec_rejects_malformed_windows(obj):
     with pytest.raises(SchemaError):
         window_from_json(obj)
+
+
+@pytest.mark.parametrize("extra", [{}, {"pitch": None}])
+def test_h2_window_pitch_defaults_only_when_absent_or_null(extra):
+    obj = {"kind": "h2box", "u": [0.0, 1.0], "log_a": [-1.0, 1.0], **extra}
+    assert window_from_json(obj).pitch == 0.25
+
+
+@pytest.mark.parametrize("space, window", [
+    (EuclideanModel(2), lambda pitch: BoxWindow((0.0, 0.0), (1.0, 1.0),
+                                                pitch)),
+    (HyperbolicPlaneModel(), lambda pitch: H2Window(-1.0, 1.0, -1.0, 1.0,
+                                                    pitch)),
+], ids=["box", "h2"])
+@pytest.mark.parametrize("pitch", [0.0, -1.0, math.nan, math.inf, -math.inf])
+def test_enumerate_window_rejects_a_pitch_that_is_not_positive_and_finite(
+        space, window, pitch):
+    """A zero pitch divides by zero, NaN has no grid and a negative one
+    would enumerate nothing."""
+    with pytest.raises(DomainError, match="window pitch must be a finite "
+                                          "number > 0"):
+        space.enumerate_window(window(pitch))
 
 
 @pytest.mark.parametrize("space, window", [

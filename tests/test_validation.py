@@ -97,9 +97,9 @@ def test_quasi_lattice_rejects_malformed_point_at_construction(space, good,
 def test_lattice_checks_each_point_once_when_loaded_or_constructed(
         monkeypatch, space, good, bad, exc):
     """Reading a lattice file checks each point against the model once, in
-    ``check_points``, as constructing the lattice directly does; a bad point
-    raises the model's own error either way, and a wrong tag a schema
-    error."""
+    ``check_points``, as constructing the lattice directly does.  A bad
+    point in a file is a schema error with the model's own error as its
+    cause and message, and so is a wrong tag."""
     lat = small_lattice(space)
     doc = lat.to_json()
     check = type(space).check_points
@@ -119,8 +119,10 @@ def test_lattice_checks_each_point_once_when_loaded_or_constructed(
                  construction=lat.construction)
     assert calls[0] == len(lat)
     doc["points"][-1] = space.point_to_json(bad)
-    with pytest.raises(exc):
+    with pytest.raises(SchemaError) as info:
         QuasiLattice.from_json(doc)
+    assert type(info.value.__cause__) is exc
+    assert str(info.value) == str(info.value.__cause__)
     doc["points"][-1] = dict(space.point_to_json(good), model="other")
     with pytest.raises(SchemaError):
         QuasiLattice.from_json(doc)
@@ -153,7 +155,7 @@ def test_rough_graph_from_json_rejects_unreduced_word():
     obj = build_graph(group_ball_lattice(FreeGroupModel(2), 2)).to_json()
     RoughGraph.from_json(obj)
     obj["lattice"]["points"][-1]["w"] = [1, -1]
-    with pytest.raises(DomainError):
+    with pytest.raises(SchemaError, match=r"^word \(1, -1\) is not reduced$"):
         RoughGraph.from_json(obj)
 
 
