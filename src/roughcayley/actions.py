@@ -12,8 +12,9 @@ points.  Every sampled computation is reproducible from its recorded seed;
 window escapes raise instead of clamping so defect statistics stay honest.
 
 Batches and checks.  The certifiers work on point arrays (``space.coords``)
-through ``QuasiAction.act_many`` and the model's batch kernels
-``_mul_many`` and ``_dist_many``.  Every map of points (psi, phi, a
+from the sample (word balls by ``_ball``, pairs as arrays S and T) through
+``QuasiAction.act_many`` and the model's batch kernels ``_mul_many`` and
+``_dist_many`` to the defect.  Every map of points (psi, phi, a
 caller's ``phi12``) goes through one helper, ``_map_rows``: it calls the
 map once per distinct row, in order of first occurrence, and checks each
 result against the model before the next call.  The one exception is a
@@ -31,7 +32,6 @@ the first escape of the call that fails first.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -39,19 +39,23 @@ import numpy as np
 
 from .errors import CertificationError, DomainError, OutOfWindowError
 from .nets import QuasiLattice
-from .spaces import BallWindow, QiConstants, SpaceModel, TOL
+from .spaces import (BallWindow, QiConstants, SpaceModel, TOL, _row_index,
+                     _width)
 
 
 # ---------------------------------------------------------------------------
 # point arrays
 
 
-def _distinct_rows(points):
-    """The distinct points of an iterable, in first-occurrence order, and
-    the position of each point among them."""
-    seen = {}
-    inverse = [seen.setdefault(q, len(seen)) for q in points]
-    return list(seen), np.array(inverse, dtype=np.intp)
+def _distinct_rows(Q):
+    """Indices of the distinct rows of the point array Q, in order of first
+    occurrence, and each row's position among them; the stable sort of the
+    row keys starts each run of equal rows at its first occurrence."""
+    keys, order, _ = _row_index(Q)
+    first = np.empty_like(order)   # each row's first occurrence
+    first[order] = order[np.searchsorted(keys, keys)]
+    rows = np.flatnonzero(first == np.arange(len(first)))
+    return rows, np.searchsorted(rows, first)
 
 
 def _map_rows(space, f, Q):
@@ -61,9 +65,9 @@ def _map_rows(space, f, Q):
     with trusted lattice points, every row in one unchecked batch."""
     if isinstance(f, NearestIndex) and f.space == space:
         return f.many(Q)
-    rows, inverse = _distinct_rows(space._points(Q))
+    rows, inverse = _distinct_rows(Q)
     answers = []
-    for q in rows:
+    for q in space._points(Q[rows]):
         answers.append(f(q))
         space.check_point(answers[-1])
     return space.coords(answers)[inverse]
@@ -79,8 +83,8 @@ def _outer(A, B):
 def _act_outer(qa, S, X):
     """s.x for every row s of S and x of X, in the rows of ``_outer(S, X)``;
     each distinct s acts once on each x."""
-    rows, inverse = _distinct_rows(qa.group_space._points(S))
-    moved = qa.act_many(*_outer(qa.group_space.coords(rows), X))
+    rows, inverse = _distinct_rows(S)
+    moved = qa.act_many(*_outer(S[rows], X))
     return moved[(inverse[:, None] * len(X) + np.arange(len(X))).ravel()]
 
 
@@ -123,11 +127,12 @@ class NearestIndex:
     def many(self, points):
         """The answers to a point list or array, as a point array."""
         space, lattice = self.space, self.lattice
-        rows, inverse = _distinct_rows(space._points(space.coords(points)))
-        for q in rows:
+        Q = space.coords(points)
+        rows, inverse = _distinct_rows(Q)
+        for q in space._points(Q[rows]):
             if not space.window_contains(lattice.window, q):
                 raise OutOfWindowError(f"{q!r} is outside the lattice window")
-        index, _ = lattice.nearest_many(space.coords(rows))
+        index, _ = lattice.nearest_many(Q[rows])
         answers = [lattice.points[i] for i in index.tolist()]
         return space.coords(answers)[inverse]
 
@@ -192,10 +197,6 @@ def quasi_action(group_space, lattice, description="nearest-point") -> QuasiActi
 # samples
 
 
-def _ball(space, radius):
-    return space.enumerate_window(BallWindow(radius))
-
-
 def _core_radius(space, radius, fits):
     """The largest m <= radius whose word ball size passes ``fits``, else 0;
     the sizes are the model's closed-form ``ball_sizes``."""
@@ -205,27 +206,27 @@ def _core_radius(space, radius, fits):
 
 
 def _pair_sample(space, radius, core_cap, n_extra, seed, ordered=True):
-    """Deterministic pair sample: the full pair set of the largest word ball
-    whose pair count fits ``core_cap``, plus seeded extra pairs from the full
-    radius.  Samples at smaller radii are therefore nested in larger ones.
-    An unordered sample pairs distinct elements only: its core pairs are
-    combinations, and an extra draw of one index twice is skipped."""
+    """Deterministic pair sample, as point arrays S, T of its pairs: the
+    full pair set of the largest word ball whose pair count fits
+    ``core_cap``, plus seeded extra pairs from the full radius.  Samples
+    at smaller radii are therefore nested in larger ones.  An unordered
+    sample pairs distinct elements only: its core pairs are combinations,
+    and an extra draw of one index twice is skipped."""
     m_core = _core_radius(space, radius, lambda n: n * n <= core_cap)
-    core = _ball(space, m_core)
-    if ordered:
-        pairs = [(s, t) for s in core for t in core]
-    else:
-        pairs = list(itertools.combinations(core, 2))
+    core = space._ball(m_core)
+    n = len(core)
+    i, j = np.divmod(np.arange(n * n), n) if ordered else np.triu_indices(n, 1)
+    S, T = core[i], core[j]
     if radius > m_core and n_extra > 0:
-        full = _ball(space, radius)
+        full = space._ball(radius)
         rng = np.random.default_rng(seed)
         si = rng.integers(0, len(full), size=n_extra)
         ti = rng.integers(0, len(full), size=n_extra)
-        for a, b in zip(si, ti):
-            if not ordered and a == b:
-                continue
-            pairs.append((full[a], full[b]))
-    return pairs
+        keep = ordered | (si != ti)
+        # a free group's core ball is narrower than its full ball
+        S = np.concatenate([_width(S, full.shape[1]), full[si[keep]]])
+        T = np.concatenate([_width(T, full.shape[1]), full[ti[keep]]])
+    return S, T
 
 
 def _check_sample(group_radius, n_targets):
@@ -238,20 +239,18 @@ def _check_sample(group_radius, n_targets):
 
 
 def _central_targets(lattice, margin, n_targets):
-    """The n lattice points of largest boundary slack (ties: nearest the
-    base point, then lexicographic); deterministic, so target sets shrink
-    consistently as margins grow."""
-    space = lattice.space
-    base = space.base_point
-    slacks = lattice.slacks()
-    eligible = [i for i in range(len(lattice.points)) if slacks[i] >= margin - TOL]
-    if not eligible:
+    """The rows of ``lattice.coords()`` of the n lattice points of slack at
+    least the margin nearest the base point, lexicographic on ties;
+    deterministic, so target sets shrink consistently as margins grow."""
+    space, X = lattice.space, lattice.coords()
+    eligible = np.flatnonzero(lattice.slacks() >= margin - TOL)
+    if not len(eligible):
         raise OutOfWindowError(
             f"no lattice point clears the target margin {margin:g}"
         )
-    eligible.sort(key=lambda i: (space._dist(base, lattice.points[i]),
-                                 lattice.points[i]))
-    return [lattice.points[i] for i in eligible[:n_targets]]
+    near = space._dist_many(space.coords([space.base_point]), X[eligible])
+    order = np.lexsort((lattice._lex_ranks()[eligible], near))
+    return X[eligible[order[:n_targets]]]
 
 
 # ---------------------------------------------------------------------------
@@ -299,41 +298,38 @@ def certify_axioms(qa: QuasiAction, group_radius=10, n_targets=8,
     if properness_scan is None:
         properness_scan = int(math.ceil(r_list[-1] + 2 * r + 2))
     margin = max(2.0 * group_radius, properness_scan) + r + 2.0
-    targets = _central_targets(qa.lattice, margin, n_targets)
-    pairs = _pair_sample(space, group_radius, pair_core_cap, n_extra_pairs, seed)
-    X = space.coords(targets)
+    X = _central_targets(qa.lattice, margin, n_targets)
+    S, T = _pair_sample(space, group_radius, pair_core_cap, n_extra_pairs, seed)
     E = space.coords([space.identity()])
 
     identity_defect = _sup(dist(qa.act_many(E, X), X))
 
     # d(s.(t.x), (st).x) over pairs (s, t) and targets x, pair-major
-    S = space.coords([s for s, _ in pairs])
-    T = space.coords([t for _, t in pairs])
     Sx, _ = _outer(S, X)
     assoc = _sup(dist(qa.act_many(Sx, _act_outer(qa, T, X)),
                       _act_outer(qa, space._mul_many(S, T), X)))
 
     # axiom (i): each s acts as a quasi-isometry; additive defect at C = 1
-    ball = _ball(space, group_radius)
+    ball = space._ball(group_radius)
     # 25 evenly spread elements; the indices do not decrease, so fromkeys
     # keeps them sorted (np.unique would import numpy.ma, 30 ms)
     idx = dict.fromkeys(np.linspace(0, len(ball) - 1, 25).astype(int).tolist())
-    singles = space.coords([ball[i] for i in idx])
+    singles = ball[list(idx)]
     Sx, Xs = _outer(singles, X)
     moved = qa.act_many(Sx, Xs)
-    p, q = _block_pairs(len(singles), len(targets))
+    p, q = _block_pairs(len(singles), len(X))
     per_s = _sup(np.abs(dist(moved[p], moved[q]) - dist(Xs[p], Xs[q])))
 
     # axiom (iv): bounded orbits of the radius-1 generator ball
-    unit_ball = space.coords(_ball(space, 1))
+    unit_ball = space._ball(1)
     Xk, K = _outer(X, unit_ball)
     orbits = qa.act_many(K, Xk)
-    p, q = _block_pairs(len(targets), len(unit_ball))
+    p, q = _block_pairs(len(X), len(unit_ball))
     orbit_diam = _sup(dist(orbits[p], orbits[q]))
 
     # properness: witness sets over an exhaustive scan, nested in R
-    scan = space.coords(_ball(space, properness_scan))
-    probes = X[: min(3, len(targets))]
+    scan = space._ball(properness_scan)
+    probes = X[:3]
     Xs, Ss = _outer(probes, scan)
     displacement = dist(qa.act_many(Ss, Xs), Xs)
     norms = dist(E, Ss)
@@ -355,8 +351,8 @@ def certify_axioms(qa: QuasiAction, group_radius=10, n_targets=8,
         properness=tuple(witnesses),
         sample={
             "group_radius": group_radius,
-            "n_pairs": len(pairs),
-            "n_targets": len(targets),
+            "n_pairs": len(S),
+            "n_targets": len(X),
             "properness_scan": properness_scan,
             "seed": seed,
         },
@@ -409,20 +405,20 @@ def orbit_map_qi(qa: QuasiAction, x0=None, radii=(5, 10, 15),
         X0 = space.coords([x0])
     per_radius = []
     for m in sorted(radii):
-        pairs = _pair_sample(space, m, pair_core_cap, n_extra_pairs, seed,
-                             ordered=False)
-        if not pairs:
+        S, T = _pair_sample(space, m, pair_core_cap, n_extra_pairs, seed,
+                            ordered=False)
+        if not len(S):
             raise DomainError(f"no pair of distinct elements sampled at "
                               f"radius {m}")
         # each element once, in order of first appearance in the pairs
-        elements, inverse = _distinct_rows(
-            itertools.chain.from_iterable(pairs))
-        G = space.coords(elements)
+        P = np.stack([S, T], axis=1).reshape(-1, S.shape[1])
+        elements, inverse = _distinct_rows(P)
+        G = P[elements]
         orbit = qa.act_many(G, X0)
         i, j = inverse[0::2], inverse[1::2]
         C, r = _fit_qi(space._dist_many(G[i], G[j]),
                        space._dist_many(orbit[i], orbit[j]))
-        per_radius.append((m, C, r, len(pairs)))
+        per_radius.append((m, C, r, len(S)))
     first = per_radius[0]
     last = per_radius[-1]
     grow_c = last[1] > 1.10 * first[1] + TOL
@@ -473,17 +469,17 @@ def quasi_conjugacy_defect(qa1: QuasiAction, qa2: QuasiAction, phi12=None,
 
     margin = 2.0 * group_radius + qa1.lattice.density_radius_r \
         + qa2.lattice.density_radius_r + 2.0
-    targets = _central_targets(qa1.lattice, margin, n_targets)
-    elements = _ball(space, group_radius)
-    if len(elements) * len(targets) > pair_core_cap + n_extra:
-        core = _ball(space, _core_radius(
-            space, group_radius, lambda n: n * len(targets) <= pair_core_cap))
+    X = _central_targets(qa1.lattice, margin, n_targets)
+    space.check_window(BallWindow(group_radius))
+    elements = space._ball(group_radius)
+    if len(elements) * len(X) > pair_core_cap + n_extra:
+        core = space._ball(_core_radius(
+            space, group_radius, lambda n: n * len(X) <= pair_core_cap))
         rng = np.random.default_rng(seed)
         extra_idx = rng.integers(0, len(elements), size=n_extra)
-        elements = core + [elements[i] for i in extra_idx]
+        elements = np.concatenate([_width(core, elements.shape[1]),
+                                   elements[extra_idx]])
     # rows (s, x) element-major; phi12 once per distinct point
-    elements = space.coords(elements)
-    X = space.coords(targets)
     lhs = map12(_act_outer(qa1, elements, X))
     rhs = _act_outer(qa2, elements, map12(X))
     return _sup(space._dist_many(lhs, rhs))

@@ -392,9 +392,10 @@ def cmd_growth_run(args):
             except ValueError:
                 raise SchemaError(f"--x0 is not JSON: {args.x0!r}")
             p = source.space.point_from_json(obj)
-            if not source.lattice.contains_point(p):
+            try:
+                x0 = source.lattice.index_of(p)
+            except KeyError:
                 raise SchemaError(f"--x0 {p!r} is not a point of the lattice")
-            x0 = source.lattice.index_of(p)
     else:
         source = _space_from_args(args)
         x0 = None

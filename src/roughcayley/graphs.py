@@ -49,6 +49,8 @@ from .spaces import (
     QiConstants,
     TOL,
     _num,
+    _row_index,
+    _width,
     csr_layers,
     hyperbolic_distance_arrays,
 )
@@ -155,7 +157,8 @@ class RoughGraph:
     @classmethod
     def from_json(cls, obj: dict) -> "RoughGraph":
         """The graph of a ``to_json`` object; ``SchemaError`` for a self-loop,
-        an edge listed twice or a ``degree_bound_M`` below a degree."""
+        an edge listed twice, a ``degree_bound_M`` below a degree or a
+        threshold that is not finite."""
         lattice = QuasiLattice.from_json(obj["lattice"])
         n = len(lattice.points)
         for i, j in obj["edges"]:
@@ -170,7 +173,10 @@ class RoughGraph:
         bound = _num(obj["degree_bound_M"], int)
         if bound < max(map(len, adjacency), default=0):
             raise SchemaError(f"degree_bound_M {bound} is below a vertex degree")
-        return cls(lattice, _num(obj["threshold"], float), adjacency, bound)
+        threshold = _num(obj["threshold"], float)
+        if not math.isfinite(threshold):
+            raise SchemaError(f"threshold must be finite, got {threshold!r}")
+        return cls(lattice, threshold, adjacency, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -196,9 +202,7 @@ def _edges_grid(space, Q, X, threshold):
     # keys of the cells of X; the side is widened by twice the tolerance,
     # so a gap of up to threshold + 1e-9 never spans two cell borders
     side = threshold + 2 * TOL
-    keys, key = _row_keys(np.floor(X / side).astype(np.int64))
-    order = np.argsort(keys)
-    keys = keys[order]
+    keys, order, key = _row_index(np.floor(X / side).astype(np.int64))
     cells, I = np.floor(Q / side).astype(np.int64), np.arange(len(Q))
     for off in itertools.product((-1, 0, 1), repeat=X.shape[1]):
         q = key(cells + off)
@@ -244,9 +248,7 @@ def _edges_group_ball(space, Q, X, threshold):
     hops = space._ball(int(math.floor(threshold + TOL)))
     lengths = space.distances_from(space.identity(), hops)
     hops, lengths = hops[lengths > 0], lengths[lengths > 0]
-    keys, key = _row_keys(_width(X, w))
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
+    keys, order, key = _row_index(_width(X, w))
     runs = np.searchsorted(keys, keys, "right")   # where each key's run ends
     distinct = (runs == np.arange(1, n + 1)).all()
 
@@ -283,45 +285,6 @@ def _candidates(space, Q, X, threshold):
     return propose(space, Q, X, threshold)
 
 
-def _width(A, w):
-    """A with its rows cut or zero-padded to w columns."""
-    out = np.zeros((len(A), w), dtype=A.dtype)
-    out[:, :min(A.shape[1], w)] = A[:, :w]
-    return out
-
-
-def _row_keys(K):
-    """Sort keys of the rows of the integer array K, and the function that
-    keys query rows of K's width and dtype: a query and a row of K have
-    equal keys iff they are equal.  The keys are mixed-radix int64 codes
-    over the column ranges of K, widened to take in 0 (so an empty K has
-    them too), and a query outside them is coded -1.  Where a code could
-    overflow, the keys are the rows' raw bytes, which NumPy compares more
-    slowly."""
-    lo = K.min(axis=0, initial=0).astype(np.int64)
-    hi = K.max(axis=0, initial=0).astype(np.int64)
-    spans = [int(b) - int(a) + 1 for a, b in zip(lo, hi)]
-    if math.prod(spans) >> 63:
-        def key(Q):
-            Q = np.ascontiguousarray(Q)
-            return Q.view(f"V{Q.itemsize * Q.shape[1]}").ravel()
-    else:
-        def key(Q):
-            # column by column, so no int64 copy of a narrower Q is made
-            code = np.zeros(len(Q), dtype=np.int64)
-            outside = np.zeros(len(Q), dtype=bool)
-            for c, span in enumerate(spans):
-                col = Q[:, c]
-                outside |= col < lo[c]
-                outside |= col > hi[c]
-                code *= span
-                code += col
-                code -= lo[c]
-            code[outside] = -1
-            return code
-    return key(K), key
-
-
 def _adjacency(n, pairs):
     """Sorted neighbour lists of n vertices joined by the edges of the blocks
     (I, J) of ``pairs``, which grow the lists in turn so that no array holds
@@ -349,13 +312,14 @@ def build_graph(lattice: QuasiLattice, threshold=None) -> RoughGraph:
 
     The default threshold is 2r + c + 1; ties at the threshold count as
     edges (1e-9 tolerance).  Disconnection signals an inadequate window or a
-    wrong r/c, and the error carries the component sizes.  A NaN threshold
-    is a ``DomainError``.
+    wrong r/c, and the error carries the component sizes.  A threshold
+    that is NaN or infinite is a ``DomainError``.
     """
     if threshold is None:
         threshold = default_threshold(lattice)
-    if math.isnan(threshold):
-        raise DomainError("edge threshold is NaN")
+    if not math.isfinite(threshold):
+        raise DomainError("edge threshold is "
+                          + ("NaN" if math.isnan(threshold) else "infinite"))
     X = lattice.coords()
     adjacency = _adjacency(len(lattice), _kept(
         _candidates(lattice.space, X, X, threshold), threshold))
@@ -545,7 +509,11 @@ class CayleyGraph:
         if not (space.is_discrete and space.is_group):
             raise DomainError("CayleyGraph needs a discrete group model")
         self.space = space
-        self.threshold = int(threshold)
+        try:
+            self.threshold = int(threshold)
+        except (OverflowError, ValueError):
+            raise DomainError(f"CayleyGraph threshold {threshold!r} is not "
+                              f"a finite number") from None
         if self.threshold < 1:
             raise DomainError(f"CayleyGraph threshold {threshold!r} < 1")
         self._hops = space.enumerate_window(BallWindow(self.threshold))
@@ -571,8 +539,12 @@ class HorocyclicGraph:
     def __init__(self, threshold=2 * HOROCYCLIC_DENSITY_RADIUS + 1.0):
         self.space = HyperbolicPlaneModel()
         self.threshold = float(threshold)
-        cosht = math.cosh(self.threshold)
-        self._dn_max = int(math.floor(self.threshold + TOL))
+        try:
+            cosht = math.cosh(self.threshold)
+            self._dn_max = int(math.floor(self.threshold + TOL))
+        except (OverflowError, ValueError):
+            raise DomainError(f"HorocyclicGraph threshold {threshold!r} is "
+                              f"not a finite number below 710") from None
         self.reach = {}
         for dn in range(-self._dn_max, self._dn_max + 1):
             b2 = 2.0 * math.exp(dn) * (cosht - math.cosh(dn))

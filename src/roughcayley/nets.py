@@ -38,6 +38,8 @@ from .spaces import (
     SpaceModel,
     TOL,
     _num,
+    _row_index,
+    _width,
     space_from_json,
     window_from_json,
 )
@@ -64,10 +66,8 @@ class QuasiLattice:
     rows of letters).  It is built once, on first use, unless a word ball
     came with it, like the point index and the read-only ``slacks()``, and
     gives the same distances as the list without a conversion per call.
-    The point index finds points by tuple equality, many in one pass: on
-    integer coordinates it bisects the sorted int64 row codes of
-    ``coords()`` (``graphs._row_keys``); on floats it is a dict of the
-    points, as 0.0 equals -0.0 while their codes differ.
+    The point index finds points by tuple equality, many in one pass: it
+    bisects the sorted row keys of ``coords()`` (``spaces._row_index``).
     """
 
     space: SpaceModel
@@ -99,19 +99,9 @@ class QuasiLattice:
     def _find(self, ps):
         """The position of the last copy of each of ``ps`` among the points,
         or -1 where there is none; a p that is no tuple is none."""
-        if not np.issubdtype(self.space.coord_dtype, np.integer):
-            if self._index is None:
-                self._index = {q: i for i, q in enumerate(self.points)}
-            return [self._index.get(p, -1) if isinstance(p, tuple) else -1
-                    for p in ps]
-        # graphs imports this module, so its row codes are imported here
-        from .graphs import _row_keys, _width
-
         X = self.coords()
         if self._index is None:
-            keys, key = _row_keys(X)
-            order = np.argsort(keys, kind="stable")
-            self._index = keys[order], order, key
+            self._index = _row_index(X)
         keys, order, key = self._index
         if not len(keys):
             return [-1] * len(ps)

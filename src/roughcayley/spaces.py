@@ -45,7 +45,10 @@ rest: ``csr_layers`` walks a finite graph in CSR arrays
 (``RoughGraph.csr``) layer by layer, for hop balls,
 border depths, components and distances.  ``csr_rows`` is its one step,
 the neighbour rows of a vertex array laid end to end, which the finite
-Folner engine reads too.
+Folner engine reads too.  Point identity has one rule: two rows are the
+same point iff their ``_row_keys`` are equal.  ``_row_index`` sorts them
+for the edge builders, the lattice point index and the certifiers'
+distinct rows.
 
 Each model owns its JSON form: ``tag`` names it in files and on the
 command line, ``to_json`` adds its ``params``, and ``point_to_json`` and
@@ -227,7 +230,7 @@ class SpaceModel:
     ``ModelMismatchError`` or ``DomainError`` on a malformed one.  Models
     implement the unchecked kernels ``_dist``, ``_mul`` and ``_inv``, which
     assume trusted, well-formed points.  The base holds ``check_point`` (a
-    tuple of ``d`` ints or ``coord_type`` values), its loop
+    tuple of ``d`` ints or ``coord_type`` values, finite floats), its loop
     ``check_points``, ``window_contains`` (a slack >= -1e-9), the JSON
     codec, fallbacks and the word-geodesic rule ``_geodesic`` of the
     discrete groups; R^d and h2 replace it with sampled geodesics.
@@ -289,11 +292,15 @@ class SpaceModel:
 
     def check_point(self, x):
         """Raise ``ModelMismatchError`` unless x is a tuple of ``d``
-        coordinates, each an int or a ``coord_type``."""
+        coordinates, each an int or a ``coord_type``, and ``DomainError``
+        for a float coordinate that is NaN or infinite."""
         kinds = (int, self.coord_type)
         if not (isinstance(x, tuple) and len(x) == self.d
                 and all(isinstance(v, kinds) for v in x)):
             raise ModelMismatchError(f"{x!r} is not a point of {self.model_id}")
+        if self.coord_type is float and not all(-math.inf < v < math.inf
+                                                for v in x):
+            raise DomainError(f"{x!r} has a coordinate that is not finite")
 
     def check_points(self, points):
         """``check_point`` of each of ``points`` in order: the first bad
@@ -838,6 +845,58 @@ def csr_layers(indptr, indices, sources, seen=None):
         yield layer
         cand = csr_rows(indptr, indices, layer)
         cand = cand[~seen.take(cand)]
+
+
+# ---------------------------------------------------------------------------
+# point identity
+
+
+def _width(A, w):
+    """A with its rows cut or zero-padded to w columns."""
+    out = np.zeros((len(A), w), dtype=A.dtype)
+    out[:, :min(A.shape[1], w)] = A[:, :w]
+    return out
+
+
+def _row_keys(K):
+    """Sort keys of the rows of the point array K, and the function that
+    keys query rows of K's width and dtype: equal keys iff equal points.
+    Integer rows get mixed-radix int64 codes over K's column ranges,
+    widened to take in 0, and a query outside them is coded -1.  Float
+    rows, and integer rows whose code could overflow, are keyed by the raw
+    bytes of the row plus 0 (no NaN is a coordinate, and -0.0 + 0 is 0.0),
+    which NumPy compares more slowly."""
+    if K.dtype.kind == "i":
+        lo = K.min(axis=0, initial=0).astype(np.int64)
+        hi = K.max(axis=0, initial=0).astype(np.int64)
+        spans = [int(b) - int(a) + 1 for a, b in zip(lo, hi)]
+        if not math.prod(spans) >> 63:
+            def key(Q):
+                # column by column, so no int64 copy of a narrower Q is made
+                code = np.zeros(len(Q), dtype=np.int64)
+                outside = np.zeros(len(Q), dtype=bool)
+                for c, span in enumerate(spans):
+                    col = Q[:, c]
+                    outside |= col < lo[c]
+                    outside |= col > hi[c]
+                    code *= span
+                    code += col
+                    code -= lo[c]
+                code[outside] = -1
+                return code
+            return key(K), key
+
+    def key(Q):
+        Q = np.ascontiguousarray(Q + 0)
+        return Q.view(f"V{Q.itemsize * Q.shape[1]}").ravel()
+    return key(K), key
+
+
+def _row_index(K):
+    """The sorted ``_row_keys`` of K's rows, their stable order and key."""
+    keys, key = _row_keys(K)
+    order = np.argsort(keys, kind="stable")
+    return keys[order], order, key
 
 
 # ---------------------------------------------------------------------------

@@ -20,13 +20,15 @@ box, an h2 net and the horocyclic lattice) through ``lattice build
 ``orbit-qi`` on the seven group lattices; one ``qaction conjugacy``;
 ``growth run --space zd``; ``folner scan`` with all three families, on the
 horocyclic graph too, and ``folner ratio``; eleven graph files with a bad
-edge list and eight lattice files with a bad point; and the probe-count,
-margin and boundary-constant cases that ``lattice verify`` and ``folner``
-must reject or answer; and the empty certificate samples, the construction
-parameters that are not finite, the negative multiplicity radius and the
-window pitches that ``qaction``, ``lattice`` and ``graph build`` must
-reject.  The first stage runs the chains, two at a time;
-the second runs every other case on its own, two at a time.
+edge list, two with a threshold that is not finite, and twelve lattice
+files with a bad point (four with a NaN or infinite coordinate on R^2 and
+h2); the probe-count, margin and boundary-constant cases that ``lattice
+verify`` and ``folner`` must reject or answer; and the empty certificate
+samples, the construction parameters that are not finite, the negative
+multiplicity radius, the window pitches and the edge thresholds that
+``qaction``, ``lattice`` and ``graph build`` must reject.  The first
+stage runs the chains, two at a time; the second runs every other case
+on its own, two at a time.
 Pytest does not collect this file.
 """
 
@@ -143,6 +145,14 @@ def after_lattices():
         "h2-negative": ("horo.json", {"model": "h2", "u": 0.0, "a": -1.0}),
         "h2-zero": ("horo.json", {"model": "h2", "u": 0.0, "a": 0.0}),
         "tag": ("z2-ball12.json", {"model": "heisenberg", "x": [0, 1]}),
+        "r2-nan": ("r2-box.json", {"model": "euclidean",
+                                   "x": [float("nan"), 0.0]}),
+        "r2-inf": ("r2-box.json", {"model": "euclidean",
+                                   "x": [0.0, float("inf")]}),
+        "h2-nan": ("h2-net.json", {"model": "h2", "u": float("nan"),
+                                   "a": 1.0}),
+        "h2-inf": ("h2-net.json", {"model": "h2", "u": 0.0,
+                                   "a": float("inf")}),
     }
     for label, (source, point) in bad_points.items():
         path = f"bad-point-{label}.json"
@@ -150,6 +160,12 @@ def after_lattices():
                       ["graph", "build", "--lattice", path,
                        "--out", f"bad-point-{label}.graph.json"],
                       (_bad_point, source, path, point)))
+    for label in ("nan", "inf"):
+        path = f"bad-threshold-{label}.json"
+        cases.append((f"bad-threshold:{label}",
+                      ["graph", "stats", "--graph", path],
+                      (_bad_threshold, "z2-ball12.graph.json", path,
+                       float(label))))
     # lattice verify with no probes, a negative count and margins that are
     # negative or not finite on a ball, a box and an h2 window; folner with
     # boundary constants below 1 or not finite
@@ -197,6 +213,10 @@ def after_lattices():
          None),
         ("z2-r40:verify-R-neg", ["lattice", "verify", "--lattice",
                                  "z2-r40.json", "--R=-1"], None),
+        ("z2-r40:graph-threshold-inf", ["graph", "build", "--lattice",
+                                        "z2-r40.json", "--threshold", "inf",
+                                        "--out", "z2-r40.inf.graph.json"],
+         None),
     ]
     for delta in ("nan", "inf"):
         cases.append((f"build-delta-{delta}", [
@@ -229,6 +249,12 @@ def _bad_edges(cwd, source, path, extra):
 def _bad_point(cwd, source, path, point):
     doc = json.loads((cwd / source).read_text())
     doc["points"][1] = point
+    (cwd / path).write_text(json.dumps(doc))
+
+
+def _bad_threshold(cwd, source, path, threshold):
+    doc = json.loads((cwd / source).read_text())
+    doc["threshold"] = threshold
     (cwd / path).write_text(json.dumps(doc))
 
 

@@ -5,9 +5,9 @@ neighbour functions, the boundary definition read off an all-pairs
 distance table or walked on Python sets, full pairwise scans.  None of it
 shares code with the library paths it certifies; the Heisenberg box filter
 takes the closed-form word lengths, which the tests check against BFS, and
-the quasi-action oracles take only their samples (targets, pairs, balls)
-and the least-squares fit from the library and redo every per-element
-loop.
+the quasi-action oracles take only their targets, the core radius and
+the least-squares fit from the library, draw their samples as tuples
+(``tuple_ball``, ``tuple_pair_sample``) and redo every per-element loop.
 """
 
 import functools
@@ -20,10 +20,9 @@ import numpy as np
 from roughcayley.actions import (
     AxiomCertificate,
     QuasiAction,
-    _ball,
     _central_targets,
+    _core_radius,
     _fit_qi,
-    _pair_sample,
 )
 from roughcayley.errors import (
     CertificationError,
@@ -31,7 +30,7 @@ from roughcayley.errors import (
     ModelMismatchError,
 )
 from roughcayley.nets import MultiplicityProfile
-from roughcayley.spaces import _heis_lengths
+from roughcayley.spaces import BallWindow, _heis_lengths
 
 
 def bfs_ball_depths(space, radius):
@@ -311,12 +310,12 @@ def _euclidean_check_point(space, x):
     if not (isinstance(x, tuple) and len(x) == space.d
             and all(isinstance(v, (int, float)) for v in x)):
         raise ModelMismatchError(f"{x!r} is not a point of {space.model_id}")
+    if any(math.isnan(v) or math.isinf(v) for v in x):
+        raise DomainError(f"{x!r} has a coordinate that is not finite")
 
 
 def _h2_check_point(space, x):
-    if not (isinstance(x, tuple) and len(x) == 2
-            and all(isinstance(v, (int, float)) for v in x)):
-        raise ModelMismatchError(f"{x!r} is not a point of h2")
+    _euclidean_check_point(space, x)
     if not x[1] > 0:
         raise DomainError(f"hyperbolic point needs a > 0, got {x!r}")
 
@@ -438,6 +437,42 @@ def pairwise_min_distance(space, points):
 # a row shows up as a different certificate
 
 
+def tuple_ball(space, radius):
+    """The word ball N_radius(e) as the tuple enumeration of the window."""
+    return space.enumerate_window(BallWindow(radius))
+
+
+def tuple_pair_sample(space, radius, core_cap, n_extra, seed, ordered=True):
+    """The pair sample of ``actions._pair_sample`` as a list of tuple pairs
+    (s, t), from the tuple balls: the pairs of the core ball (all ordered
+    pairs, or its combinations), then the seeded extra draws from the full
+    ball, an unordered draw of one index twice skipped."""
+    m_core = _core_radius(space, radius, lambda n: n * n <= core_cap)
+    core = tuple_ball(space, m_core)
+    if ordered:
+        pairs = [(s, t) for s in core for t in core]
+    else:
+        pairs = list(itertools.combinations(core, 2))
+    if radius > m_core and n_extra > 0:
+        full = tuple_ball(space, radius)
+        rng = np.random.default_rng(seed)
+        si = rng.integers(0, len(full), size=n_extra)
+        ti = rng.integers(0, len(full), size=n_extra)
+        for a, b in zip(si, ti):
+            if not ordered and a == b:
+                continue
+            pairs.append((full[a], full[b]))
+    return pairs
+
+
+def dict_distinct_rows(points):
+    """The distinct points of an iterable of tuples, in first-occurrence
+    order, and the position of each point among them, by a dict."""
+    seen = {}
+    inverse = [seen.setdefault(q, len(seen)) for q in points]
+    return list(seen), inverse
+
+
 def _remembering(qa):
     """qa with each phi answer kept per query point.  The literal loops ask
     phi about the same products again and again (99,334 calls on 709
@@ -460,9 +495,10 @@ def literal_axiom_certificate(qa, group_radius=10, n_targets=8,
         properness_scan = int(math.ceil(r_list[-1] + 2 * r + 2))
     # targets clear the products s t x and the scanned s x
     margin = max(2.0 * group_radius, properness_scan) + r + 2.0
-    targets = _central_targets(qa.lattice, margin, n_targets)
-    pairs = _pair_sample(space, group_radius, pair_core_cap, n_extra_pairs,
-                         seed)
+    targets = list(space._points(_central_targets(qa.lattice, margin,
+                                                  n_targets)))
+    pairs = tuple_pair_sample(space, group_radius, pair_core_cap,
+                              n_extra_pairs, seed)
     e = space.identity()
     identity_defect = max([0.0] + [d(qa.act(e, x), x) for x in targets])
     assoc = 0.0
@@ -470,7 +506,7 @@ def literal_axiom_certificate(qa, group_radius=10, n_targets=8,
         st = space.multiply(s, t)
         for x in targets:
             assoc = max(assoc, d(qa.act(s, qa.act(t, x)), qa.act(st, x)))
-    ball = _ball(space, group_radius)
+    ball = tuple_ball(space, group_radius)
     picks = sorted(set(int(i) for i in np.linspace(0, len(ball) - 1, 25)))
     per_s = 0.0
     for s in (ball[i] for i in picks):
@@ -478,10 +514,10 @@ def literal_axiom_certificate(qa, group_radius=10, n_targets=8,
             per_s = max(per_s, abs(d(qa.act(s, x), qa.act(s, y)) - d(x, y)))
     orbit_diam = 0.0
     for x in targets:
-        orbit = [qa.act(k, x) for k in _ball(space, 1)]
+        orbit = [qa.act(k, x) for k in tuple_ball(space, 1)]
         for p, q in itertools.combinations(orbit, 2):
             orbit_diam = max(orbit_diam, d(p, q))
-    scan = _ball(space, properness_scan)
+    scan = tuple_ball(space, properness_scan)
     witnesses = []
     for R in r_list:
         worst = 0.0
@@ -510,8 +546,8 @@ def literal_orbit_constants(qa, radii, pair_core_cap=10000,
     rows = []
     for m in sorted(radii):
         dg, dx = [], []
-        for s, t in _pair_sample(space, m, pair_core_cap, n_extra_pairs,
-                                 seed, ordered=False):
+        for s, t in tuple_pair_sample(space, m, pair_core_cap,
+                                      n_extra_pairs, seed, ordered=False):
             if s != t:
                 dg.append(space.distance(s, t))
                 dx.append(space.distance(qa.act(s, x0), qa.act(t, x0)))
@@ -530,11 +566,12 @@ def literal_conjugacy_defect(qa1, qa2, group_radius=8, n_targets=12,
 
     margin = 2.0 * group_radius + qa1.lattice.density_radius_r \
         + qa2.lattice.density_radius_r + 2.0
-    targets = _central_targets(qa1.lattice, margin, n_targets)
-    elements = _ball(space, group_radius)
+    targets = list(space._points(_central_targets(qa1.lattice, margin,
+                                                  n_targets)))
+    elements = tuple_ball(space, group_radius)
     if len(elements) * len(targets) > pair_core_cap + n_extra:
         for m in range(group_radius, -1, -1):
-            core = _ball(space, m)
+            core = tuple_ball(space, m)
             if len(core) * len(targets) <= pair_core_cap:
                 break
         extra = np.random.default_rng(seed).integers(0, len(elements),

@@ -13,6 +13,7 @@ from roughcayley import (
     FreeGroupModel,
     H2Window,
     HeisenbergModel,
+    HyperbolicPlaneModel,
     NearestIndex,
     QuasiAction,
     ZdModel,
@@ -24,7 +25,7 @@ from roughcayley import (
     quasi_action,
     quasi_conjugacy_defect,
 )
-from roughcayley.actions import _pair_sample
+from roughcayley.actions import _distinct_rows, _pair_sample
 from roughcayley.errors import (
     DomainError,
     ModelMismatchError,
@@ -34,10 +35,13 @@ from roughcayley.nets import QuasiLattice
 
 from conftest import make_even_lattice
 from oracles import (
+    dict_distinct_rows,
+    free_reduce,
     literal_axiom_certificate,
     literal_conjugacy_defect,
     literal_orbit_constants,
     naive_nearest,
+    tuple_pair_sample,
 )
 
 
@@ -373,7 +377,8 @@ def test_orbit_map_names_the_first_escaping_element(even_action):
     in order of first appearance, finds first (x0 = phi(e) = (0,))."""
     z1 = even_action.group_space
     first = next(g for m in (2, 60)
-                 for s, t in _pair_sample(z1, m, 25, 300, 3, ordered=False)
+                 for s, t in tuple_pair_sample(z1, m, 25, 300, 3,
+                                               ordered=False)
                  if s != t for g in (s, t) if abs(g[0]) > 40)
     with pytest.raises(OutOfWindowError) as exc:
         orbit_map_qi(even_action, radii=(2, 60), pair_core_cap=25,
@@ -483,9 +488,63 @@ def test_unordered_pair_samples_pair_distinct_elements(space, radius, core_cap,
                                                        n_extra, seed):
     """Core pairs are combinations of distinct ball elements and extra
     draws skip a repeated index, so no unordered pair is (s, s)."""
-    pairs = _pair_sample(space, radius, core_cap, n_extra, seed,
-                         ordered=False)
-    assert all(s != t for s, t in pairs)
+    S, T = _pair_sample(space, radius, core_cap, n_extra, seed,
+                        ordered=False)
+    assert all(s != t for s, t in zip(space._points(S), space._points(T)))
+
+
+# small coordinate pools, so that rows repeat; 2^62 overflows the int64
+# codes of Z^2 rows, which are then keyed by their bytes; the float models
+# mix -0.0 and 0.0
+_DISTINCT_POINTS = {
+    "zd2": (ZdModel(2), st.tuples(*[st.sampled_from([0, 1, -1, 2 ** 62])] * 2)),
+    "heis": (HeisenbergModel(), st.tuples(*[st.integers(-1, 1)] * 3)),
+    "f2": (FreeGroupModel(2), st.lists(st.sampled_from([-2, -1, 1, 2]),
+                                       max_size=3).map(free_reduce)),
+    "e2": (EuclideanModel(2), st.tuples(*[st.sampled_from([0.0, -0.0,
+                                                           1.5])] * 2)),
+    "h2": (HyperbolicPlaneModel(), st.tuples(st.sampled_from([0.0, -0.0, 2.0]),
+                                             st.sampled_from([0.5, 1.0]))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DISTINCT_POINTS))
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(data=st.data())
+def test_distinct_rows_match_a_tuple_dict(name, data):
+    """The distinct rows of a point array by sorted row keys are the keys
+    of a dict of the points' tuples, in order and sign (the first of -0.0
+    and 0.0), and so is each row's position among them; free-group rows
+    are padded past their longest word."""
+    space, point = _DISTINCT_POINTS[name]
+    points = data.draw(st.lists(point, max_size=12))
+    Q = space.coords(points)
+    if name == "f2":
+        pad = data.draw(st.integers(0, 2))
+        Q = np.pad(Q, ((0, 0), (0, pad)))
+    rows, inverse = _distinct_rows(Q)
+    distinct, want = dict_distinct_rows(points)
+    assert [repr(points[i]) for i in rows.tolist()] == list(map(repr,
+                                                                distinct))
+    assert inverse.tolist() == want
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(space=st.sampled_from([ZdModel(2), HeisenbergModel(),
+                              FreeGroupModel(2)]),
+       radius=st.integers(0, 4), core_cap=st.integers(0, 400),
+       n_extra=st.integers(0, 60), seed=st.integers(0, 2 ** 16),
+       ordered=st.booleans())
+def test_pair_samples_match_the_tuple_sample(space, radius, core_cap,
+                                             n_extra, seed, ordered):
+    """The arrays (S, T) of ``_pair_sample`` hold, row for row, the tuple
+    pairs the reference draws from tuple balls: core pairs alone where
+    the core is the whole ball or no extra is asked for, else core pairs
+    then extra draws."""
+    S, T = _pair_sample(space, radius, core_cap, n_extra, seed, ordered)
+    assert S.shape == T.shape
+    assert list(zip(space._points(S), space._points(T))) == tuple_pair_sample(
+        space, radius, core_cap, n_extra, seed, ordered)
 
 
 def test_conjugacy_defect_over_a_sampled_element_set_matches_literal_loop():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from roughcayley import actions
 from roughcayley.cli import _json_chunks, main
 from roughcayley.errors import CertificationError
+from roughcayley.nets import QuasiLattice
 
 
 def run(*argv):
@@ -317,6 +318,75 @@ def test_file_point_that_is_no_point_of_the_model_exits_2(tmp_path, capsys,
     assert run("graph", "stats", "--graph", str(g)) == 2
     assert capsys.readouterr().err == f"error (schema): {message}\n"
     assert not (tmp_path / "g2.json").exists()
+
+
+@pytest.mark.parametrize("space_args,point,message", [
+    (("--space", "euclidean", "--d", "2", "--box", "-3..3,-3..3",
+      "--delta", "1"), {"model": "euclidean", "x": [math.nan, 0.0]},
+     "(nan, 0.0) has a coordinate that is not finite"),
+    (("--space", "euclidean", "--d", "2", "--box", "-3..3,-3..3",
+      "--delta", "1"), {"model": "euclidean", "x": [0.0, -math.inf]},
+     "(0.0, -inf) has a coordinate that is not finite"),
+    (("--space", "h2", "--u", "-3..3", "--log-a", "-1..1", "--delta", "1"),
+     {"model": "h2", "u": math.nan, "a": 1.0},
+     "(nan, 1.0) has a coordinate that is not finite"),
+    (("--space", "h2", "--u", "-3..3", "--log-a", "-1..1", "--delta", "1"),
+     {"model": "h2", "u": 0.0, "a": math.inf},
+     "(0.0, inf) has a coordinate that is not finite"),
+], ids=["e2-nan", "e2-minus-inf", "h2-nan", "h2-inf"])
+def test_file_point_that_is_not_finite_exits_2(tmp_path, capsys, space_args,
+                                               point, message):
+    """JSON's NaN and Infinity tokens in a lattice file are no points of
+    R^d or h2."""
+    path, doc = _lattice_file(tmp_path, *space_args)
+    doc["points"][-1] = point
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run("graph", "build", "--lattice", str(path),
+               "--out", str(tmp_path / "g.json")) == 2
+    assert capsys.readouterr().err == f"error (schema): {message}\n"
+    assert not (tmp_path / "g.json").exists()
+
+
+def test_threshold_that_is_not_finite_exits(tmp_path, capsys):
+    """``graph build --threshold inf`` would write the complete graph with
+    the non-JSON token ``Infinity``; a graph file whose threshold is NaN or
+    Infinity is a schema error."""
+    lat, _ = _lattice_file(tmp_path, *LATTICES["zd"])
+    g = tmp_path / "g.json"
+    for threshold in ("inf", "-inf"):
+        capsys.readouterr()
+        assert run("graph", "build", "--lattice", str(lat),
+                   f"--threshold={threshold}", "--out", str(g)) == 1
+        assert capsys.readouterr().err == "error: edge threshold is infinite\n"
+        assert not g.exists()
+    assert run("graph", "build", "--lattice", str(lat), "--out", str(g)) == 0
+    doc = json.loads(g.read_text())
+    for threshold in (math.nan, math.inf):
+        doc["threshold"] = threshold
+        g.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run("graph", "stats", "--graph", str(g)) == 2
+        assert capsys.readouterr().err == (
+            f"error (schema): threshold must be finite, got {threshold!r}\n")
+
+
+def test_x0_is_looked_up_once(tmp_path, monkeypatch):
+    path, _ = _lattice_file(tmp_path, *LATTICES["zd"])
+    g = tmp_path / "g.json"
+    assert run("graph", "build", "--lattice", str(path), "--out", str(g)) == 0
+    calls = []
+    find = QuasiLattice._find
+
+    def counted(self, ps):
+        calls.append(list(ps))
+        return find(self, ps)
+
+    monkeypatch.setattr(QuasiLattice, "_find", counted)
+    assert run("growth", "run", "--graph", str(g), "--max-m", "1",
+               "--x0", '{"model": "zd", "x": [0, 0]}',
+               "--out", str(tmp_path / "s.csv")) == 0
+    assert calls == [[(0, 0)]]
 
 
 def test_x0_must_be_an_integer_lattice_point(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -46,10 +47,9 @@ from roughcayley.graphs import (
     _bfs_arrays,
     _candidates,
     _qi_sample,
-    _row_keys,
     component_sizes,
 )
-from roughcayley.spaces import csr_layers
+from roughcayley.spaces import _row_keys, csr_layers
 
 from conftest import make_even_lattice
 from oracles import (
@@ -507,6 +507,29 @@ def test_nan_threshold_is_a_domain_error():
         build_graph(group_ball_lattice(ZdModel(2), 4), threshold=math.nan)
 
 
+@pytest.mark.parametrize("threshold", [math.inf, -math.inf])
+def test_infinite_threshold_is_a_domain_error(threshold):
+    """An infinite threshold would join every pair, and ``Infinity`` is no
+    JSON number."""
+    with pytest.raises(DomainError, match="^edge threshold is infinite$"):
+        build_graph(group_ball_lattice(ZdModel(2), 4), threshold=threshold)
+
+
+@pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
+def test_graph_file_threshold_that_is_not_finite_is_a_schema_error(threshold):
+    """Read back with a NaN threshold, a graph would have no border vertex
+    (every slack < NaN is false), so a growth series over a window-cut
+    ball would come out truncated instead of raising ``BorderError``."""
+    graph = build_graph(greedy_net(ZdModel(2), BallWindow(12), 3.0))
+    with pytest.raises(BorderError):
+        ball_sizes(graph, None, 30)
+    doc = json.loads(json.dumps(graph.to_json()))
+    doc["threshold"] = threshold
+    with pytest.raises(SchemaError, match="^threshold must be finite, got "
+                                          + re.escape(repr(threshold))):
+        RoughGraph.from_json(doc)
+
+
 def test_exports():
     g = build_graph(make_even_lattice(6))
     dot = to_dot(g)
@@ -551,6 +574,18 @@ def test_implicit_cayley_graph_neighbors():
 def test_cayley_graph_threshold_below_one_is_a_domain_error(space, threshold):
     with pytest.raises(DomainError, match="threshold"):
         CayleyGraph(space, threshold)
+
+
+@pytest.mark.parametrize("threshold", [math.inf, -math.inf, math.nan])
+def test_implicit_graph_threshold_that_is_not_finite_is_a_domain_error(
+        threshold):
+    """Not a bare ``OverflowError`` or ``ValueError`` from the int or floor
+    of the threshold, nor from cosh past 710."""
+    with pytest.raises(DomainError, match="threshold"):
+        CayleyGraph(ZdModel(2), threshold)
+    for t in (threshold, 1000.0):
+        with pytest.raises(DomainError, match="threshold"):
+            HorocyclicGraph(t)
 
 
 def test_implicit_horocyclic_matches_rough_graph():

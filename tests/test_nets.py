@@ -53,6 +53,15 @@ def test_greedy_on_explicit_enumeration():
     assert net.density_radius_r == 2.0
 
 
+def test_greedy_net_rejects_an_enumerated_point_that_is_not_finite():
+    """A NaN point of a caller's enumeration used to be kept, with NumPy
+    cast warnings."""
+    e2 = EuclideanModel(2)
+    with pytest.raises(DomainError, match=r"^\(nan, 0\.0\) has a "):
+        greedy_net(e2, BoxWindow((0.0, 0.0), (3.0, 3.0), 1.0), 1.0,
+                   enumeration=[(0.0, 0.0), (math.nan, 0.0), (2.0, 0.0)])
+
+
 def test_greedy_unit_grid_keeps_everything():
     e2 = EuclideanModel(2)
     window = BoxWindow((0.0, 0.0), (9.0, 9.0), 1.0)
@@ -459,8 +468,9 @@ def test_word_ball_lattices_equal_the_tuple_enumeration(space, radii):
 
 
 def _lookup_lattices():
-    """Lattices whose lookups go by sorted codes (integer coordinates,
-    one with repeated points) or by a dict (floats)."""
+    """Lattices whose lookups go by sorted int64 codes (integer
+    coordinates, one with repeated points) or by the bytes of float rows
+    plus 0, which keys -0.0 as 0.0."""
     z2, f2 = ZdModel(2), FreeGroupModel(2)
     net = greedy_net(z2, BallWindow(12), 3.0)
     ball = group_ball_lattice(f2, 3)

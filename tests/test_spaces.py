@@ -519,6 +519,21 @@ def test_check_point_matches_the_reference_checks(space, data):
     assert [_outcome(space.check_point, x) for x in points] == outcomes
 
 
+@pytest.mark.parametrize("space,x", [
+    (E2, (math.nan, 0.0)), (E2, (0.0, math.inf)), (E2, (-math.inf, 1)),
+    (H2, (math.nan, 1.0)), (H2, (0.0, math.inf)), (H2, (math.inf, 1.0)),
+], ids=["e2-nan", "e2-inf", "e2-minus-inf", "h2-nan-u", "h2-inf-a",
+        "h2-inf-u"])
+def test_coordinates_that_are_not_finite_are_no_points(space, x):
+    """A NaN or infinite coordinate is no point of R^d or h2: the public
+    kernels and every check reject it."""
+    with pytest.raises(DomainError, match="has a coordinate that is not "
+                                          "finite"):
+        space.check_point(x)
+    with pytest.raises(DomainError):
+        space.distance(x, space.base_point)
+
+
 # word lengths of the ball-window models, exact at any size: coordinates
 # reach past 2^63, where Heisenberg points have no cap and no DomainError
 _LENGTH = {"zd": lambda x: sum(map(abs, x)), "free_group": len,
