@@ -39,23 +39,12 @@ import numpy as np
 
 from .errors import CertificationError, DomainError, OutOfWindowError
 from .nets import QuasiLattice
-from .spaces import (BallWindow, QiConstants, SpaceModel, TOL, _row_index,
+from .spaces import (BallWindow, QiConstants, SpaceModel, TOL, _distinct_rows,
                      _width)
 
 
 # ---------------------------------------------------------------------------
 # point arrays
-
-
-def _distinct_rows(Q):
-    """Indices of the distinct rows of the point array Q, in order of first
-    occurrence, and each row's position among them; the stable sort of the
-    row keys starts each run of equal rows at its first occurrence."""
-    keys, order, _ = _row_index(Q)
-    first = np.empty_like(order)   # each row's first occurrence
-    first[order] = order[np.searchsorted(keys, keys)]
-    rows = np.flatnonzero(first == np.arange(len(first)))
-    return rows, np.searchsorted(rows, first)
 
 
 def _map_rows(space, f, Q):

@@ -3,12 +3,11 @@
 ``build_graph`` connects lattice points at distance <= 2r + c + 1 (density
 radius r, coarse-geodesic constant c), which makes the graph connected,
 uniformly locally finite and quasi-isometric to the ambient space.  One
-dispatch, ``_candidates``, picks the model's generator of candidate pairs
-(coordinate cells, hyperbolic rows or group-ball hops) between query rows
-and point rows; ``build_graph`` alone keeps edges from them,
-``nets.greedy_net`` reads the same pairs as its conflicts,
-``nets.verify_quasilattice`` reads probe-lattice pairs from them, and
-``_adjacency`` alone lays out the neighbour lists.
+dispatch, ``_pairs``, builds a point array's side of the candidate pairs
+once (coordinate cells, hyperbolic rows or group-ball hops) and returns
+its query; ``build_graph`` alone keeps edges from them, ``nets.greedy_net``
+reads its conflicts from them, a lattice keeps its side per threshold for
+``nets._near_pairs``, and ``_adjacency`` alone lays out the neighbour lists.
 Every walk over a finite graph reads the graph's CSR arrays (``csr``):
 ``spaces.csr_layers`` takes one array step per breadth-first layer, and
 the Folner engine of a finite graph gathers the same rows with
@@ -196,93 +195,94 @@ def _expand(I, lo, hi, order):
         yield I[k], order[t]
 
 
-def _edges_grid(space, Q, X, threshold):
+def _edges_grid(space, X, threshold, index):
     # the neighbours of a query lie in the 3^d cells of side threshold about
     # its own (see ``SpaceModel.grid_metric``), found by bisection in the
     # keys of the cells of X; the side is widened by twice the tolerance,
     # so a gap of up to threshold + 1e-9 never spans two cell borders
     side = threshold + 2 * TOL
-    keys, order, key = _row_index(np.floor(X / side).astype(np.int64))
-    cells, I = np.floor(Q / side).astype(np.int64), np.arange(len(Q))
-    for off in itertools.product((-1, 0, 1), repeat=X.shape[1]):
-        q = key(cells + off)
-        for i, j in _expand(I, np.searchsorted(keys, q, "left"),
-                            np.searchsorted(keys, q, "right"), order):
-            yield i, j, space._dist_many(Q[i], X[j])
+    _, order, runs = _row_index(np.floor(X / side).astype(np.int64))
+
+    def query(Q):
+        at, I = np.floor(Q / side).astype(np.int64), np.arange(len(Q))
+        for off in itertools.product((-1, 0, 1), repeat=X.shape[1]):
+            for i, j in _expand(I, *runs(at + off), order):
+                yield i, j, space._dist_many(Q[i], X[j])
+    return query
 
 
-def _edges_h2(space, Q, X, threshold):
+def _edges_h2(space, X, threshold, index):
     # rows of log a of height threshold (widened as in ``_edges_grid``) hold
-    # every neighbour of a query in its own row or the next; in a row of X,
-    # sorted by u, the neighbours of (u, a) have
-    # |du| <= (a + the row's largest a) * stretch
+    # every neighbour of a query in its own row or the next; in a row of X
+    # (``layout``: the row, its points sorted by u, their u, its largest a),
+    # the neighbours of (u, a) have |du| <= (a + the largest a) * stretch
     side = threshold + 2 * TOL
     u, a = X.T
     rows = np.floor(np.log(a) / side).astype(np.int64)
     order = np.lexsort((u, rows))
-    sorted_rows = rows[order]
-    qu, qa = Q.T
-    q_rows = np.floor(np.log(qa) / side).astype(np.int64)
+    ks, starts = np.unique(rows[order], return_index=True)
+    layout = [(k, o, u[o], a[o].max())
+              for k, o in zip(ks.tolist(), np.split(order, starts[1:]))]
     try:
         stretch = (math.exp(side) - 1.0) / 2.0
     except OverflowError:   # a threshold past about 709 reaches every u
         stretch = math.inf
-    for k in np.unique(rows):
-        s, e = np.searchsorted(sorted_rows, [k, k + 1])
-        row_u = u[order[s:e]]
-        I = np.flatnonzero(np.abs(q_rows - k) <= 1)
-        w = (qa[I] + a[order[s:e]].max()) * stretch
-        for i, j in _expand(I, s + np.searchsorted(row_u, qu[I] - w, "left"),
-                            s + np.searchsorted(row_u, qu[I] + w, "right"),
-                            order):
-            yield i, j, hyperbolic_distance_arrays(qu[i], qa[i], u[j], a[j])
+
+    def query(Q):
+        qu, qa = Q.T
+        q_rows = np.floor(np.log(qa) / side).astype(np.int64)
+        for k, o, row_u, top in layout:
+            I = np.flatnonzero(np.abs(q_rows - k) <= 1)
+            w = (qa[I] + top) * stretch
+            for i, j in _expand(I, np.searchsorted(row_u, qu[I] - w, "left"),
+                                np.searchsorted(row_u, qu[I] + w, "right"), o):
+                yield i, j, hyperbolic_distance_arrays(qu[i], qa[i], u[j], a[j])
+    return query
 
 
-def _edges_group_ball(space, Q, X, threshold):
-    # q g = x for a hop g, at distance |g|, and q = x at distance 0: the
-    # queries and their products are found by bisection in the keys of the
-    # rows of X, sorted once, and each run of equal keys is taken whole
-    n, m, w = len(X), len(Q), max(X.shape[1], 1)
-    if not n:
-        return
+def _edges_group_ball(space, X, threshold, index):
+    # q g = x for a hop g, at distance |g|, and q = x at distance 0, found
+    # as whole runs of equal keys in the point index of X
     hops = space._ball(int(math.floor(threshold + TOL)))
     lengths = space.distances_from(space.identity(), hops)
     hops, lengths = hops[lengths > 0], lengths[lengths > 0]
-    keys, order, key = _row_index(_width(X, w))
-    runs = np.searchsorted(keys, keys, "right")   # where each key's run ends
-    distinct = (runs == np.arange(1, n + 1)).all()
+    (keys, order, runs), w = index(), X.shape[1]
+    distinct = (keys[1:] != keys[:-1]).all()
 
     def found(I, P, D):
-        q = key(_width(P, w))
-        at = np.minimum(np.searchsorted(keys, q), n - 1)
-        hit = np.flatnonzero((keys[at] == q) & ~P[:, w:].any(axis=1))
+        lo, hi = runs(_width(P, w))
+        hit = np.flatnonzero((lo < hi) & ~P[:, w:].any(axis=1))
         if distinct:
-            yield I[hit], order[at[hit]], D[hit]
+            yield I[hit], order[lo[hit]], D[hit]
         else:
-            for b, j in _expand(hit, at[hit], runs[at[hit]], order):
+            for b, j in _expand(hit, lo[hit], hi[hit], order):
                 yield I[b], j, D[b]
 
-    # the zero-length hop; a row of X with no copy equals only itself
-    if Q is not X or not distinct:
-        yield from found(np.arange(m), Q, np.zeros(m))
-    for lo in range(0, len(hops) * m, _BLOCK):
-        k = np.arange(lo, min(lo + _BLOCK, len(hops) * m))
-        I = k % m
-        yield from found(I, space._mul_many(Q[I], hops[k // m]),
-                         lengths[k // m])
+    def query(Q):
+        m = len(Q)
+        # the zero-length hop; a row of X with no copy equals only itself
+        if Q is not X or not distinct:
+            yield from found(np.arange(m), Q, np.zeros(m))
+        for lo in range(0, len(hops) * m, _BLOCK):
+            k = np.arange(lo, min(lo + _BLOCK, len(hops) * m))
+            I = k % m
+            yield from found(I, space._mul_many(Q[I], hops[k // m]),
+                             lengths[k // m])
+    return query
 
 
-def _candidates(space, Q, X, threshold):
-    """Blocks (i, j, d) of a row i of the query array Q, a row j of the
-    point array X (both ``space.coords``) and their distance d.  Every pair
-    at most ``threshold`` + 1e-9 apart comes exactly once, among pairs
-    farther apart that come at most once.  Equal rows are pairs at
-    distance 0, and a row that X repeats pairs with a query once per copy.
-    Pass ``X, X`` for the pairs of one point array: each pair of two of
-    its rows comes in both orders, and a row with itself may come too."""
+def _pairs(space, X, threshold, index=None):
+    """The query of the candidate pairs of the point array X at
+    ``threshold``, which builds X's side once: grid cells, h2 rows, or a
+    group ball's hops and X's ``_row_index`` (from ``index``, if given).
+    The query of a point array Q yields blocks (i, j, d) of rows i of Q and
+    j of X and their distance d: every pair at most ``threshold`` + 1e-9
+    apart exactly once, farther pairs at most once, a row of X once per
+    copy.  On Q = X a pair of two rows comes in both orders, and a row with
+    itself may come too."""
     propose = (_edges_grid if space.grid_metric else _edges_h2
                if space.tag == "h2" else _edges_group_ball)
-    return propose(space, Q, X, threshold)
+    return propose(space, X, threshold, index or (lambda: _row_index(X)))
 
 
 def _adjacency(n, pairs):
@@ -322,7 +322,7 @@ def build_graph(lattice: QuasiLattice, threshold=None) -> RoughGraph:
                           + ("NaN" if math.isnan(threshold) else "infinite"))
     X = lattice.coords()
     adjacency = _adjacency(len(lattice), _kept(
-        _candidates(lattice.space, X, X, threshold), threshold))
+        _pairs(lattice.space, X, threshold)(X), threshold))
     graph = RoughGraph(lattice, float(threshold), adjacency,
                        max(map(len, adjacency), default=0))
     sizes = component_sizes(graph)

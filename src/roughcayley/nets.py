@@ -3,23 +3,19 @@ lattice in the upper half-plane, group balls, and empirical density /
 multiplicity certification.
 
 A quasi-lattice is a coarsely dense point set whose R-neighborhood counts
-are uniformly bounded.  A greedy delta-net keeps a point exactly when no
-point kept before it lies closer than delta - 1e-9, so it is the greedy
-independent set, in enumeration order, of the conflict graph joining the
-points that close.  ``greedy_net`` finds the conflicts with the candidate
-pairs that the rough graph's edges come from (``graphs._candidates`` at
-threshold delta), then takes the set in one forward pass in which each
-kept point blocks its later conflicts.  ``_near_pairs`` reads the same
-generators with query rows against a lattice, then scans in full each row
-with no lattice point within its reach T.  It is the one near-point search:
-``verify_quasilattice`` (T = max(max R, r)) and ``nearest_many``
-(T = max(r, delta, 1)), the quasi-actions' coarse inverse, read it.
+are uniformly bounded.  Both searches for close points read the rough
+graph's candidate pairs (``graphs._pairs``): ``greedy_net`` takes its
+conflicts from them at threshold delta, and ``_near_pairs``, the one
+near-point search of ``verify_quasilattice`` and ``nearest_many`` (the
+quasi-actions' coarse inverse), queries the lattice's own side of them,
+which the lattice keeps per reach.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -38,6 +34,7 @@ from .spaces import (
     SpaceModel,
     TOL,
     _num,
+    _distinct_rows,
     _row_index,
     _width,
     space_from_json,
@@ -61,13 +58,13 @@ class QuasiLattice:
     (``check_points``); library code trusts lattice points from then on.
     The lattices the library builds from its own points come by
     ``_trusted``, which checks nothing.  ``coords()`` is the point list as
-    the model's ``distances_from`` takes it (``space.coords``: an array of
-    dtype ``space.coord_dtype``, for free groups the words as zero-padded
-    rows of letters).  It is built once, on first use, unless a word ball
-    came with it, like the point index and the read-only ``slacks()``, and
-    gives the same distances as the list without a conversion per call.
-    The point index finds points by tuple equality, many in one pass: it
-    bisects the sorted row keys of ``coords()`` (``spaces._row_index``).
+    ``distances_from`` takes it (``space.coords``; for free groups the
+    words as zero-padded rows of letters).  The caches, each built once, on
+    first use: ``_coords`` (unless a word ball came with it); the point
+    index ``_index``, ``_row_index(coords())``, which finds points by tuple
+    equality, many in one pass, for ``_find`` and the group-ball pairs;
+    ``_slacks`` (read-only); the lexicographic ``_ranks``; and ``_sides``,
+    the query of the lattice's side of the candidate pairs per reach.
     """
 
     space: SpaceModel
@@ -82,10 +79,11 @@ class QuasiLattice:
         return len(self.points)
 
     # caches, each built on first use; ``_trusted`` presets ``_coords``
-    _coords = _index = _slacks = _ranks = None
+    _coords = _slacks = _ranks = None
 
     def __post_init__(self):
         self.space.check_points(self.points)
+        self._sides = {}
 
     @classmethod
     def _trusted(cls, X=None, **fields):
@@ -93,17 +91,18 @@ class QuasiLattice:
         their point array X, if given, as ``coords()``; nothing is
         checked."""
         lattice = cls.__new__(cls)
-        vars(lattice).update(fields, _coords=X)
+        vars(lattice).update(fields, _coords=X, _sides={})
         return lattice
+
+    @cached_property
+    def _index(self):
+        return _row_index(self.coords())
 
     def _find(self, ps):
         """The position of the last copy of each of ``ps`` among the points,
         or -1 where there is none; a p that is no tuple is none."""
-        X = self.coords()
-        if self._index is None:
-            self._index = _row_index(X)
-        keys, order, key = self._index
-        if not len(keys):
+        X, (_, order, runs) = self.coords(), self._index
+        if not len(X):
             return [-1] * len(ps)
         # the ps as rows of X's width: a p that its row does not read back
         # as equals no lattice point either; where one p has no row, each
@@ -112,9 +111,8 @@ class QuasiLattice:
             rows = _width(self.space.coords(ps), X.shape[1])
         except (TypeError, ValueError, OverflowError):
             return [-1] if len(ps) == 1 else [self._find([p])[0] for p in ps]
-        code = key(rows)
-        at = np.searchsorted(keys, code, "right") - 1
-        found = np.where((at >= 0) & (keys[at] == code), order[at], -1)
+        start, end = runs(rows)
+        found = np.where(start < end, order[end - 1], -1)
         return [i if i >= 0 and isinstance(p, tuple) and q == p else -1
                 for i, p, q in zip(found.tolist(), ps,
                                    self.space._points(rows))]
@@ -259,7 +257,7 @@ def greedy_net(space, window, delta, enumeration=None) -> QuasiLattice:
     (``check_points``).  The kept points are not checked again.
     """
     # graphs imports this module, so its candidate dispatch is imported here
-    from .graphs import _candidates
+    from .graphs import _pairs
 
     if not 0 < delta < math.inf:
         raise DomainError(f"separation delta must be a finite number > 0, "
@@ -268,14 +266,15 @@ def greedy_net(space, window, delta, enumeration=None) -> QuasiLattice:
         enumeration = points = space.enumerate_window(window)
     else:
         space.check_points(enumeration)
-        points = list(dict.fromkeys(enumeration))
+        rows = _distinct_rows(space.coords(enumeration))[0]
+        points = [enumeration[i] for i in rows.tolist()]
     # the conflicts (i, j), i < j, as keys i n + j from candidate blocks
     # filtered one at a time; sorted and taken mod n, the later conflicts
     # of i are J[ends[i - 1]:ends[i]]
     n = len(points)
     keys = [np.empty(0, dtype=np.int64)]
     X = space.coords(points)
-    for I, J, d in _candidates(space, X, X, delta):
+    for I, J, d in _pairs(space, X, delta)(X):
         hit = (I < J) & (d < delta - TOL)
         keys.append(I[hit] * n + J[hit])
     J = np.concatenate(keys)
@@ -419,10 +418,8 @@ def verify_quasilattice(lattice: QuasiLattice, probes, r_list, seed=None):
     lattice points within each radius R (plus 1e-9) of a probe.
 
     Both come from the probe-lattice pairs of ``_near_pairs`` at
-    T = max(max R, density radius r), the pass that also answers
-    ``QuasiLattice.nearest_many``: the edge builders' candidate pairs,
-    plus a full scan of each probe with no lattice point within T (plus
-    1e-9), so T sets the speed, never the result.
+    T = max(max R, density radius r), which holds every pair within T and
+    every pair of a probe with none, so T sets the speed, never the result.
     """
     r_list = sorted(float(r) for r in r_list)
     for r in r_list:
@@ -444,8 +441,7 @@ def verify_quasilattice(lattice: QuasiLattice, probes, r_list, seed=None):
     if not len(probes):
         cert = {"vacuous": True, "n_probes": 0, "seed": seed,
                 "max_min_distance": None}
-        profile = MultiplicityProfile(tuple((r, 0) for r in r_list))
-        return cert, profile
+        return cert, MultiplicityProfile(tuple((r, 0) for r in r_list))
     # per probe: the nearest lattice distance and the count within each R;
     # an empty lattice leaves every probe at distance inf
     near = np.full(len(Q), math.inf)
@@ -455,41 +451,36 @@ def verify_quasilattice(lattice: QuasiLattice, probes, r_list, seed=None):
         np.minimum.at(near, i, d)
         for k, r in enumerate(r_list):
             counts[k] += np.bincount(i[d <= r + TOL], minlength=len(Q))
-    cert = {
-        "vacuous": False,
-        "n_probes": len(probes),
-        "seed": seed,
-        "max_min_distance": max(0.0, float(near.max())),
-    }
+    cert = {"vacuous": False, "n_probes": len(probes), "seed": seed,
+            "max_min_distance": max(0.0, float(near.max()))}
     return cert, MultiplicityProfile(
         tuple(zip(r_list, counts.max(axis=1).tolist())))
 
 
 def _near_pairs(lattice, Q, reach):
     """Blocks (i, j, d) of a row i of the point array Q, a lattice point j
-    and their distance d, holding every pair at most ``reach`` + 1e-9
-    apart, and every pair of a row that has no lattice point that near.
-
-    One pass of the edge builders' candidate pairs
-    (``graphs._candidates``) at threshold ``reach`` gives the near pairs;
-    then each row with no lattice point within reach + 1e-9 is scanned
-    against the whole lattice by ``distances_from``.  Where ``reach``, which
-    a lattice file may set to any float, is not a positive finite number,
-    or exceeds the radius of a ball window, past which a group model's hop
-    ball would outgrow the window, every row is scanned in full.  An empty
-    lattice yields nothing.
+    and their distance d: every pair at most ``reach`` + 1e-9 apart, from
+    the lattice's side of the candidate pairs at threshold ``reach``
+    (``graphs._pairs``, built once and kept in ``lattice._sides``), and
+    every pair of a row with no lattice point that near, by a full scan.
+    Every row is scanned in full where ``reach``, which a lattice file may
+    set to any float, is not a positive finite number, or exceeds the
+    radius of a ball window, past which a group model's hop ball would
+    outgrow the window.  An empty lattice yields nothing.
     """
     # graphs imports this module, so its candidate dispatch is imported here
-    from .graphs import _candidates
+    from .graphs import _pairs
 
     space, X = lattice.space, lattice.coords()
     if not len(X):
         return
     covered = np.zeros(len(Q), dtype=bool)
-    limit = (lattice.window.radius if isinstance(lattice.window, BallWindow)
-             else math.inf)
+    limit = getattr(lattice.window, "radius", math.inf)   # a ball's radius
     if 0.0 < reach < math.inf and reach <= limit:
-        for i, j, d in _candidates(space, Q, X, reach):
+        if reach not in lattice._sides:
+            lattice._sides[reach] = _pairs(space, X, reach,
+                                           lambda: lattice._index)
+        for i, j, d in lattice._sides[reach](Q):
             covered[i[d <= reach + TOL]] = True
             yield i, j, d
     for i in np.flatnonzero(~covered).tolist():

@@ -47,8 +47,8 @@ border depths, components and distances.  ``csr_rows`` is its one step,
 the neighbour rows of a vertex array laid end to end, which the finite
 Folner engine reads too.  Point identity has one rule: two rows are the
 same point iff their ``_row_keys`` are equal.  ``_row_index`` sorts them
-for the edge builders, the lattice point index and the certifiers'
-distinct rows.
+once; its ``runs`` finds query rows in grid cells, in a lattice's one point
+index (``_find`` and the group-ball pairs) and in ``_distinct_rows``.
 
 Each model owns its JSON form: ``tag`` names it in files and on the
 command line, ``to_json`` adds its ``params``, and ``point_to_json`` and
@@ -63,7 +63,7 @@ corners have its dimension; ``check_window`` rejects any other window.
 
 ``grid_metric`` marks the models whose distance is at least every
 coordinate gap (Z^d, R^d): there the points within r of p lie in the
-cells of side r about p's cell, which ``graphs._candidates`` buckets.
+cells of side r about p's cell, which ``graphs._pairs`` buckets.
 
 ``SpaceModel`` holds the rules most models share (see its docstring).  A
 body two models share beyond it is a class-level alias, not a base class,
@@ -893,10 +893,30 @@ def _row_keys(K):
 
 
 def _row_index(K):
-    """The sorted ``_row_keys`` of K's rows, their stable order and key."""
+    """The sorted ``_row_keys`` of K's rows, their stable order and ``runs``:
+    where the keys equal to each query row start and end (equal if none)."""
     keys, key = _row_keys(K)
     order = np.argsort(keys, kind="stable")
-    return keys[order], order, key
+    keys = keys[order]
+    ends = np.searchsorted(keys, keys, "right")   # where each key's run ends
+
+    def runs(Q):
+        code = key(Q)
+        lo = np.searchsorted(keys, code)
+        if not len(keys):
+            return lo, lo
+        at = np.minimum(lo, len(keys) - 1)
+        return lo, np.where(keys[at] == code, ends[at], lo)
+    return keys, order, runs
+
+
+def _distinct_rows(Q):
+    """Indices of the distinct rows of the point array Q, in order of first
+    occurrence, and each row's position among them."""
+    _, order, runs = _row_index(Q)
+    first = order[runs(Q)[0]]   # each row's first occurrence
+    rows = np.flatnonzero(first == np.arange(len(first)))
+    return rows, np.searchsorted(rows, first)
 
 
 # ---------------------------------------------------------------------------

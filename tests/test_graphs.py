@@ -45,7 +45,7 @@ from roughcayley.errors import (
 )
 from roughcayley.graphs import (
     _bfs_arrays,
-    _candidates,
+    _pairs,
     _qi_sample,
     component_sizes,
 )
@@ -391,7 +391,7 @@ def test_candidates_of_queries_match_brute_force(data, model, threshold):
         queries += data.draw(st.lists(st.sampled_from(points), max_size=4))
     Q, X = space.coords(queries), space.coords(points)
     found = {}
-    for I, J, D in _candidates(space, Q, X, threshold):
+    for I, J, D in _pairs(space, X, threshold)(Q):
         for i, j, d in zip(I.tolist(), J.tolist(), D.tolist()):
             assert (i, j) not in found
             found[i, j] = d
@@ -441,7 +441,7 @@ def test_an_edge_within_the_tolerance_across_two_cell_borders(space, points):
     comes."""
     assert abs(space.distance(*points) - (1.0 + 5e-10)) < 1e-15
     X = space.coords(points)
-    pairs = {(i, j) for I, J, _ in _candidates(space, X, X, 1.0)
+    pairs = {(i, j) for I, J, _ in _pairs(space, X, 1.0)(X)
              for i, j in zip(I.tolist(), J.tolist())}
     assert {(0, 1), (1, 0)} <= pairs
 
