@@ -273,8 +273,10 @@ def certify_axioms(qa: QuasiAction, group_radius=10, n_targets=8,
     Properness is certified per probe point x and radius R by scanning a
     word ball and checking that {s : d(s.x, x) <= R} stays strictly inside
     the scanned ball; the recorded witness is the largest word norm seen.
-    An empty ``properness_radii``, a negative ``group_radius`` or
-    ``n_targets`` < 1 is a ``DomainError``.  Targets keep slack
+    An empty ``properness_radii``, a negative ``group_radius``,
+    ``n_targets`` < 1 or a default ``properness_scan`` max R + 2r + 2 that
+    is not finite (as for a density radius r of 1e308) is a
+    ``DomainError``.  Targets keep slack
     max(2 group_radius, properness_scan) + r + 2, else ``OutOfWindowError``.
     """
     _check_sample(group_radius, n_targets)
@@ -285,7 +287,11 @@ def certify_axioms(qa: QuasiAction, group_radius=10, n_targets=8,
         raise DomainError("properness needs at least one radius")
     r = qa.lattice.density_radius_r
     if properness_scan is None:
-        properness_scan = int(math.ceil(r_list[-1] + 2 * r + 2))
+        scan = r_list[-1] + 2 * r + 2
+        if not math.isfinite(scan):
+            raise DomainError(f"properness scan radius max R + 2r + 2 = "
+                              f"{scan!r} is not finite")
+        properness_scan = int(math.ceil(scan))
     margin = max(2.0 * group_radius, properness_scan) + r + 2.0
     X = _central_targets(qa.lattice, margin, n_targets)
     S, T = _pair_sample(space, group_radius, pair_core_cap, n_extra_pairs, seed)

@@ -156,8 +156,10 @@ class RoughGraph:
     @classmethod
     def from_json(cls, obj: dict) -> "RoughGraph":
         """The graph of a ``to_json`` object; ``SchemaError`` for a self-loop,
-        an edge listed twice, a ``degree_bound_M`` below a degree or a
-        threshold that is not finite."""
+        an edge listed twice, a ``degree_bound_M`` below a degree, a
+        threshold that is not finite or is below 0, or an edge longer than
+        the threshold (plus 1e-9), its length taken as the edge builders
+        take it, so that every graph ``build_graph`` makes reads back."""
         lattice = QuasiLattice.from_json(obj["lattice"])
         n = len(lattice.points)
         for i, j in obj["edges"]:
@@ -165,8 +167,9 @@ class RoughGraph:
                     and i != j):
                 raise SchemaError(f"edge {[i, j]!r} is no pair of distinct "
                                   f"vertex ids in range({n})")
-        ends = np.fromiter(itertools.chain.from_iterable(obj["edges"]), np.intp)
-        adjacency = _adjacency(n, [ends.reshape(-1, 2).T])
+        I, J = np.fromiter(itertools.chain.from_iterable(obj["edges"]),
+                           np.intp).reshape(-1, 2).T
+        adjacency = _adjacency(n, [(I, J)])
         if any(len(set(nbrs)) < len(nbrs) for nbrs in adjacency):
             raise SchemaError("the graph lists an edge twice")
         bound = _num(obj["degree_bound_M"], int)
@@ -175,6 +178,17 @@ class RoughGraph:
         threshold = _num(obj["threshold"], float)
         if not math.isfinite(threshold):
             raise SchemaError(f"threshold must be finite, got {threshold!r}")
+        if threshold < 0:
+            raise SchemaError(f"threshold must be >= 0, got {threshold!r}")
+        X = lattice.coords()
+        d = (hyperbolic_distance_arrays(X[I, 0], X[I, 1], X[J, 0], X[J, 1])
+             if lattice.space.tag == "h2" else
+             lattice.space._dist_many(X[I], X[J]))
+        long = np.flatnonzero(d > threshold + TOL)[:1].tolist()
+        if long:
+            raise SchemaError(f"edge {[int(I[long[0]]), int(J[long[0]])]} has "
+                              f"length {float(d[long[0]])!r}, above the "
+                              f"threshold {threshold!r}")
         return cls(lattice, threshold, adjacency, bound)
 
 

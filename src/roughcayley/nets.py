@@ -204,7 +204,7 @@ class QuasiLattice:
             if not ok:
                 raise SchemaError(f"{name} must be {rule}, got {obj[name]!r}")
         try:
-            return cls(
+            lattice = cls(
                 space=space,
                 window=window,
                 # checked against the model once, by ``__post_init__``
@@ -214,9 +214,15 @@ class QuasiLattice:
                 construction=obj["construction"],
                 certificates=certificates,
             )
+            lattice.coords()
         except (DomainError, ModelMismatchError) as exc:
             # a point of the file that is no point of the model
             raise SchemaError(str(exc)) from exc
+        except OverflowError as exc:
+            # an integer coordinate that the model's point arrays cannot hold
+            raise SchemaError(f"a point coordinate is outside the range of "
+                              f"{np.dtype(space.coord_dtype)}") from exc
+        return lattice
 
 
 @dataclass(frozen=True)

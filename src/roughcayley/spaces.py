@@ -57,7 +57,8 @@ Windows carry a ``kind`` tag and a ``to_json`` too.  The registries
 ``MODELS`` and ``WINDOWS`` serve ``space_from_json``, ``window_from_json``
 and the CLI.  Encodings round-trip exactly; decoding raises ``SchemaError``
 on a missing key, a wrong tag or a mistyped value, and integer coordinates
-(Z^d, Heisenberg, free groups) must be JSON integers, never rounded.
+(Z^d, Heisenberg, free groups) must be JSON integers, never rounded; a
+lattice file's must also fit the model's ``coord_dtype`` (int64).
 A model enumerates windows of one ``window_kind`` only, and boxes whose
 corners have its dimension; ``check_window`` rejects any other window.
 

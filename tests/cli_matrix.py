@@ -20,9 +20,12 @@ box, an h2 net and the horocyclic lattice) through ``lattice build
 ``orbit-qi`` on the seven group lattices; one ``qaction conjugacy``;
 ``growth run --space zd``; ``folner scan`` with all three families, on the
 horocyclic graph too, and ``folner ratio``; eleven graph files with a bad
-edge list, two with a threshold that is not finite, and twelve lattice
+edge list, two with a threshold that is not finite, one with a negative
+threshold and one with an edge longer than its threshold, twelve lattice
 files with a bad point (four with a NaN or infinite coordinate on R^2 and
-h2); the probe-count, margin and boundary-constant cases that ``lattice
+h2), a point with a coordinate past int64 under ``lattice verify``,
+``graph build``, ``qaction certify`` and ``growth run``, and a density
+radius of 1e308 under ``qaction certify``; the probe-count, margin and boundary-constant cases that ``lattice
 verify`` and ``folner`` must reject or answer; and the empty certificate
 samples, the construction parameters that are not finite, the negative
 multiplicity radius, the window pitches and the edge thresholds that
@@ -166,6 +169,37 @@ def after_lattices():
                       ["graph", "stats", "--graph", path],
                       (_bad_threshold, "z2-ball12.graph.json", path,
                        float(label))))
+    # a graph file threshold below 0 or below an edge's length; a lattice
+    # coordinate past int64 under each reader; a density radius whose
+    # double overflows the properness scan
+    big = {"model": "zd", "x": [2 ** 63, 0]}
+    cases += [
+        ("bad-threshold:neg", ["growth", "run", "--graph", "neg.graph.json",
+                               "--max-m", "8", "--out", "neg.growth.csv"],
+         (_edit, "z2-r25.graph.json", "neg.graph.json", ["threshold"], -1.0)),
+        ("bad-threshold:short", ["graph", "stats", "--graph",
+                                 "short.graph.json"],
+         (_edit, "z2-r25.graph.json", "short.graph.json", ["threshold"],
+          1.0)),
+        ("big-point:verify", ["lattice", "verify", "--lattice",
+                              "big-verify.json"],
+         (_edit, "z2-ball12.json", "big-verify.json", ["points", 1], big)),
+        ("big-point:graph-build", ["graph", "build", "--lattice",
+                                   "big-build.json", "--out",
+                                   "big-build.graph.json"],
+         (_edit, "z2-ball12.json", "big-build.json", ["points", 1], big)),
+        ("big-point:certify", ["qaction", "certify", "--lattice",
+                               "big-certify.json"],
+         (_edit, "z2-ball12.json", "big-certify.json", ["points", 1], big)),
+        ("big-point:growth", ["growth", "run", "--graph", "big.graph.json",
+                              "--max-m", "1", "--out", "big.growth.csv"],
+         (_edit, "z2-ball12.graph.json", "big.graph.json",
+          ["lattice", "points", 1], big)),
+        ("r-1e308:certify", ["qaction", "certify", "--lattice",
+                             "r-1e308.json"],
+         (_edit, "z2-r40.json", "r-1e308.json", ["density_radius_r"],
+          1e308)),
+    ]
     # lattice verify with no probes, a negative count and margins that are
     # negative or not finite on a ball, a box and an h2 window; folner with
     # boundary constants below 1 or not finite
@@ -255,6 +289,15 @@ def _bad_point(cwd, source, path, point):
 def _bad_threshold(cwd, source, path, threshold):
     doc = json.loads((cwd / source).read_text())
     doc["threshold"] = threshold
+    (cwd / path).write_text(json.dumps(doc))
+
+
+def _edit(cwd, source, path, keys, value):
+    doc = json.loads((cwd / source).read_text())
+    inner = doc
+    for key in keys[:-1]:
+        inner = inner[key]
+    inner[keys[-1]] = value
     (cwd / path).write_text(json.dumps(doc))
 
 

@@ -421,6 +421,13 @@ def scalar_greedy_net(space, enumeration, delta):
     return chosen
 
 
+def first_copy_greedy_net(space, enumeration, delta):
+    """The scalar greedy net of an enumeration whose repeats are dropped
+    first by hashed tuple equality, ``dict.fromkeys``: the first copy of a
+    point is the one kept, so (-0.0, 0.0) stays when (0.0, 0.0) follows."""
+    return scalar_greedy_net(space, list(dict.fromkeys(enumeration)), delta)
+
+
 def pairwise_min_distance(space, points):
     best = None
     for i, p in enumerate(points):

@@ -25,13 +25,14 @@ from roughcayley import (
     quasi_action,
     quasi_conjugacy_defect,
 )
-from roughcayley.actions import _distinct_rows, _pair_sample
+from roughcayley.actions import _pair_sample
 from roughcayley.errors import (
     DomainError,
     ModelMismatchError,
     OutOfWindowError,
 )
 from roughcayley.nets import QuasiLattice
+from roughcayley.spaces import _distinct_rows
 
 from conftest import make_even_lattice
 from oracles import (
@@ -467,6 +468,22 @@ def test_axiom_targets_clear_the_properness_scan(make, group_radius):
     with pytest.raises(OutOfWindowError,
                        match="no lattice point clears the target margin"):
         certify_axioms(qa, group_radius=group_radius)
+
+
+@pytest.mark.parametrize("r,radii", [(1e308, (2.0,)), (0.0, (math.inf,)),
+                                     (1.0, (2.0, math.nan))])
+def test_properness_scan_that_is_not_finite_is_a_domain_error(r, radii):
+    """A density radius of 1e308 (2r overflows) or an infinite or NaN
+    properness radius leaves the default scan max R + 2r + 2 without an
+    integer radius: a ``DomainError``, where ``int`` raised
+    ``OverflowError`` or ``ValueError``."""
+    ball = group_ball_lattice(ZdModel(2), 6)
+    lattice = QuasiLattice(ball.space, ball.window, ball.points, 1.0, r,
+                           "group_ball")
+    with pytest.raises(DomainError, match="^properness scan radius max "
+                                          r"R \+ 2r \+ 2 = \w+ is not finite$"):
+        certify_axioms(quasi_action(lattice.space, lattice), group_radius=1,
+                       properness_radii=radii)
 
 
 def test_empty_radii_are_domain_errors(even_action):

@@ -348,6 +348,66 @@ def test_file_point_that_is_not_finite_exits_2(tmp_path, capsys, space_args,
     assert not (tmp_path / "g.json").exists()
 
 
+@pytest.mark.parametrize("name,coordinate", [
+    ("zd", 2 ** 63), ("zd", -2 ** 63 - 1), ("heisenberg", 2 ** 63)])
+def test_file_coordinate_outside_int64_exits_2(tmp_path, capsys, name,
+                                               coordinate):
+    """An integer coordinate that no int64 holds is a schema error under
+    each reader of a lattice file, not an ``OverflowError`` traceback."""
+    path, doc = _lattice_file(tmp_path, *LATTICES[name])
+    g = tmp_path / "g.json"
+    assert run("graph", "build", "--lattice", str(path), "--out", str(g)) == 0
+    graph = json.loads(g.read_text())
+    point = doc["points"][1]
+    point["x"] = [coordinate] + point["x"][1:]
+    doc["points"][1] = graph["lattice"]["points"][1] = point
+    path.write_text(json.dumps(doc))
+    g.write_text(json.dumps(graph))
+    message = "error (schema): a point coordinate is outside the range of int64\n"
+    for argv in (["lattice", "verify", "--lattice", str(path)],
+                 ["graph", "build", "--lattice", str(path),
+                  "--out", str(tmp_path / "g2.json")],
+                 ["qaction", "certify", "--lattice", str(path)],
+                 ["growth", "run", "--graph", str(g), "--max-m", "2",
+                  "--out", str(tmp_path / "s.csv")]):
+        capsys.readouterr()
+        assert run(*argv) == 2, argv
+        assert capsys.readouterr().err == message
+    assert not (tmp_path / "g2.json").exists()
+
+
+def test_density_radius_past_the_properness_scan_exits_1(tmp_path, capsys):
+    """With r = 1e308 the default properness scan max R + 2r + 2 is
+    infinite: a ``DomainError``, not an ``OverflowError`` traceback."""
+    path, doc = _lattice_file(tmp_path, *LATTICES["zd"])
+    doc["density_radius_r"] = 1e308
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run("qaction", "certify", "--lattice", str(path)) == 1
+    assert capsys.readouterr().err == (
+        "error: properness scan radius max R + 2r + 2 = inf is not finite\n")
+
+
+@pytest.mark.parametrize("threshold,message", [
+    (-1.0, "threshold must be >= 0, got -1.0"),
+    (1.0, "edge [0, 1] has length 2.0, above the threshold 1.0")])
+def test_graph_file_threshold_below_its_edges_exits_2(tmp_path, capsys,
+                                                      threshold, message):
+    """With threshold -1 a graph file had no border vertex, and ``growth
+    run`` wrote a series cut short by the window."""
+    path, _ = _lattice_file(tmp_path, *LATTICES["zd"])
+    g = tmp_path / "g.json"
+    assert run("graph", "build", "--lattice", str(path), "--out", str(g)) == 0
+    graph = json.loads(g.read_text())
+    graph["threshold"] = threshold
+    g.write_text(json.dumps(graph))
+    capsys.readouterr()
+    assert run("growth", "run", "--graph", str(g), "--max-m", "8",
+               "--out", str(tmp_path / "s.csv")) == 2
+    assert capsys.readouterr().err == f"error (schema): {message}\n"
+    assert not (tmp_path / "s.csv").exists()
+
+
 def test_threshold_that_is_not_finite_exits(tmp_path, capsys):
     """``graph build --threshold inf`` would write the complete graph with
     the non-JSON token ``Infinity``; a graph file whose threshold is NaN or

@@ -530,6 +530,75 @@ def test_graph_file_threshold_that_is_not_finite_is_a_schema_error(threshold):
         RoughGraph.from_json(doc)
 
 
+def _tolerance_lattice(space, window, points):
+    return QuasiLattice(space, window, points, 1.0, 0.0, "greedy")
+
+
+@pytest.mark.parametrize("make,threshold", [
+    (lambda: greedy_net(ZdModel(2), BallWindow(12), 3.0), None),
+    (lambda: group_ball_lattice(FreeGroupModel(2), 5), None),
+    (lambda: group_ball_lattice(FreeGroupModel(2), 0), None),
+    (lambda: group_ball_lattice(HeisenbergModel(), 0), None),
+    (lambda: greedy_net(HeisenbergModel(), BallWindow(4), 2.0), None),
+    (lambda: greedy_net(EuclideanModel(2),
+                        BoxWindow((-3.0, -3.0), (3.0, 3.0), 0.25), 0.7), None),
+    (lambda: horocyclic_lattice((-6.0, 6.0), (-2, 2)), None),
+    (lambda: greedy_net(HyperbolicPlaneModel(),
+                        H2Window(-3.0, 3.0, -1.5, 1.5, 0.2), 0.8), None),
+    # edges 1 + 5e-10 long, kept at threshold 1 by the 1e-9 tolerance
+    (lambda: _tolerance_lattice(EuclideanModel(1),
+                                BoxWindow((-1.0,), (2.0,), 1.0),
+                                [(-2e-10,), (1.0000000003,)]), 1.0),
+    (lambda: _tolerance_lattice(HyperbolicPlaneModel(),
+                                H2Window(-1.0, 1.0, -1.0, 2.0),
+                                [(0.0, math.exp(-2e-10)),
+                                 (0.0, math.exp(1.0000000003))]), 1.0),
+], ids=["zd2-net", "f2-ball", "f2-identity", "heis-identity", "heis-net",
+        "e2-net", "horocyclic", "h2-net", "e1-tolerance", "h2-tolerance"])
+def test_every_built_graph_reads_back(make, threshold):
+    """A graph file checks each edge against its threshold with the edge
+    builders' own distances, so every graph ``build_graph`` writes reads
+    back, ties at the tolerance included."""
+    graph = build_graph(make(), threshold)
+    back = RoughGraph.from_json(json.loads(json.dumps(graph.to_json())))
+    assert back.adjacency == graph.adjacency
+    assert back.threshold == graph.threshold
+
+
+@pytest.mark.parametrize("threshold", [-1.0, -1e-300])
+def test_graph_file_threshold_below_0_is_a_schema_error(threshold):
+    """Read back with threshold -1, the radius-12 net graph had no border
+    vertex (every slack < -1 is false), so its growth series came out cut
+    short at 59 instead of raising ``BorderError``."""
+    doc = json.loads(json.dumps(build_graph(
+        greedy_net(ZdModel(2), BallWindow(12), 3.0)).to_json()))
+    doc["threshold"] = threshold
+    with pytest.raises(SchemaError, match="^threshold must be >= 0, got "
+                                          + re.escape(repr(threshold))):
+        RoughGraph.from_json(doc)
+
+
+@pytest.mark.parametrize("make,threshold,message", [
+    (lambda: greedy_net(ZdModel(2), BallWindow(12), 3.0), 6.5,
+     r"edge \[\d+, \d+\] has length [78]\.0, above the threshold 6\.5"),
+    (lambda: group_ball_lattice(FreeGroupModel(2), 3), 0.0,
+     r"edge \[0, 1\] has length 1\.0, above the threshold 0\.0"),
+    (lambda: _tolerance_lattice(HyperbolicPlaneModel(),
+                                H2Window(-1.0, 1.0, -1.0, 2.0),
+                                [(0.0, math.exp(-2e-10)),
+                                 (0.0, math.exp(1.0000000003))]), 0.9999999,
+     r"edge \[0, 1\] has length 1\.0000000005\d*, above the threshold"),
+], ids=["zd2-net", "f2-ball", "h2"])
+def test_graph_file_edge_longer_than_its_threshold_is_a_schema_error(
+        make, threshold, message):
+    """An edge more than 1e-9 longer than the file's threshold."""
+    graph = build_graph(make())
+    doc = json.loads(json.dumps(graph.to_json()))
+    doc["threshold"] = threshold
+    with pytest.raises(SchemaError, match="^" + message):
+        RoughGraph.from_json(doc)
+
+
 def test_exports():
     g = build_graph(make_even_lattice(6))
     dot = to_dot(g)

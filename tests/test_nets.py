@@ -29,12 +29,14 @@ from roughcayley.errors import (
     BorderError,
     DomainError,
     ModelMismatchError,
+    SchemaError,
     WindowTooSmallError,
 )
 
 from conftest import make_even_lattice
 from oracles import (
     bfs_ball_depths,
+    first_copy_greedy_net,
     free_reduce,
     literal_quasilattice_certificate,
     pairwise_min_distance,
@@ -131,6 +133,30 @@ def test_greedy_matches_scalar_scan_on_shuffled_repeats(case, rnd, n_repeats):
     rnd.shuffle(enumeration)
     net = greedy_net(space, window, delta, enumeration=enumeration)
     assert net.points == scalar_greedy_net(space, enumeration, delta)
+
+
+@pytest.mark.parametrize("space,window,delta,enumeration", [
+    (ZdModel(2), BallWindow(4), 2.0,
+     [(0, 0), (1, 0), (0, 0), (2, 1), (1, 0), (-3, 1), (2, 1), (0, 2)]),
+    # words of different lengths, so the rows are zero-padded
+    (FreeGroupModel(2), BallWindow(4), 2.0,
+     [(1,), (1, 2, 1), (), (1,), (-2, -1), (1, 2, 1), (2,), (), (-2, -1)]),
+    (EuclideanModel(2), BoxWindow((-2.0, -2.0), (2.0, 2.0), 0.5), 0.7,
+     [(-0.0, 0.0), (0.0, 0.0), (0, 1), (0.0, -0.0), (0.0, 1.0), (1.0, -0.0),
+      (-0.0, 1.0), (1.0, 0.0), (-1.5, 0.5)]),
+    (HyperbolicPlaneModel(), H2Window(-2.0, 2.0, -1.0, 1.0, 0.25), 0.5,
+     [(0.0, 1.0), (-0.0, 1.0), (-0.0, 2.0), (0.0, 2.0), (1.0, 1.0),
+      (0.0, 1.0), (-0.0, 0.5)]),
+], ids=["zd2", "f2-padded", "e2-signed-zero", "h2-signed-zero"])
+def test_greedy_net_drops_repeats_as_a_tuple_dict(space, window, delta,
+                                                  enumeration):
+    """A repeated point counts at its first copy, as under ``dict.fromkeys``
+    over the tuples: -0.0 and 0.0 are one coordinate, and the copy kept is
+    the first, sign of zero and all."""
+    net = greedy_net(space, window, delta, enumeration=enumeration)
+    assert repr(net.points) == repr(first_copy_greedy_net(space, enumeration,
+                                                          delta))
+    assert net.certificates["n_candidates"] == len(enumeration)
 
 
 def test_greedy_is_deterministic():
@@ -295,6 +321,21 @@ def test_lattice_json_roundtrip():
     assert back.window == lat.window
     assert back.construction == "horocyclic"
     assert back.space == lat.space
+
+
+@pytest.mark.parametrize("space,point", [
+    (ZdModel(2), [2 ** 63, 0]), (ZdModel(2), [0, -2 ** 63 - 1]),
+    (HeisenbergModel(), [0, 0, 2 ** 64])], ids=["zd-up", "zd-down", "heis"])
+def test_lattice_file_coordinate_outside_int64_is_a_schema_error(space,
+                                                                 point):
+    """Only an int64 holds a point array row; 2^63 - 1 and -2^63 load."""
+    doc = json.loads(json.dumps(group_ball_lattice(space, 2).to_json()))
+    doc["points"][1]["x"] = point
+    with pytest.raises(SchemaError, match="^a point coordinate is outside "
+                                          "the range of int64$"):
+        QuasiLattice.from_json(doc)
+    doc["points"][1]["x"] = [2 ** 63 - 1] + [-2 ** 63] * (len(point) - 1)
+    assert QuasiLattice.from_json(doc).coords()[1, 0] == 2 ** 63 - 1
 
 
 def test_sample_probes_seeded():
@@ -529,3 +570,77 @@ def test_point_lookup_matches_a_tuple_dict(name, data):
             lat.index_of(q)
     qs = data.draw(st.lists(_queries(lat), max_size=6))
     assert lat._find(qs) == [oracle.get(p, -1) for p in qs]
+
+
+def _fresh(lat):
+    return QuasiLattice(lat.space, lat.window, list(lat.points),
+                        lat.separation_delta, lat.density_radius_r,
+                        lat.construction)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(data=st.data(),
+       model=st.sampled_from(["zd", "r2", "h2", "heisenberg", "free"]))
+def test_kept_sides_answer_as_a_fresh_lattice(data, model):
+    """A lattice keeps its side of the candidate pairs per reach: asked at
+    two multiplicity reaches in either order, then for nearest points, then
+    again, it answers as a fresh lattice of the same points answers each
+    question on its own."""
+    lat, probes, r_list = _exactness_case(data, model)
+    if not lat.points or not probes:
+        return
+    lists = [r_list, r_list[:-1]]
+    if data.draw(st.booleans()):
+        lists.reverse()
+    Q = lat.space.coords(probes)
+    for r in lists + [None] + lists[:1]:
+        if r is None:
+            got, want = lat.nearest_many(Q), _fresh(lat).nearest_many(Q)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+            continue
+        got = verify_quasilattice(lat, probes, r, seed=3)
+        want = verify_quasilattice(_fresh(lat), probes, r, seed=3)
+        assert repr(got[0]) == repr(want[0])
+        assert repr(got[1].entries) == repr(want[1].entries)
+
+
+def test_two_lattices_never_share_a_side():
+    """Two lattices asked at one reach each keep a side of their own points,
+    whether built by the library or from a list."""
+    z2 = ZdModel(2)
+    a = greedy_net(z2, BallWindow(10), 3.0)
+    b = greedy_net(z2, BallWindow(10), 3.0, enumeration=list(reversed(
+        z2.enumerate_window(BallWindow(10)))))
+    c = QuasiLattice(z2, a.window, a.points[::2], 3.0, 3.0, "greedy")
+    Q = z2.coords(z2.enumerate_window(BallWindow(8)))
+    answers = [lat.nearest_many(Q) for lat in (a, b, c)]
+    assert "_sides" not in vars(QuasiLattice)
+    assert len({id(lat._sides) for lat in (a, b, c)}) == 3
+    assert all(list(lat._sides) == [3.0] for lat in (a, b, c))
+    for lat, got in zip((a, b, c), answers):
+        want = _fresh(lat).nearest_many(Q)
+        assert all(np.array_equal(x, y) for x, y in zip(got, want))
+    assert not np.array_equal(answers[0][0], answers[1][0])
+
+
+def test_group_ball_lattice_indexes_its_points_once(monkeypatch):
+    """``_find`` and the group-ball side of ``nearest_many`` read one point
+    index: ``_row_index`` runs on the lattice's points once between
+    them."""
+    from roughcayley import graphs, nets, spaces
+    lat = group_ball_lattice(FreeGroupModel(2), 6)
+    X, calls = lat.coords(), []
+    row_index = spaces._row_index
+
+    def counted(K):
+        calls.append(K.shape == X.shape and np.array_equal(K, X))
+        return row_index(K)
+    for module in (graphs, nets, spaces):
+        monkeypatch.setattr(module, "_row_index", counted)
+    assert lat.index_of((1, 2)) == lat.points.index((1, 2))
+    Q = X[::7]
+    index, dist = lat.nearest_many(Q)
+    assert np.array_equal(index, np.arange(0, len(X), 7))
+    assert not dist.any()
+    lat.nearest_many(FreeGroupModel(2).coords([(1, 2, 1, 2, 1, 2, 1)]))
+    assert calls.count(True) == 1
