@@ -167,8 +167,8 @@ class RoughGraph:
                     and i != j):
                 raise SchemaError(f"edge {[i, j]!r} is no pair of distinct "
                                   f"vertex ids in range({n})")
-        I, J = np.fromiter(itertools.chain.from_iterable(obj["edges"]),
-                           np.intp).reshape(-1, 2).T
+        ends = np.fromiter(itertools.chain.from_iterable(obj["edges"]), np.intp)
+        I, J = ends.reshape(-1, 2).T
         adjacency = _adjacency(n, [(I, J)])
         if any(len(set(nbrs)) < len(nbrs) for nbrs in adjacency):
             raise SchemaError("the graph lists an edge twice")
@@ -180,10 +180,10 @@ class RoughGraph:
             raise SchemaError(f"threshold must be finite, got {threshold!r}")
         if threshold < 0:
             raise SchemaError(f"threshold must be >= 0, got {threshold!r}")
-        X = lattice.coords()
-        d = (hyperbolic_distance_arrays(X[I, 0], X[I, 1], X[J, 0], X[J, 1])
-             if lattice.space.tag == "h2" else
-             lattice.space._dist_many(X[I], X[J]))
+        P = lattice.coords().take(ends, axis=0)   # the ends' rows, in pairs
+        A, B = P[0::2], P[1::2]
+        d = (hyperbolic_distance_arrays(A[:, 0], A[:, 1], B[:, 0], B[:, 1])
+             if lattice.space.tag == "h2" else lattice.space._dist_many(A, B))
         long = np.flatnonzero(d > threshold + TOL)[:1].tolist()
         if long:
             raise SchemaError(f"edge {[int(I[long[0]]), int(J[long[0]])]} has "
@@ -215,12 +215,14 @@ def _edges_grid(space, X, threshold, index):
     # keys of the cells of X; the side is widened by twice the tolerance,
     # so a gap of up to threshold + 1e-9 never spans two cell borders
     side = threshold + 2 * TOL
-    _, order, runs = _row_index(np.floor(X / side).astype(np.int64))
+    order, starts, find = _row_index(np.floor(X / side).astype(np.int64))
 
     def query(Q):
-        at, I = np.floor(Q / side).astype(np.int64), np.arange(len(Q))
+        cells = np.floor(Q / side).astype(np.int64)
         for off in itertools.product((-1, 0, 1), repeat=X.shape[1]):
-            for i, j in _expand(I, *runs(at + off), order):
+            at, hit = find(cells + off)
+            I = np.flatnonzero(hit)
+            for i, j in _expand(I, starts[at[I]], at[I] + 1, order):
                 yield i, j, space._dist_many(Q[i], X[j])
     return query
 
@@ -260,16 +262,16 @@ def _edges_group_ball(space, X, threshold, index):
     hops = space._ball(int(math.floor(threshold + TOL)))
     lengths = space.distances_from(space.identity(), hops)
     hops, lengths = hops[lengths > 0], lengths[lengths > 0]
-    (keys, order, runs), w = index(), X.shape[1]
-    distinct = (keys[1:] != keys[:-1]).all()
+    (order, starts, find), w = index(), X.shape[1]
+    distinct = (starts == np.arange(len(starts))).all()
 
     def found(I, P, D):
-        lo, hi = runs(_width(P, w))
-        hit = np.flatnonzero((lo < hi) & ~P[:, w:].any(axis=1))
+        at, hit = find(_width(P, w))
+        hit = np.flatnonzero(hit & ~P[:, w:].any(axis=1))
         if distinct:
-            yield I[hit], order[lo[hit]], D[hit]
+            yield I[hit], order[at[hit]], D[hit]
         else:
-            for b, j in _expand(hit, lo[hit], hi[hit], order):
+            for b, j in _expand(hit, starts[at[hit]], at[hit] + 1, order):
                 yield I[b], j, D[b]
 
     def query(Q):

@@ -101,7 +101,7 @@ class QuasiLattice:
     def _find(self, ps):
         """The position of the last copy of each of ``ps`` among the points,
         or -1 where there is none; a p that is no tuple is none."""
-        X, (_, order, runs) = self.coords(), self._index
+        X, (order, _, find) = self.coords(), self._index
         if not len(X):
             return [-1] * len(ps)
         # the ps as rows of X's width: a p that its row does not read back
@@ -111,8 +111,8 @@ class QuasiLattice:
             rows = _width(self.space.coords(ps), X.shape[1])
         except (TypeError, ValueError, OverflowError):
             return [-1] if len(ps) == 1 else [self._find([p])[0] for p in ps]
-        start, end = runs(rows)
-        found = np.where(start < end, order[end - 1], -1)
+        at, hit = find(rows)
+        found = np.where(hit, order[at], -1)
         return [i if i >= 0 and isinstance(p, tuple) and q == p else -1
                 for i, p, q in zip(found.tolist(), ps,
                                    self.space._points(rows))]
