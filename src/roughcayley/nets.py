@@ -59,12 +59,11 @@ class QuasiLattice:
     The lattices the library builds from its own points come by
     ``_trusted``, which checks nothing.  ``coords()`` is the point list as
     ``distances_from`` takes it (``space.coords``; for free groups the
-    words as zero-padded rows of letters).  The caches, each built once, on
-    first use: ``_coords`` (unless a word ball came with it); the point
-    index ``_index``, ``_row_index(coords())``, which finds points by tuple
-    equality, many in one pass, for ``_find`` and the group-ball pairs;
-    ``_slacks`` (read-only); the lexicographic ``_ranks``; and ``_sides``,
-    the query of the lattice's side of the candidate pairs per reach.
+    words as zero-padded rows of letters).  Caches, each built on first
+    use: ``_coords`` (unless a word ball came with it); ``_index``, the
+    point index ``_row_index(coords())`` that ``_find`` and the group-ball
+    pairs read; ``_slacks`` (read-only); the lexicographic ``_ranks``; and
+    ``_sides``, the query of the lattice's side of the pairs per reach.
     """
 
     space: SpaceModel
