@@ -215,14 +215,12 @@ def _edges_grid(space, X, threshold, index):
     # keys of the cells of X; the side is widened by twice the tolerance,
     # so a gap of up to threshold + 1e-9 never spans two cell borders
     side = threshold + 2 * TOL
-    order, starts, find = _row_index(np.floor(X / side).astype(np.int64))
+    _, order, runs = _row_index(np.floor(X / side).astype(np.int64))
 
     def query(Q):
-        cells = np.floor(Q / side).astype(np.int64)
+        cells, I = np.floor(Q / side).astype(np.int64), np.arange(len(Q))
         for off in itertools.product((-1, 0, 1), repeat=X.shape[1]):
-            at, hit = find(cells + off)
-            I = np.flatnonzero(hit)
-            for i, j in _expand(I, starts[at[I]], at[I] + 1, order):
+            for i, j in _expand(I, *runs(cells + off), order):
                 yield i, j, space._dist_many(Q[i], X[j])
     return query
 
@@ -262,16 +260,16 @@ def _edges_group_ball(space, X, threshold, index):
     hops = space._ball(int(math.floor(threshold + TOL)))
     lengths = space.distances_from(space.identity(), hops)
     hops, lengths = hops[lengths > 0], lengths[lengths > 0]
-    (order, starts, find), w = index(), X.shape[1]
-    distinct = (starts == np.arange(len(starts))).all()
+    (keys, order, runs), w = index(), X.shape[1]
+    distinct = (keys[1:] != keys[:-1]).all()
 
     def found(I, P, D):
-        at, hit = find(_width(P, w))
-        hit = np.flatnonzero(hit & ~P[:, w:].any(axis=1))
+        lo, hi = runs(_width(P, w))
+        hit = np.flatnonzero((lo < hi) & ~P[:, w:].any(axis=1))
         if distinct:
-            yield I[hit], order[at[hit]], D[hit]
+            yield I[hit], order[lo[hit]], D[hit]
         else:
-            for b, j in _expand(hit, starts[at[hit]], at[hit] + 1, order):
+            for b, j in _expand(hit, lo[hit], hi[hit], order):
                 yield I[b], j, D[b]
 
     def query(Q):

@@ -100,7 +100,7 @@ class QuasiLattice:
     def _find(self, ps):
         """The position of the last copy of each of ``ps`` among the points,
         or -1 where there is none; a p that is no tuple is none."""
-        X, (order, _, find) = self.coords(), self._index
+        X, (_, order, runs) = self.coords(), self._index
         if not len(X):
             return [-1] * len(ps)
         # the ps as rows of X's width: a p that its row does not read back
@@ -110,8 +110,8 @@ class QuasiLattice:
             rows = _width(self.space.coords(ps), X.shape[1])
         except (TypeError, ValueError, OverflowError):
             return [-1] if len(ps) == 1 else [self._find([p])[0] for p in ps]
-        at, hit = find(rows)
-        found = np.where(hit, order[at], -1)
+        lo, hi = runs(rows)
+        found = np.where(lo < hi, order[hi - 1], -1)
         return [i if i >= 0 and isinstance(p, tuple) and q == p else -1
                 for i, p, q in zip(found.tolist(), ps,
                                    self.space._points(rows))]
@@ -261,9 +261,6 @@ def greedy_net(space, window, delta, enumeration=None) -> QuasiLattice:
     order, whose points are checked against the model once
     (``check_points``).  The kept points are not checked again.
     """
-    # graphs imports this module, so its candidate dispatch is imported here
-    from .graphs import _pairs
-
     if not 0 < delta < math.inf:
         raise DomainError(f"separation delta must be a finite number > 0, "
                           f"got {delta!r}")
@@ -279,7 +276,7 @@ def greedy_net(space, window, delta, enumeration=None) -> QuasiLattice:
     n = len(points)
     keys = [np.empty(0, dtype=np.int64)]
     X = space.coords(points)
-    for I, J, d in _pairs(space, X, delta)(X):
+    for I, J, d in graphs._pairs(space, X, delta)(X):
         hit = (I < J) & (d < delta - TOL)
         keys.append(I[hit] * n + J[hit])
     J = np.concatenate(keys)
@@ -446,7 +443,8 @@ def verify_quasilattice(lattice: QuasiLattice, probes, r_list, seed=None):
     if not len(probes):
         cert = {"vacuous": True, "n_probes": 0, "seed": seed,
                 "max_min_distance": None}
-        return cert, MultiplicityProfile(tuple((r, 0) for r in r_list))
+        profile = MultiplicityProfile(tuple((r, 0) for r in r_list))
+        return cert, profile
     # per probe: the nearest lattice distance and the count within each R;
     # an empty lattice leaves every probe at distance inf
     near = np.full(len(Q), math.inf)
@@ -456,8 +454,12 @@ def verify_quasilattice(lattice: QuasiLattice, probes, r_list, seed=None):
         np.minimum.at(near, i, d)
         for k, r in enumerate(r_list):
             counts[k] += np.bincount(i[d <= r + TOL], minlength=len(Q))
-    cert = {"vacuous": False, "n_probes": len(probes), "seed": seed,
-            "max_min_distance": max(0.0, float(near.max()))}
+    cert = {
+        "vacuous": False,
+        "n_probes": len(probes),
+        "seed": seed,
+        "max_min_distance": max(0.0, float(near.max())),
+    }
     return cert, MultiplicityProfile(
         tuple(zip(r_list, counts.max(axis=1).tolist())))
 
@@ -473,21 +475,23 @@ def _near_pairs(lattice, Q, reach):
     radius of a ball window, past which a group model's hop ball would
     outgrow the window.  An empty lattice yields nothing.
     """
-    # graphs imports this module, so its candidate dispatch is imported here
-    from .graphs import _pairs
-
     space, X = lattice.space, lattice.coords()
     if not len(X):
         return
     covered = np.zeros(len(Q), dtype=bool)
-    limit = getattr(lattice.window, "radius", math.inf)   # a ball's radius
+    limit = (lattice.window.radius if isinstance(lattice.window, BallWindow)
+             else math.inf)
     if 0.0 < reach < math.inf and reach <= limit:
         if reach not in lattice._sides:
-            lattice._sides[reach] = _pairs(space, X, reach,
-                                           lambda: lattice._index)
+            lattice._sides[reach] = graphs._pairs(space, X, reach,
+                                                  lambda: lattice._index)
         for i, j, d in lattice._sides[reach](Q):
             covered[i[d <= reach + TOL]] = True
             yield i, j, d
     for i in np.flatnonzero(~covered).tolist():
         yield (np.full(len(X), i), np.arange(len(X)),
                space.distances_from(Q[i], X))
+
+
+# graphs imports this module's names, so this module imports graphs last
+from . import graphs  # noqa: E402

@@ -47,8 +47,8 @@ border depths, components and distances.  ``csr_rows`` is its one step,
 the neighbour rows of a vertex array laid end to end, which the finite
 Folner engine reads too.  Point identity has one rule: two rows are the
 same point iff their ``_row_keys`` are equal.  ``_row_index`` sorts them
-once; its ``find`` looks up query rows in grid cells and in a lattice's
-point index, and ``_distinct_rows`` reads its runs of equal keys.
+once; its ``runs`` is the one lookup of query rows: in grid cells, in a
+lattice's point index and in ``_distinct_rows``.
 
 Each model owns its JSON form: ``tag`` names it in files and on the
 command line, ``to_json`` adds its ``params``, and ``point_to_json`` and
@@ -894,27 +894,25 @@ def _row_keys(K):
 
 
 def _row_index(K):
-    """The stable order that sorts the ``_row_keys`` of K's rows, where the
-    run of each sorted key starts, and ``find``: the place of the last
-    sorted key equal to each query row, and whether there is one."""
+    """The sorted ``_row_keys`` of K's rows, their stable order and
+    ``runs``: where the sorted keys equal to each query row start and end
+    (equal where there is none)."""
     keys, key = _row_keys(K)
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
 
-    def find(Q):
+    def runs(Q):
         code = key(Q)
-        at = np.searchsorted(keys, code, "right") - 1
-        return at, (at >= 0) & (keys[at] == code if len(keys) else False)
-    return order, np.searchsorted(keys, keys), find
+        return np.searchsorted(keys, code), np.searchsorted(keys, code, "right")
+    return keys, order, runs
 
 
 def _distinct_rows(Q):
     """Indices of the distinct rows of the point array Q, in order of first
     occurrence, and each row's position among them; the stable sort starts
     each run of equal rows at its first occurrence."""
-    order, starts, _ = _row_index(Q)
-    first = np.empty_like(order)   # each row's first occurrence
-    first[order] = order[starts]
+    _, order, runs = _row_index(Q)
+    first = order[runs(Q)[0]]   # each row's first occurrence
     rows = np.flatnonzero(first == np.arange(len(first)))
     return rows, np.searchsorted(rows, first)
 

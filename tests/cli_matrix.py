@@ -25,8 +25,9 @@ threshold and one with an edge longer than its threshold, twelve lattice
 files with a bad point (four with a NaN or infinite coordinate on R^2 and
 h2), a point with a coordinate past int64 under ``lattice verify``,
 ``graph build``, ``qaction certify`` and ``growth run``, and a density
-radius of 1e308 under ``qaction certify``; the probe-count, margin and boundary-constant cases that ``lattice
-verify`` and ``folner`` must reject or answer; and the empty certificate
+radius of 1e308 under ``qaction certify``; the probe-count, margin and
+boundary-constant cases that ``lattice verify`` and ``folner`` must
+reject or answer; and the empty certificate
 samples, the construction parameters that are not finite, the negative
 multiplicity radius, the window pitches and the edge thresholds that
 ``qaction``, ``lattice`` and ``graph build`` must reject.  The first

@@ -480,8 +480,9 @@ def test_properness_scan_that_is_not_finite_is_a_domain_error(r, radii):
     ball = group_ball_lattice(ZdModel(2), 6)
     lattice = QuasiLattice(ball.space, ball.window, ball.points, 1.0, r,
                            "group_ball")
-    with pytest.raises(DomainError, match="^properness scan radius max "
-                                          r"R \+ 2r \+ 2 = \w+ is not finite$"):
+    with pytest.raises(DomainError, match=r"^properness scan radius max "
+                                          r"R \+ 2r \+ 2 = \w+ is not "
+                                          r"finite$"):
         certify_axioms(quasi_action(lattice.space, lattice), group_radius=1,
                        properness_radii=radii)
 

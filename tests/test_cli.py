@@ -363,7 +363,8 @@ def test_file_coordinate_outside_int64_exits_2(tmp_path, capsys, name,
     doc["points"][1] = graph["lattice"]["points"][1] = point
     path.write_text(json.dumps(doc))
     g.write_text(json.dumps(graph))
-    message = "error (schema): a point coordinate is outside the range of int64\n"
+    message = ("error (schema): a point coordinate is outside the range "
+               "of int64\n")
     for argv in (["lattice", "verify", "--lattice", str(path)],
                  ["graph", "build", "--lattice", str(path),
                   "--out", str(tmp_path / "g2.json")],
