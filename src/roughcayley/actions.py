@@ -238,7 +238,7 @@ def _central_targets(lattice, margin, n_targets):
             f"no lattice point clears the target margin {margin:g}"
         )
     near = space._dist_many(space.coords([space.base_point]), X[eligible])
-    order = np.lexsort((lattice._lex_ranks()[eligible], near))
+    order = np.lexsort((lattice._lex_ranks[eligible], near))
     return X[eligible[order[:n_targets]]]
 
 

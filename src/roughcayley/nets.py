@@ -62,7 +62,7 @@ class QuasiLattice:
     words as zero-padded rows of letters).  Caches, each built on first
     use: ``_coords`` (unless a word ball came with it); ``_index``, the
     point index ``_row_index(coords())`` that ``_find`` and the group-ball
-    pairs read; ``_slacks`` (read-only); the lexicographic ``_ranks``; and
+    pairs read; ``_slacks`` (read-only); ``_lex_ranks``; and
     ``_sides``, the query of the lattice's side of the pairs per reach.
     """
 
@@ -78,7 +78,7 @@ class QuasiLattice:
         return len(self.points)
 
     # caches, each built on first use; ``_trusted`` presets ``_coords``
-    _coords = _slacks = _ranks = None
+    _coords = _slacks = None
 
     def __post_init__(self):
         self.space.check_points(self.points)
@@ -138,13 +138,12 @@ class QuasiLattice:
             self._slacks.setflags(write=False)
         return self._slacks
 
+    @cached_property
     def _lex_ranks(self) -> np.ndarray:
         """Each point's place in the lexicographic order of the points, a
         repeated point first at its first copy."""
-        if self._ranks is None:
-            self._ranks = np.argsort(sorted(range(len(self.points)),
-                                            key=self.points.__getitem__))
-        return self._ranks
+        return np.argsort(sorted(range(len(self.points)),
+                                 key=self.points.__getitem__))
 
     def nearest_many(self, Q):
         """(index, distance) arrays of the nearest lattice point to each row
@@ -163,7 +162,7 @@ class QuasiLattice:
         np.minimum.at(best, I, D)
         tied = D <= best[I] + TOL
         I, J, D = I[tied], J[tied], D[tied]
-        rank = self._lex_ranks()[J]
+        rank = self._lex_ranks[J]
         top = np.full(len(Q), len(self.points))
         np.minimum.at(top, I, rank)
         won = rank == top[I]

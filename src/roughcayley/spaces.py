@@ -47,8 +47,8 @@ border depths, components and distances.  ``csr_rows`` is its one step,
 the neighbour rows of a vertex array laid end to end, which the finite
 Folner engine reads too.  Point identity has one rule: two rows are the
 same point iff their ``_row_keys`` are equal.  ``_row_index`` sorts them
-once; its ``runs`` is the one lookup of query rows: in grid cells, in a
-lattice's point index and in ``_distinct_rows``.
+once; its ``runs`` is the one lookup of query rows, in grid cells and in
+a lattice's point index, and ``_distinct_rows`` reads its sorted keys.
 
 Each model owns its JSON form: ``tag`` names it in files and on the
 command line, ``to_json`` adds its ``params``, and ``point_to_json`` and
@@ -911,8 +911,9 @@ def _distinct_rows(Q):
     """Indices of the distinct rows of the point array Q, in order of first
     occurrence, and each row's position among them; the stable sort starts
     each run of equal rows at its first occurrence."""
-    _, order, runs = _row_index(Q)
-    first = order[runs(Q)[0]]   # each row's first occurrence
+    keys, order, _ = _row_index(Q)
+    first = np.empty_like(order)   # each row's first occurrence
+    first[order] = order[np.searchsorted(keys, keys)]
     rows = np.flatnonzero(first == np.arange(len(first)))
     return rows, np.searchsorted(rows, first)
 
