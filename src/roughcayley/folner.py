@@ -11,18 +11,20 @@ drops below the target.  A finite search can only ever report "not
 achieved over the tested family", never non-amenability.
 
 One family of vectorised engines computes N_c and this boundary on every
-graph kind, with vertex sets as sorted int64 codes.  On a finite windowed
-graph the codes are the vertex ids and a step gathers their CSR rows.  On
-the implicit infinite graphs (``CayleyGraph``, ``HorocyclicGraph``) they
-are packed coordinates for Z^d and the Heisenberg group, the shortlex rank
-of the word for free groups, and m L + n + N for the horocyclic vertex
-(m, n); each such engine is sized for the scanned radius.  Every engine
-answers ``ball`` and ``box`` about its centre, the finite one about the
-scan's centre vertex, and all share one closure, which expands only the
-codes its previous step added, and one boundary routine that handles
-candidate sets with millions of vertices.  Its inner closure grows only
-inside N_c(A): a path of at most c hops from outer to some a in A stays
-within c of a, so the work is bounded by |N_c(A)|.
+graph kind; vertex sets go in and come out as sorted int64 codes.  On a
+finite windowed graph the codes are the vertex ids and a step gathers their
+CSR rows.  On the implicit infinite graphs (``CayleyGraph``,
+``HorocyclicGraph``) they are packed coordinates for Z^d and the Heisenberg
+group, the shortlex rank of the word for free groups, and m L + n + N for
+the horocyclic vertex (m, n); each such engine is sized for the scanned
+radius.  Every engine answers ``ball`` and ``box`` about its centre, the
+finite one about the scan's centre vertex, and all share one closure and
+one boundary routine that handles candidate sets with millions of vertices.
+The closure holds its set as a bool mask over the codes it touches, never
+sorts it, and expands only the codes its previous step added, ``BLOCK`` at
+a time, which bounds its peak memory.  Its inner closure grows only inside
+N_c(A): a path of at most c hops from outer to some a in A stays within c
+of a, so the work is bounded by |N_c(A)|.
 
 ``folner_scan`` scores every graph kind by one loop.  On finite graphs
 every candidate must keep graph distance > c from the border vertices, so
@@ -48,6 +50,7 @@ from .graphs import CayleyGraph, HorocyclicGraph, RoughGraph
 from .spaces import FreeGroupModel, HeisenbergModel, TOL, ZdModel, csr_rows
 
 SWAP_BUDGET_FACTOR = 10   # greedy_improved's swap budget per start vertex
+BLOCK = 4096              # codes per expansion in a closure: bounds its peak
 
 
 @dataclass(frozen=True)
@@ -323,39 +326,65 @@ def _uniq(arr):
     return arr[keep]
 
 
-def _member(codes, arr):
-    """The mask of the entries of ``arr`` found in the sorted distinct
-    ``codes``, which may be empty only when ``arr`` is."""
-    i = np.searchsorted(codes, arr).clip(max=len(codes) - 1)
-    return codes[i] == arr
+def _cover(lo, free, codes):
+    """The mask ``free`` (offset ``lo``) widened, with True, to hold
+    ``codes``; a side that grows takes at least a quarter of the span, so
+    a closure copies its mask a logarithmic number of times."""
+    hi = lo + len(free) - 1
+    below, above = lo - codes.min(initial=lo), codes.max(initial=hi) - hi
+    if below or above:
+        below, above = (x and max(x, len(free) // 4) for x in (below, above))
+        free = np.concatenate([np.ones(below, bool), free,
+                               np.ones(above, bool)])
+    return lo - below, free
 
 
 def _packed_closure(engine, arr, steps, within=None):
-    """N_steps(arr) for sorted distinct codes, as sorted distinct codes:
-    each step adds the engine expansion of the codes the step before
-    added.  With ``within`` (sorted distinct) each step but the last keeps
-    only the codes found in it; the caller bounds the last one."""
-    out = new = arr
+    """N_steps(arr) for sorted distinct codes, as sorted distinct codes.
+    The codes that may still join are one bool mask ``free`` over the codes
+    touched, offset by the least of them: each step expands the codes the
+    step before added, ``BLOCK`` at a time, and marks those still free.
+    With ``within`` (sorted distinct, holding ``arr``) the mask spans it and
+    frees its codes only, so every other code is dropped."""
+    if not len(arr) or steps < 1:
+        return arr
+    lo, hi = (arr if within is None else within)[[0, -1]].tolist()
+    free = np.full(hi - lo + 1, within is None)
+    if within is not None:
+        free[within - lo] = True
+    free[arr - lo] = False
+    new = arr
     for left in range(int(steps) - 1, -1, -1):
-        grown = _uniq(np.concatenate([out, engine.expand(new)]))
-        if left:
-            if within is not None:
-                grown = grown[_member(within, grown)]
-            new = grown[~_member(out, grown)]
-        out = grown
-    return out
+        added = [new[:0]]   # the step may add nothing
+        for at in range(0, len(new), BLOCK):
+            codes = engine.expand(new[at:at + BLOCK])
+            if within is None:
+                lo, free = _cover(lo, free, codes)
+            else:
+                codes = codes[(codes >= lo) & (codes < lo + len(free))]
+            codes = codes[free[codes - lo]]
+            free[codes - lo] = False
+            if left:   # the next step expands each added code once
+                added.append(_uniq(codes))
+        new = np.concatenate(added)
+    if within is not None:
+        return within[~free[within - lo]]
+    return np.flatnonzero(~free) + lo
 
 
 def _packed_boundary(engine, a_sorted, word_steps):
     """(outer, inner) as sorted codes for the sorted distinct codes of A;
     the inner closure grows only inside grown = N_c(A) (see the module
-    docstring), and its last step is read inside A."""
+    docstring), where it is outer plus inner."""
     grown = _packed_closure(engine, a_sorted, word_steps)
-    outer = np.setdiff1d(grown, a_sorted, assume_unique=True)
-    inner = np.intersect1d(
-        _packed_closure(engine, outer, word_steps, within=grown), a_sorted,
-        assume_unique=True)
-    return outer, inner
+    if not len(grown):
+        return grown, grown
+    lo = grown[0]
+    in_a = np.zeros(grown[-1] - lo + 1, dtype=bool)
+    in_a[a_sorted - lo] = True
+    outer = grown[~in_a[grown - lo]]
+    near = _packed_closure(engine, outer, word_steps, within=grown)
+    return outer, near[in_a[near - lo]]
 
 
 # ---------------------------------------------------------------------------

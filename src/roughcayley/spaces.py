@@ -896,14 +896,23 @@ def _row_keys(K):
 def _row_index(K):
     """The sorted ``_row_keys`` of K's rows, their stable order and
     ``runs``: where the sorted keys equal to each query row start and end
-    (equal where there is none)."""
+    (equal where there is none), by one bisection per query row and the
+    run ends of the sorted positions, found once."""
     keys, key = _row_keys(K)
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
+    # each sorted position's run end: the next run's start, or len(keys)
+    starts = np.flatnonzero(keys[1:] != keys[:-1]) + 1
+    ends = np.repeat(np.append(starts, len(keys)),
+                     np.diff(starts, prepend=0, append=len(keys)))
 
     def runs(Q):
         code = key(Q)
-        return np.searchsorted(keys, code), np.searchsorted(keys, code, "right")
+        lo = np.searchsorted(keys, code)
+        if not len(keys):
+            return lo, lo
+        at = lo.clip(max=len(keys) - 1)
+        return lo, np.where(keys[at] == code, ends[at], lo)
     return keys, order, runs
 
 

@@ -18,9 +18,10 @@ box, an h2 net and the horocyclic lattice) through ``lattice build
 --probes 150``, ``lattice verify``, ``graph build``, ``graph stats``,
 ``graph export`` (DOT and CSV) and ``growth run``; ``qaction certify`` and
 ``orbit-qi`` on the seven group lattices; one ``qaction conjugacy``;
-``growth run --space zd``; ``folner scan`` with all three families, on the
-horocyclic graph too, and ``folner ratio``; eleven graph files with a bad
-edge list, two with a threshold that is not finite, one with a negative
+``growth run --space zd``; ``folner scan`` with all three families at c = 1
+and c = 2, with metric balls at c = 1 and boxes at c = 2 on the horocyclic
+lattice's graph, and ``folner ratio``; eleven graph files with a bad edge
+list, two with a threshold that is not finite, one with a negative
 threshold and one with an edge longer than its threshold, twelve lattice
 files with a bad point (four with a NaN or infinite coordinate on R^2 and
 h2), a point with a coordinate past int64 under ``lattice verify``,
@@ -111,6 +112,13 @@ def folner_chain():
             "folner", "scan", "--graph", g, "--family", family,
             "--sizes", "1..5", "--epsilon", "0.3",
             "--out", f"unit.{family}.json", "--csv", f"unit.{family}.csv"]))
+    # closures of more than one step
+    for family in ("boxes", "metric_balls", "greedy_improved"):
+        cases.append((f"unit:scan-{family}-c2", [
+            "folner", "scan", "--graph", g, "--family", family, "--c", "2",
+            "--sizes", "1..5", "--epsilon", "0.3",
+            "--out", f"unit.{family}.c2.json",
+            "--csv", f"unit.{family}.c2.csv"]))
     cases += [
         ("unit:ratio", ["folner", "ratio", "--graph", g, "--ball", "4"]),
     ]
@@ -129,6 +137,10 @@ def after_lattices():
                              "--family", "metric_balls", "--sizes", "1..2",
                              "--epsilon", "0.1", "--out", "horo.scan.json"],
          None),
+        ("horo:scan-boxes-c2", ["folner", "scan", "--graph", "horo.graph.json",
+                                "--family", "boxes", "--c", "2",
+                                "--sizes", "1..3", "--epsilon", "0.1",
+                                "--out", "horo.boxes.c2.json"], None),
     ]
     bad_edges = {
         "bool": [[True, 1]], "float": [[0, 1.0]], "n": [[0, "n"]],

@@ -90,6 +90,41 @@ def packed_bfs_balls(engine, origin, r_max):
         yield np.sort(np.concatenate(layers))
 
 
+def _member(codes, arr):
+    """The mask of the entries of ``arr`` found in the sorted distinct
+    ``codes``, which may be empty only when ``arr`` is."""
+    i = np.searchsorted(codes, arr).clip(max=len(codes) - 1)
+    return codes[i] == arr
+
+
+def sorted_code_closure(engine, arr, steps, within=None):
+    """N_steps(arr) for sorted distinct codes of a Folner engine, with the
+    whole set re-sorted at every step: each step adds the expansion of the
+    codes the step before added.  With ``within`` (sorted distinct) each
+    step but the last keeps only the codes found in it."""
+    out = new = arr
+    for left in range(int(steps) - 1, -1, -1):
+        grown = np.unique(np.concatenate([out, engine.expand(new)]))
+        if left:
+            if within is not None:
+                grown = grown[_member(within, grown)]
+            new = grown[~_member(out, grown)]
+        out = grown
+    return out
+
+
+def sorted_code_boundary(engine, a_sorted, steps):
+    """(outer, inner) of the sorted distinct codes of A by sorted-set
+    operations: outer = N_c(A) \\ A, inner = A & N_c(outer), the closure of
+    outer kept inside N_c(A)."""
+    grown = sorted_code_closure(engine, a_sorted, steps)
+    outer = np.setdiff1d(grown, a_sorted, assume_unique=True)
+    inner = np.intersect1d(
+        sorted_code_closure(engine, outer, steps, within=grown), a_sorted,
+        assume_unique=True)
+    return outer, inner
+
+
 def heisenberg_balls_by_box(r_max):
     """N_r(e) of the Heisenberg group for r = 0..r_max as (n, 3) arrays in
     lexicographic order: the points of the box |a|, |b| <= r_max,

@@ -1,4 +1,10 @@
+import functools
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +28,7 @@ from roughcayley import (
     greedy_net,
     group_ball_lattice,
 )
+import roughcayley
 from roughcayley import folner
 from roughcayley.errors import (
     BorderError,
@@ -48,6 +55,8 @@ from oracles import (
     packed_bfs_balls,
     reference_greedy_scan,
     set_within,
+    sorted_code_boundary,
+    sorted_code_closure,
 )
 
 
@@ -339,6 +348,30 @@ def test_horocyclic_scan_sizes_are_pinned(c, family, pinned):
         == pinned
 
 
+def test_horocyclic_c2_ball_scan_peaks_under_150_mb():
+    """The radius-2 ball of the horocyclic graph has a 2-boundary of 385,294
+    vertices; in a fresh interpreter the scan peaks well under 150 MB,
+    where expanding each closure step as one array peaked at 270 MB.  The
+    child reads its own high-water mark, VmHWM: Linux carries the spawning
+    process's peak over into the child's ``ru_maxrss``."""
+    script = (
+        "import json\n"
+        "from roughcayley import HorocyclicGraph, folner_scan\n"
+        "report = folner_scan(HorocyclicGraph(), 2, 'metric_balls', 1e-9,"
+        " [1, 2])\n"
+        "peak = [int(line.split()[1]) for line in open('/proc/self/status')"
+        " if line.startswith('VmHWM:')]\n"
+        "print(json.dumps([report.entries, *peak]))\n")
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(roughcayley.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    entries, peak_kib = json.loads(out)
+    assert entries == [["ball:1", 69, 22225, 22225 / 69],
+                       ["ball:2", 1277, 385294, 385294 / 1277]]
+    assert peak_kib < 150 * 1024
+
+
 @pytest.mark.parametrize("graph, c, radius, hop", [
     (CayleyGraph(FreeGroupModel(2), 2), 2, 2, 2),
     (CayleyGraph(HeisenbergModel()), 2, 3, 1),
@@ -374,6 +407,61 @@ def test_boundary_closures_stay_inside_the_c_neighbourhood(graph, c, radius,
     for passed in closures:
         codes = np.concatenate(passed)
         assert len(np.unique(codes)) == len(codes)
+
+
+# graph, ball radius the sets are drawn from, hops per unit of c, the most
+# codes drawn in each of two ways, and the largest c; at c = 3 the reference
+# takes seconds on the default horocyclic graph, so the graph with threshold
+# 2, which still hops across levels, takes c = 3
+_CLOSURE_CASES = {
+    "z2": (lambda: CayleyGraph(ZdModel(2)), 6, 1, 40, 3),
+    "z3": (lambda: CayleyGraph(ZdModel(3)), 3, 1, 40, 3),
+    "heisenberg": (lambda: CayleyGraph(HeisenbergModel()), 4, 1, 40, 3),
+    "free2-threshold2": (lambda: CayleyGraph(FreeGroupModel(2), 2),
+                         2, 2, 10, 3),
+    "horocyclic": (lambda: HorocyclicGraph(), 2, 1, 8, 2),
+    "horocyclic-threshold2": (lambda: HorocyclicGraph(2.0), 2, 1, 40, 3),
+    "finite": (lambda: build_graph(greedy_net(ZdModel(2), BallWindow(14), 2),
+                                   threshold=3.0), 6, 1, 40, 3),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _closure_case(name, c):
+    """A case's engine, the sorted codes of its ball, and its hop."""
+    graph, radius, hop = _CLOSURE_CASES[name][:3]
+    graph = graph()
+    if isinstance(graph, RoughGraph):
+        engine = _GraphEngine(graph,
+                              graph.deepest_vertex(graph.border_depths()))
+    else:
+        engine = _packed_engine(graph, (radius + 2 * c + 1) * hop)
+    return engine, engine.ball(radius * hop), hop
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(name=st.sampled_from(sorted(_CLOSURE_CASES)), c=st.integers(1, 3),
+       picks=st.lists(st.integers(0, 2 ** 20), max_size=40),
+       run=st.tuples(st.integers(0, 2 ** 20), st.integers(0, 40)))
+def test_mask_closures_match_the_sorted_code_reference(name, c, picks, run):
+    """The mask closures give the codes, in order and dtype, of the routine
+    that re-sorts the whole set at every step, for sets of scattered codes
+    and a run of consecutive ones inside an engine ball; horocyclic codes
+    with m < 0 are negative."""
+    most, c_max = _CLOSURE_CASES[name][3:]
+    assume(c <= c_max)
+    engine, ball, hop = _closure_case(name, c)
+    start, length = run[0] % len(ball), min(run[1], most)
+    A = ball[np.unique(np.concatenate([
+        np.asarray(picks[:most], dtype=np.int64) % len(ball),
+        np.arange(start, min(start + length, len(ball)))]).astype(np.intp))]
+    steps = c * hop
+    got = (_packed_closure(engine, A, steps),
+           *_packed_boundary(engine, A, steps))
+    want = (sorted_code_closure(engine, A, steps),
+            *sorted_code_boundary(engine, A, steps))
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
 
 
 @pytest.mark.parametrize("graph", [

@@ -49,7 +49,7 @@ from roughcayley.graphs import (
     _qi_sample,
     component_sizes,
 )
-from roughcayley.spaces import _row_keys, csr_layers
+from roughcayley.spaces import _row_index, _row_keys, csr_layers
 
 from conftest import make_even_lattice
 from oracles import (
@@ -321,6 +321,32 @@ def test_row_keys_are_equal_iff_rows_are(data):
     keys, key = _row_keys(K)
     equal = (Q[:, None, :] == K[None, :, :]).all(axis=2)
     assert ((key(Q)[:, None] == keys[None, :]) == equal).all()
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(st.data())
+def test_row_index_runs_are_the_equal_keys(data):
+    """``runs`` gives each query row the run of sorted keys equal to its
+    own, as bisecting for its start and its end does, with int64 and byte
+    keys, repeated rows and an empty index."""
+    width = data.draw(st.integers(1, 3))
+    bound = data.draw(st.sampled_from([2, 1 << 62]))
+
+    def rows(min_size):
+        return data.draw(st.lists(st.lists(
+            st.integers(-bound, bound), min_size=width, max_size=width),
+            min_size=min_size, max_size=10))
+
+    K = np.array(rows(0), dtype=np.int64).reshape(-1, width)
+    Q = np.array(rows(1) + K.tolist(), dtype=np.int64)
+    keys, order, runs = _row_index(K)
+    code = _row_keys(K)[1](Q)
+    lo, hi = runs(Q)
+    assert np.array_equal(lo, np.searchsorted(keys, code))
+    assert np.array_equal(hi, np.searchsorted(keys, code, "right"))
+    for q, a, b in zip(Q, lo, hi):
+        equal = np.flatnonzero((K == q).all(axis=1))
+        assert sorted(order[a:b]) == equal.tolist()
 
 
 def test_grid_edges_of_far_points_fall_back_to_byte_keys():
